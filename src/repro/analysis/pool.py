@@ -60,6 +60,7 @@ from repro.common.errors import PoolError, TaskTimeoutError
 from repro.common.stats import RunStats
 from repro.hlpl.policy import MarkingPolicy
 from repro.obs.tracer import MatrixEvent
+from repro.workloads import TRACE_PREFIX, trace_file_digest
 
 #: default location of the persistent result cache (relative to the cwd)
 DEFAULT_CACHE_DIR = ".warden-cache"
@@ -144,14 +145,9 @@ def _workload_fingerprint(benchmark: str) -> Optional[str]:
     as a sentinel — resolution will fail loudly later with a proper
     diagnostic.
     """
-    if not benchmark.startswith("trace:"):
+    if not benchmark.startswith(TRACE_PREFIX):
         return None
-    path = benchmark[len("trace:"):]
-    try:
-        with open(path, "rb") as handle:
-            return _sha256(handle.read())
-    except OSError:
-        return "unreadable"
+    return trace_file_digest(benchmark[len(TRACE_PREFIX):]) or "unreadable"
 
 
 def task_fingerprint(task: RunTask, code: Optional[str] = None) -> str:

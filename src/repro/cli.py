@@ -55,7 +55,12 @@ from repro.analysis.tables import (
     table1,
     table2,
 )
-from repro.bench import BENCHMARKS, DISAGGREGATED_SUBSET, PAPER_ORDER
+from repro.bench import (
+    BENCHMARKS,
+    DISAGGREGATED_SUBSET,
+    PAPER_ORDER,
+    get_benchmark,
+)
 from repro.bench.microbench import run_table1
 from repro.coherence.registry import available_protocols, protocol_class
 from repro.common.config import disaggregated, dual_socket, single_socket
@@ -518,9 +523,10 @@ def _workload_matrix(name: str, config, size: str, seed: int) -> int:
 
 def cmd_ingest(args) -> int:
     """Parse an external text trace; optionally run it through the zoo."""
-    from repro.workloads import load_trace_file
-
-    trace = load_trace_file(args.trace)
+    # Resolving through the workload registry parses the file once for
+    # the summary and every run below.
+    name = f"trace:{args.trace}"
+    trace = get_benchmark(name).workload("test")
     loads, stores, rmws = trace.counts()
     blocks, shared = trace.footprint()
     print(f"trace     : {args.trace}")
@@ -530,12 +536,10 @@ def cmd_ingest(args) -> int:
     print(f"footprint : {blocks} blocks ({shared} shared between threads)")
     print(f"checksum  : {trace.checksum():#x}")
     if args.matrix:
-        return _workload_matrix(
-            f"trace:{args.trace}", _machine_config(args), "test", args.seed
-        )
+        return _workload_matrix(name, _machine_config(args), "test", args.seed)
     if args.run:
         result = run_benchmark(
-            f"trace:{args.trace}", args.protocol, _machine_config(args),
+            name, args.protocol, _machine_config(args),
             size="test", seed=args.seed,
             use_cache=False, use_disk_cache=False,
         )

@@ -15,6 +15,9 @@ benchmark machinery (``repro.bench.get_benchmark``) delegates to.
 
 from __future__ import annotations
 
+import hashlib
+from typing import Optional, Tuple
+
 from repro.common.errors import ConfigError
 from repro.workloads.adapter import (
     TRACE_ADDR_BASE,
@@ -37,6 +40,23 @@ from repro.workloads.synth import (
 #: prefix selecting the external-trace front end in any benchmark-name slot
 TRACE_PREFIX = "trace:"
 
+#: the most recently parsed ``trace:`` workload: ``(name, digest, Benchmark)``
+_last_trace: Optional[Tuple[str, str, object]] = None
+
+
+def trace_file_digest(path: str) -> Optional[str]:
+    """sha256 hex digest of a trace file's bytes; ``None`` if unreadable.
+
+    The one place trace files are hashed: the result cache keys
+    ``trace:`` runs by it, and :func:`resolve_workload` keys its parsed
+    trace by it, so an edited file misses both.
+    """
+    try:
+        with open(path, "rb") as handle:
+            return hashlib.sha256(handle.read()).hexdigest()
+    except OSError:
+        return None
+
 
 def workload_names():
     """Registered synthetic workload names, sorted."""
@@ -55,15 +75,24 @@ def resolve_workload(name: str):
     ``trace:<path>`` external trace files (parsed on resolution, so a
     malformed file surfaces as :class:`TraceFormatError` — an
     operational :class:`~repro.common.errors.ReproError`, CLI exit 2).
+    The most recent trace stays parsed while its file content is
+    unchanged, so resolving one name repeatedly parses it once.
     """
+    global _last_trace
     if name in SYNTH_WORKLOADS:
         return SYNTH_WORKLOADS[name]
     if name.startswith(TRACE_PREFIX):
         path = name[len(TRACE_PREFIX):]
         if not path:
             raise ConfigError("empty trace path in workload name 'trace:'")
-        trace = load_trace_file(path)
-        return benchmark_from_trace(trace, name)
+        digest = trace_file_digest(path)
+        # only readable files are kept, so a None digest never matches
+        if _last_trace is not None and _last_trace[:2] == (name, digest):
+            return _last_trace[2]
+        bench = benchmark_from_trace(load_trace_file(path), name)
+        if digest is not None:
+            _last_trace = (name, digest, bench)
+        return bench
     raise ConfigError(
         f"unknown workload {name!r}; expected one of {workload_names()} "
         f"or '{TRACE_PREFIX}<path>'"
@@ -84,6 +113,7 @@ __all__ = [
     "make_trace",
     "parse_trace_text",
     "resolve_workload",
+    "trace_file_digest",
     "trace_root_task",
     "workload_names",
 ]

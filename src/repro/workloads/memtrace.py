@@ -199,7 +199,9 @@ def _parse_int(
             )
         value = int(digits, 16)
     else:
-        if not raw.isdigit():
+        # isdigit() alone admits Unicode digits ('²', '١') that int()
+        # either rejects with a bare ValueError or silently decodes.
+        if not (raw.isascii() and raw.isdigit()):
             reason = (
                 f"mixed-radix or malformed {what} {raw!r}"
                 if any(c.isalpha() for c in raw) and not negative
@@ -219,8 +221,12 @@ def parse_trace_text(
 
     Raises :class:`TraceFormatError` (with ``source:line``) on the first
     malformed line; an empty trace (zero op rows) is also an error.
+    Linear in the trace length: rows and thread ids are collected
+    locally and the :class:`MemTrace` is built once at the end.
     """
-    trace = MemTrace(name=source)
+    ops: List[Tuple[int, int, int, int]] = []
+    threads = set()
+    lineno = 0
     for lineno, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.split("#", 1)[0].split("//", 1)[0].strip()
         if not line:
@@ -255,18 +261,19 @@ def parse_trace_text(
                     source, lineno,
                     f"size {size} outside [1, {MAX_ACCESS_SIZE}]",
                 )
-        trace.append(thread, kind, addr, size)
-        if len(trace.by_thread()) > MAX_TRACE_THREADS:
-            raise TraceFormatError(
-                source, lineno,
-                f"more than {MAX_TRACE_THREADS} distinct thread ids",
-            )
-    if not trace.ops:
+        ops.append((thread, kind, addr, size))
+        if thread not in threads:
+            threads.add(thread)
+            if len(threads) > MAX_TRACE_THREADS:
+                raise TraceFormatError(
+                    source, lineno,
+                    f"more than {MAX_TRACE_THREADS} distinct thread ids",
+                )
+    if not ops:
         raise TraceFormatError(
-            source, max(1, text.count("\n") + (0 if text.endswith("\n") or not text else 1)),
-            "trace contains no memory operations",
+            source, max(1, lineno), "trace contains no memory operations",
         )
-    return trace
+    return MemTrace(ops, name=source)
 
 
 def load_trace_file(path: str) -> MemTrace:

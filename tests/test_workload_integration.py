@@ -7,8 +7,9 @@ import json
 import pytest
 
 import repro.cli as cli
+from repro.analysis.conformance import stats_digest
 from repro.analysis.pool import RunTask, task_fingerprint
-from repro.analysis.run import set_disk_cache
+from repro.analysis.run import run_benchmark, set_disk_cache
 from repro.cli import build_parser, main
 from repro.coherence.registry import available_protocols, protocol_class
 from repro.common.config import dual_socket
@@ -16,7 +17,7 @@ from repro.common.errors import ConfigError, ReproError, UnknownProtocolError
 from repro.replay import record_benchmark, replay_trace
 from repro.replay.kernel import ReplayKernel
 from repro.replay.trace import Trace
-from repro.workloads import make_trace
+from repro.workloads import make_trace, memtrace
 
 
 @pytest.fixture(autouse=True)
@@ -61,6 +62,16 @@ class TestIngestSynthCLI:
         assert main(["ingest", str(bad)]) == 2
         err = capsys.readouterr().err
         assert f"{bad}:2:" in err and "unknown op" in err
+        assert "Traceback" not in err
+
+    def test_ingest_non_ascii_digits_exit_2_with_location(
+        self, tmp_path, capsys
+    ):
+        bad = tmp_path / "digits.trace"
+        bad.write_text("0 R 0x40\n0 R \u00b2\n", encoding="utf-8")
+        assert main(["ingest", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert f"{bad}:2:" in err and "malformed address" in err
         assert "Traceback" not in err
 
     def test_ingest_missing_file_exits_2(self, tmp_path, capsys):
@@ -198,6 +209,48 @@ class TestTraceFingerprints:
             config=config, size="test", seed=42,
         ), code="pinned")
         assert isinstance(fp, str) and fp
+
+
+# ----------------------------------------------------------------------
+# Parse once per file content, never stale
+# ----------------------------------------------------------------------
+
+class TestParseOnce:
+    @pytest.fixture()
+    def parses(self, monkeypatch):
+        """Sources handed to ``parse_trace_text``, one entry per parse."""
+        calls = []
+        original = memtrace.parse_trace_text
+
+        def counting(text, source="<string>"):
+            calls.append(source)
+            return original(text, source)
+
+        monkeypatch.setattr(memtrace, "parse_trace_text", counting)
+        return calls
+
+    def test_ingest_matrix_parses_the_file_once(
+        self, trace_file, parses, capsys
+    ):
+        assert main(["ingest", trace_file, "--matrix"]) == 0
+        assert "DIVERGED" not in capsys.readouterr().out
+        assert parses == [trace_file]
+
+    def test_edited_file_is_parsed_again(self, trace_file, parses):
+        def run():
+            return run_benchmark(
+                f"trace:{trace_file}", "mesi", dual_socket(), size="test",
+                seed=42, use_disk_cache=False,
+            )
+
+        first = run()
+        assert stats_digest(run().stats) == stats_digest(first.stats)
+        assert len(parses) == 1
+        with open(trace_file, "w", encoding="utf-8") as handle:
+            handle.write(make_trace("zipf", seed=7, ops_per_thread=25).to_text())
+        edited = run()
+        assert len(parses) == 2
+        assert stats_digest(edited.stats) != stats_digest(first.stats)
 
 
 # ----------------------------------------------------------------------

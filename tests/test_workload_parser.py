@@ -121,6 +121,10 @@ REJECTED = [
     ("0 R 0x40 4.5\n", 1, "malformed size"),               # non-integer size
     ("", 1, "no memory operations"),                       # empty file
     ("# only comments\n\n", 2, "no memory operations"),    # comment-only
+    ("# a\r# b\r", 2, "no memory operations"),             # CR-only endings
+    ("0 R \u00b2\n", 1, "malformed address"),              # superscript two
+    ("\u00b9 R 0x0\n", 1, "malformed thread id"),          # superscript one
+    ("0 R \u0661\u0662\n", 1, "malformed address"),        # Arabic-Indic 12
 ]
 
 
@@ -140,6 +144,22 @@ def test_too_many_threads_rejected():
     with pytest.raises(TraceFormatError) as excinfo:
         parse_trace_text(text)
     assert "distinct thread ids" in excinfo.value.reason
+    assert excinfo.value.lineno == MAX_TRACE_THREADS + 1
+
+
+def test_thread_limit_fires_on_the_line_adding_the_extra_thread():
+    """Repeating known threads never trips the limit; the first line
+    naming one thread too many does, however late it comes."""
+    lines = [f"{t} R 0x0" for t in range(MAX_TRACE_THREADS)]
+    lines += [f"{t % MAX_TRACE_THREADS} W 0x40" for t in range(1000)]
+    lines.append(f"{MAX_TRACE_THREADS} R 0x0")
+    lines.append("0 R 0x0")
+    with pytest.raises(TraceFormatError) as excinfo:
+        parse_trace_text("\n".join(lines))
+    assert "distinct thread ids" in excinfo.value.reason
+    assert excinfo.value.lineno == MAX_TRACE_THREADS + 1000 + 1
+    # one line short of the extra thread, the same trace parses
+    assert len(parse_trace_text("\n".join(lines[:-2]))) == len(lines) - 2
 
 
 def test_unreadable_and_binary_files_rejected(tmp_path):
