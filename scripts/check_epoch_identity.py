@@ -1,15 +1,16 @@
 #!/usr/bin/env python
 """CI gate: epoch-batched engine must be bit-identical to per-op stepping.
 
-Runs one fig8 cell (primes/warden at the small input on the dual-socket
-machine) twice in-process — once with ``REPRO_EPOCH_BATCH=1`` and once
-with ``=0`` — and diffs the full ``RunStats.to_dict()``: cycles, per-core
-counters, and the coherence message matrix.  Any mismatch prints the
-differing keys and exits non-zero.
+Runs one cell (by default primes/warden at the small input on the
+dual-socket machine) twice in-process — once with ``REPRO_EPOCH_BATCH=1``
+and once with ``=0`` — and diffs the full ``RunStats.to_dict()``: cycles,
+per-core counters, and the coherence message matrix.  Any mismatch prints
+the differing keys and exits non-zero.
 
-The broader matrix (every benchmark x protocol at the "test" size, plus
-engine-level batch-vs-scalar equivalence) lives in tests/test_epoch.py;
-this script is the cheap standalone smoke for the perf-smoke CI job.
+The broader matrix (every benchmark and golden synthetic workload x
+protocol at the "test" size, plus engine-level batch-vs-scalar equivalence)
+lives in tests/test_epoch.py; this script is the standalone check the
+epoch-bit-identity CI job runs on small-size cells.
 
 Usage: PYTHONPATH=src python scripts/check_epoch_identity.py
        [benchmark] [protocol] [size]

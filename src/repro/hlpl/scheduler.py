@@ -7,7 +7,11 @@ so scheduling itself generates realistic coherence traffic — identically for
 MESI and WARDen, since runtime metadata is never inside a WARD region.
 
 Idle workers spin with exponential backoff (busy-wait synchronization, as in
-the PBBS suite — see the paper's Fig. 11 discussion of ray).
+the PBBS suite — see the paper's Fig. 11 discussion of ray).  A spin is two
+L1 load hits on the spinner's own padded blocks plus its backoff, so once a
+spin is known to be clean the engine parks the spinner and
+:meth:`WorkStealingScheduler.skip_spins` applies the spins in closed form
+when a push or the root's end makes them matter (see ``repro.sim.engine``).
 """
 
 from __future__ import annotations
@@ -64,6 +68,12 @@ class WorkStealingScheduler:
         self._tracer = machine.tracer
         self._nthreads = nthreads
         config = machine.config
+        self._pstats = machine.protocol.stats
+        self._spin_latency = 2 * config.l1.latency
+        #: spins may be parked only on the epoch fast path and without SMT:
+        #: an SMT sibling shares the L1 and interleaves its own accesses
+        #: with the spinner's LRU refreshes
+        self._can_park = self._fast_touch and config.threads_per_core == 1
         self._per_socket = config.cores_per_socket * config.threads_per_core
         self._num_sockets = config.num_sockets
         # Deterministic per-worker victim choice (xorshift-style LCG),
@@ -97,10 +107,12 @@ class WorkStealingScheduler:
             local += 1
         return local
 
-    def _touch(self, thread: int, addr: int, atype, spin: bool = False) -> None:
+    def _touch(self, thread: int, addr: int, atype, spin: bool = False) -> int:
+        """One deque or flag access; returns its memory latency (0 when
+        traffic is not modelled)."""
         if not self.model_traffic:
             self._cores[thread].advance(4)
-            return
+            return 0
         # Deque words and spin flags are overwhelmingly private hits, so
         # take the epoch fast path (identical statistical effects) when the
         # tracer doesn't need per-access events; atomics always fall
@@ -113,8 +125,8 @@ class WorkStealingScheduler:
                     cm.load(latency, spin=spin)
                 else:
                     cm.store(latency)
-                return
-        self._machine.access(thread, addr, 8, atype, spin=spin)
+                return latency
+        return self._machine.access(thread, addr, 8, atype, spin=spin)
 
     # ------------------------------------------------------------------
     def push(self, thread: int, strand) -> None:
@@ -132,19 +144,28 @@ class WorkStealingScheduler:
         # signalled through ``finished``.
         return not self.finished
 
-    def on_idle(self, worker) -> None:
+    def on_idle(self, worker) -> bool:
+        """One scheduling attempt of an idle worker.
+
+        Returns True when the call was a *clean* spin: both of its loads
+        were L1 hits on the epoch fast path, outside any WARD state, with
+        parking allowed.  Until the next push or the root's end, every
+        further call would repeat that spin exactly, so the engine may park
+        the worker and later apply them with :meth:`skip_spins`.
+        """
         thread = worker.thread
         core = self._cores[thread]
+        ward_accesses = self._pstats.ward_accesses
 
         # 1. Own deque: pop the newest task (bottom).
-        self._touch(thread, self.bottom_addr[thread], _LOAD)
+        latency = self._touch(thread, self.bottom_addr[thread], _LOAD)
         own = self.deques[thread]
         if own:
             strand = own.pop()
             self.total_ready -= 1
             self._touch(thread, self.bottom_addr[thread], _STORE)
             self._assign(worker, strand)
-            return
+            return False
 
         # 2. Steal attempt: probe one random victim (standard work stealing
         #    probes a single victim per attempt, then backs off briefly).
@@ -162,17 +183,61 @@ class WorkStealingScheduler:
                 if tracer.enabled:
                     tracer.steal(core.clock, thread, victim, True)
                 self._assign(worker, strand)
-                return
+                return False
             if tracer.enabled:
                 tracer.steal(core.clock, thread, victim, False)
             core.advance(BACKOFF_MIN)  # brief pause before the next probe
-            return
+            return False
 
         # 3. Nothing to do: spin on a local flag with exponential backoff.
-        self._touch(thread, self.flag_addr[thread], _LOAD, spin=True)
+        latency += self._touch(thread, self.flag_addr[thread], _LOAD, spin=True)
         backoff = self._backoff
         core.advance(backoff[thread])
         backoff[thread] = min(backoff[thread] * 2, BACKOFF_MAX)
+        # Two L1 hits cost exactly _spin_latency; a miss, an L2 hit or
+        # unmodelled traffic (latency 0) cannot.
+        return (
+            latency == self._spin_latency
+            and self._can_park
+            and not self._tracer.enabled
+            and self._pstats.ward_accesses == ward_accesses
+        )
+
+    def skip_spins(self, thread: int, until_clock: int, until_thread: int) -> None:
+        """Apply every spin of parked ``thread`` keyed below a given op.
+
+        The engine orders ops by ``(clock, thread)``; this applies, in
+        closed form, each spin whose key sorts below ``(until_clock,
+        until_thread)``.  Each spin adds two L1 load hits (one of them a
+        spin load) and its backoff to the clock.  Its other effect, making
+        the spinner's two private blocks the most recently used in its L1,
+        is a no-op after the clean spin that parked it.
+        """
+        core = self._cores[thread]
+        clock = core.clock
+        # (clock, thread) < (until_clock, until_thread)  <=>  clock < limit
+        limit = until_clock + 1 if thread < until_thread else until_clock
+        if clock >= limit:
+            return
+        backoff = self._backoff[thread]
+        latency = self._spin_latency
+        spins = 0
+        while backoff < BACKOFF_MAX and clock < limit:  # the doubling ramp
+            clock += latency + backoff
+            backoff = min(backoff * 2, BACKOFF_MAX)
+            spins += 1
+        if clock < limit:  # the plateau: one spin per period
+            period = latency + BACKOFF_MAX
+            plateau = (limit - clock + period - 1) // period
+            clock += plateau * period
+            spins += plateau
+        core.clock = clock
+        self._backoff[thread] = backoff
+        stats = core.stats
+        stats.loads += 2 * spins
+        stats.spin_loads += spins
+        self._pstats.total_accesses += 2 * spins
+        self._machine.protocol.l1[self._core_of[thread]].hits += 2 * spins
 
     # ------------------------------------------------------------------
     def _assign(self, worker, strand) -> None:

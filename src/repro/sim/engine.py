@@ -38,6 +38,33 @@ path runs once in full, then the run ends and the worker re-enters the
 heap.  The fast path is bypassed entirely while a tracer sink is installed
 (per-op event visibility); access hooks are invoked per element inside the
 run, preserving checker semantics.
+
+Parked spinners
+---------------
+
+An idle worker with nothing to steal spins on a private flag with
+exponential backoff.  When the scheduler reports a spin as *clean* (both of
+its loads were L1 hits on the worker's own padded ``bottom`` and ``flag``
+blocks, which no other thread touches, outside any WARD state), every later
+spin repeats it exactly: two L1 hits plus the backoff, changing only the
+spinner's clock, counters and the LRU position of two blocks that are
+already most recent.  Only two events change what the spinner would do: a
+push (inside the fork handler) and ``finished`` (set when the root strand
+ends).  So the engine *parks* the worker outside the heap.  Busy workers'
+epoch runs then no longer stop at every spinner's clock.
+
+A fork or a strand end is always the last op of a run, so after each run
+that leaves ``total_ready > 0`` or ``finished`` set, the engine wakes every
+parked worker: ``scheduler.skip_spins`` applies, in closed form, each spin
+keyed below that op, and the worker re-enters the heap at its next spin.
+The op's key is its clock from *before* the generator ``send``, since a
+generator body can charge cycles inside ``send`` before yielding the
+``ForkOp``; the per-op engine runs spins keyed between the two clocks after
+the fork.  Parking needs the epoch fast path without a tracer, modelled
+scheduler traffic, and one thread per core (an SMT sibling shares the L1 and
+interleaves its own accesses with the spinner's LRU refreshes).  An empty
+heap with parked workers and no ``finished`` is the per-op engine's endless
+spin, reported as a deadlock.
 """
 
 from __future__ import annotations
@@ -143,7 +170,9 @@ class Engine:
         self.workers = [Worker(t) for t in range(machine.config.num_threads)]
         #: callable(worker, ForkOp) installed by the HLPL runtime
         self.fork_handler: Optional[Callable] = None
-        #: scheduler with .finished, .has_work_for(worker), .on_idle(worker)
+        #: scheduler with .finished, .has_work_for(worker), .on_idle(worker);
+        #: one whose on_idle can return True (a clean spin, see "Parked
+        #: spinners") also needs .total_ready and .skip_spins
         self.scheduler = None
         #: callable(worker, op, AccessType) for dynamic checkers
         self.access_hook: Optional[Callable] = None
@@ -197,6 +226,9 @@ class Engine:
             heap = [(machine_cores[w.thread].clock, w.thread) for w in workers]
         heapify(heap)
         #: idle workers the scheduler had no work for; re-armed on progress
+        waiting = []
+        #: threads of parked spinners, kept out of the heap until a push or
+        #: the root's end (see "Parked spinners" in the module docstring)
         parked = []
         while True:
             if scheduler is not None and scheduler.finished:
@@ -218,50 +250,57 @@ class Engine:
                 if scheduler is None:
                     continue  # pinned strand finished: retire the worker
                 if not scheduler.has_work_for(worker):
-                    parked.append(entry)
+                    waiting.append(entry)
                     continue
-                scheduler.on_idle(worker)
+                spun = scheduler.on_idle(worker)
                 if epoch_batch and not tracer.enabled:
-                    # Idle-spin epoch: while this worker stays strictly
+                    # Steal-phase epoch: while this worker stays strictly
                     # min-clock (same tie-break as the heap pop) and found
                     # no work, the per-op engine would pop it straight back
-                    # — so keep spinning it without re-touching the heap.
-                    # on_idle only advances this worker's own clock, so the
-                    # schedule (and every spin access) is bit-identical.
+                    # — so keep going without re-touching the heap.  A
+                    # clean spin parks it instead.
                     if heap:
                         next_clock, next_thread = heap[0]
-                        while (
-                            worker.strand is None
-                            and not scheduler.finished
-                            and (
-                                core.clock < next_clock
-                                or (core.clock == next_clock
-                                    and thread < next_thread)
-                            )
-                            and scheduler.has_work_for(worker)
-                        ):
-                            scheduler.on_idle(worker)
                     else:
-                        while (
-                            worker.strand is None
-                            and not scheduler.finished
-                            and scheduler.has_work_for(worker)
-                        ):
-                            scheduler.on_idle(worker)
+                        next_clock, next_thread = None, -1
+                    while (
+                        not spun
+                        and worker.strand is None
+                        and (
+                            next_clock is None
+                            or core.clock < next_clock
+                            or (core.clock == next_clock
+                                and thread < next_thread)
+                        )
+                        and scheduler.has_work_for(worker)
+                    ):
+                        spun = scheduler.on_idle(worker)
+                    if spun:
+                        parked.append(thread)
+                        continue
             elif epoch_batch and not tracer.enabled:
                 if heap:
                     next_clock, next_thread = heap[0]
                 else:
                     next_clock, next_thread = None, -1
-                retire_run(worker, next_clock, next_thread)
+                op_clock = retire_run(worker, next_clock, next_thread)
+                if parked and (scheduler.total_ready or scheduler.finished):
+                    # Only a push or the root's end changes what a parked
+                    # spinner does, and only a fork or a strand end (the
+                    # run's last op) can cause either.  Spins keyed below
+                    # that op saw nothing to do; apply them, then requeue.
+                    for spinner in parked:
+                        scheduler.skip_spins(spinner, op_clock, thread)
+                        heappush(heap, (machine_cores[spinner].clock, spinner))
+                    parked.clear()
             else:
                 step(worker)
             heappush(heap, (core.clock, thread))
-            if parked:
-                # Progress was made; parked workers may have work again.
-                for stale in parked:
+            if waiting:
+                # Progress was made; waiting workers may have work again.
+                for stale in waiting:
                     heappush(heap, stale)
-                parked.clear()
+                waiting.clear()
 
     # ------------------------------------------------------------------
     def _finish_strand(self, worker: Worker, strand: Strand, stop) -> None:
@@ -494,7 +533,7 @@ class Engine:
     # ------------------------------------------------------------------
     def _retire_run(
         self, worker: Worker, next_clock: Optional[int], next_thread: int
-    ) -> None:
+    ) -> Optional[int]:
         """Retire a run of consecutive epoch-safe ops on one worker.
 
         ``worker`` was just popped as the global min-clock choice;
@@ -506,6 +545,11 @@ class Engine:
         one), which is conservative and preserves the exact schedule.
         The first op needing the slow path (coherence traffic, RmwOp,
         ForkOp, StopIteration) executes once in full and ends the run.
+
+        Returns the clock from before the generator ``send`` when the run
+        ends on a ForkOp or StopIteration, else None: the key of the op that
+        may push work or finish the root is that pre-send clock, since a
+        generator body can charge cycles inside ``send`` before yielding.
         """
         strand = worker.strand
         thread = worker.thread
@@ -525,11 +569,12 @@ class Engine:
                 if not self._batch_micro(worker, strand, cursor, True):
                     return
             else:
+                op_clock = core.clock
                 try:
                     op = strand.gen.send(strand.resume_value)
                 except StopIteration as stop:
                     self._finish_strand(worker, strand, stop)
-                    return
+                    return op_clock
                 strand.resume_value = None
                 cls = op.__class__
                 if cls is ComputeOp:
@@ -578,7 +623,7 @@ class Engine:
                             "ForkOp yielded but no fork handler installed"
                         )
                     self.fork_handler(worker, op)
-                    return
+                    return op_clock
                 else:
                     raise SimulationError(f"unknown operation {op!r}")
             if next_clock is not None:

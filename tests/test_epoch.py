@@ -13,6 +13,7 @@ import pytest
 
 from repro.analysis.run import run_benchmark
 from repro.bench import BENCHMARKS
+from repro.coherence.registry import available_protocols
 from repro.common.config import dual_socket
 from repro.common.errors import SimulationError
 from repro.common.types import AccessType
@@ -27,6 +28,7 @@ from repro.sim.ops import (
     StoreBatchOp,
     StoreOp,
 )
+from repro.workloads import GOLDEN_SYNTH
 from tests.conftest import tiny_config
 
 
@@ -50,11 +52,13 @@ def _run_in_mode(name: str, protocol: str, mode: str):
             os.environ["REPRO_EPOCH_BATCH"] = saved
 
 
-@pytest.mark.parametrize("name", sorted(BENCHMARKS))
+@pytest.mark.parametrize("name", sorted(BENCHMARKS) + list(GOLDEN_SYNTH))
 def test_epoch_batching_is_bit_identical(name):
-    """Every benchmark/protocol pair: RunStats (including CoherenceStats)
-    must match field-for-field between batched and per-op stepping."""
-    for protocol in ("mesi", "warden"):
+    """Every workload/protocol pair: RunStats (including CoherenceStats)
+    must match field-for-field between batched and per-op stepping.  The
+    synthetic workloads leave most workers idle, so they are where parked
+    spinners are fast-forwarded most."""
+    for protocol in available_protocols():
         batched = _run_in_mode(name, protocol, "1")
         reference = _run_in_mode(name, protocol, "0")
         assert batched.stats.to_dict() == reference.stats.to_dict(), (
