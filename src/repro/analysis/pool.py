@@ -804,14 +804,25 @@ def _run_matrix_robust(
 # ----------------------------------------------------------------------
 
 
-def _replay_task(blob: bytes, config):
-    """Replay one serialized trace under ``config`` (pool worker entry).
+def _replay_members(trace, configs):
+    """Replay one memory-key group; a group of one is a plain
+    ``replay_trace``, the public per-replay entry point."""
+    from repro.replay import replay_group, replay_trace
+
+    if len(configs) == 1:
+        return [replay_trace(trace, configs[0])]
+    return replay_group(trace, configs)
+
+
+def _replay_task(blob: bytes, configs):
+    """Replay one serialized trace under one memory-key group of configs
+    (pool worker entry).
 
     Takes the trace as bytes so the pool ships one compact blob per task
     instead of a pickled object graph; module-level for picklability."""
-    from repro.replay import Trace, replay_trace
+    from repro.replay import Trace
 
-    return replay_trace(Trace.from_bytes(blob), config=config)
+    return _replay_members(Trace.from_bytes(blob), configs)
 
 
 def replay_matrix(
@@ -830,13 +841,24 @@ def replay_matrix(
     response changes (see :mod:`repro.replay`) — so results are returned
     directly and never fed into the exact-result caches.
 
+    Variants are grouped by :func:`repro.replay.kernel.memory_key`: the
+    config with its timing-only fields canonicalized — each cache level's
+    ``latency``, ``dram_latency``, ``hop_intra_latency``,
+    ``socket_link_latency``, ``remote_link_latency``, ``disaggregated``,
+    ``store_buffer_entries``, ``energy`` and ``name``.  Any other
+    difference (cache sizes, associativity, block size, topology, region
+    capacity, ...) splits groups.  Each group costs one coherence pass
+    plus one core-timing pass per member, so a latency sweep pays for its
+    coherence work once.
+
     The trace comes from ``trace_store`` (default: the shared
     ``.warden-cache/traces`` store) when a fingerprint-valid recording
     exists, and is recorded (and persisted) otherwise.  Results come back
-    in variant order; with ``jobs > 1`` replays fan out over a process
-    pool.
+    in variant order, each with its own objects; with ``jobs > 1`` the
+    groups fan out over a process pool, one task per group.
     """
-    from repro.replay import TraceStore, record_benchmark, replay_trace
+    from repro.replay import TraceStore, record_benchmark
+    from repro.replay.kernel import memory_groups
 
     store = trace_store if trace_store is not None else TraceStore()
     key = task_fingerprint(base)
@@ -853,15 +875,25 @@ def replay_matrix(
         )
         store.store(key, trace)
     variants = list(variants)
-    if jobs <= 1 or len(variants) <= 1:
-        return [replay_trace(trace, config=cfg) for cfg in variants]
-    blob = trace.to_bytes()
-    pool = ProcessPoolExecutor(max_workers=min(jobs, len(variants)))
-    try:
-        futures = [pool.submit(_replay_task, blob, cfg) for cfg in variants]
-        return [future.result() for future in futures]
-    finally:
-        pool.shutdown()
+    groups = memory_groups(variants)
+    members = [[variants[i] for i in group] for group in groups]
+    if jobs <= 1 or len(groups) <= 1:
+        grouped = [_replay_members(trace, configs) for configs in members]
+    else:
+        blob = trace.to_bytes()
+        pool = ProcessPoolExecutor(max_workers=min(jobs, len(groups)))
+        try:
+            futures = [
+                pool.submit(_replay_task, blob, configs) for configs in members
+            ]
+            grouped = [future.result() for future in futures]
+        finally:
+            pool.shutdown()
+    results = [None] * len(variants)
+    for group, replays in zip(groups, grouped):
+        for i, result in zip(group, replays):
+            results[i] = result
+    return results
 
 
 def run_task_robust(

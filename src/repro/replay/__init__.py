@@ -5,7 +5,7 @@ The interpreted engine (scheduler + runtime + per-block objects) decides
 and address, WARD region boundaries, NUMA placement, and scheduler clock
 synchronisations.  For a fixed (benchmark, protocol, config, seed, policy)
 tuple that event stream is deterministic — so it can be recorded once and
-re-executed by a far cheaper interpreter that drives the MESI/WARDen state
+re-executed by a far cheaper interpreter that drives the protocol state
 machines directly over packed arrays, with no heap, scheduler, or runtime
 in the loop.
 
@@ -14,7 +14,9 @@ in the loop.
 * :mod:`repro.replay.record` — a recording ``Machine``/``CoreModel`` pair
   that wraps one interpreted run and captures the event stream.
 * :mod:`repro.replay.kernel` — the vectorized replay kernel; bit-identical
-  ``RunStats`` to the interpreted engine for the recorded tuple.
+  ``RunStats`` to the interpreted engine for the recorded tuple.  One
+  coherence pass serves every config of a latency-only group
+  (:func:`~repro.replay.kernel.replay_group`).
 
 Replay of a trace under a *different* machine config is a trace-driven
 approximation (the event stream is the recorded one; only the memory-system
@@ -23,7 +25,7 @@ exact result.  Set ``REPRO_REPLAY=0`` to force every consumer back onto the
 interpreted engine.
 """
 
-from repro.replay.kernel import ReplayKernel, replay_trace
+from repro.replay.kernel import ReplayKernel, replay_group, replay_trace
 from repro.replay.record import (
     RecordingCore,
     RecordingMachine,
@@ -45,5 +47,6 @@ __all__ = [
     "RecordingMachine",
     "record_benchmark",
     "ReplayKernel",
+    "replay_group",
     "replay_trace",
 ]

@@ -1,10 +1,29 @@
-"""The vectorized replay kernel: trace in, bit-identical ``RunStats`` out.
+"""The replay kernel: trace in, bit-identical ``RunStats`` out.
 
-Instead of per-block :class:`CacheBlock` objects, directory-entry objects,
-and a scheduler deciding what runs next, the kernel drives the registered
-protocols' state machines (MESI, WARDen, MOESI, SI/SD — dispatched on the
-trace's recorded protocol key) directly from a recorded trace over packed
-arrays:
+A replay runs in two passes over a recorded trace.
+
+* The **memory pass** drives the registered protocols' state machines
+  (MESI, WARDen, MOESI, SI/SD — dispatched on the trace's recorded
+  protocol key) over packed arrays and emits each access's latency.  It
+  holds everything a latency cannot change: cache contents and LRU order,
+  per-core coherence states (``_I, _S, _O, _E, _M, _W = 0..5``), the
+  directory, WARD regions, message counts and the coherence counters.
+* The **core-timing pass** turns those latencies into time: the
+  per-thread clocks, the TSO store buffer, load and store-buffer stalls,
+  ``cycles`` and energy.  It walks only the *barriers* — stores, RMWs and
+  scheduler clock clamps — because between two barriers a thread's clock
+  just adds its compute charges and one latency per load.
+
+The trace fixes the event order, so the coherence state never depends on
+a latency.  Configs that differ only in :data:`TIMING_FIELDS` (and the
+cache levels' ``latency``) therefore share one :func:`memory_key` and
+one memory pass.  :class:`ReplayKernel` takes such a group: every latency
+constant is *lane-packed* — one fixed-width field per config in a single
+int — so ``+`` adds all configs' latencies at once, and the four ``max``
+sites use :func:`_lane_max`.  A single-config replay is a group of one,
+where packing is the identity.
+
+The memory pass works over packed state:
 
 * block addresses are factorized once into dense ids (numpy ``unique``
   when available — see :mod:`repro.replay._compat`), so all per-block
@@ -16,19 +35,17 @@ arrays:
   sets), so presence in the dict *is* validity;
 * consecutive same-thread accesses to the same block — the dominant
   pattern after epoching — are flagged at load time (``rep``) and served
-  by a branch-minimal fast path: a guaranteed L1-MRU hit with inline core
-  timing, no LRU maintenance, no method calls.
+  by a branch-minimal fast path: a guaranteed L1-MRU hit, no LRU
+  maintenance, no method calls.
 
-Every slow-path transaction is a line-for-line transcription of
-:class:`~repro.coherence.mesi.MESIProtocol` /
-:class:`~repro.coherence.warden.WARDenProtocol` (state codes I=0 S=1 E=2
-M=3 W=4), sharing the genuinely subtle pieces —
-:func:`~repro.coherence.warden.reconcile_plan`,
+Every slow-path transaction is a line-for-line transcription of the
+object protocols in :mod:`repro.coherence`, sharing the genuinely subtle
+pieces — :func:`~repro.coherence.warden.reconcile_plan`,
 :func:`~repro.mem.cache.set_index_params`,
 :func:`~repro.coherence.mesi.llc_config`, and the real
-:class:`~repro.coherence.regions.RegionTable` — with the object protocol,
-so the two cannot drift on the parts that are easy to get wrong.  The
-replay-identity tests then pin the rest bit-for-bit.
+:class:`~repro.coherence.regions.RegionTable` — so the two cannot drift
+on the parts that are easy to get wrong.  The replay-identity tests then
+pin the rest bit-for-bit.
 
 Replaying under a *different* config than the recorded one is a
 trace-driven approximation: the instruction stream is the recorded one,
@@ -38,11 +55,12 @@ sweeps; never fed into the exact-result caches.
 
 from __future__ import annotations
 
+import dataclasses
 from collections import Counter, deque
-from typing import List, Optional
+from typing import List, Optional, Sequence
 
 from repro.common.config import MachineConfig
-from repro.common.errors import UnknownProtocolError
+from repro.common.errors import ConfigError, UnknownProtocolError
 from repro.common.stats import CoreStats, RunStats
 from repro.common.types import MessageType
 from repro.coherence.mesi import MESIProtocol, llc_config
@@ -54,7 +72,10 @@ from repro.obs.tracer import ReplayEvent
 from repro.replay._compat import load_numpy
 from repro.replay.trace import (
     AT_LOAD,
+    AT_RMW,
+    AT_STORE,
     K_ACCESS,
+    K_FLUSH,
     K_LLC_WARM,
     K_PLACE,
     K_REGION_ADD,
@@ -89,12 +110,101 @@ _REGION_REMOVE_MSG = MessageType.REGION_REMOVE
 # write threshold drops to _S (every cached state absorbs stores).
 _I, _S, _O, _E, _M, _W = 0, 1, 2, 3, 4, 5
 
+_KINDS = frozenset((
+    K_ACCESS, K_REGION_ADD, K_REGION_REMOVE, K_PLACE, K_SYNC, K_FLUSH,
+    K_LLC_WARM,
+))
+#: core-timing op code of a clock clamp (access barriers use their atype)
+_OP_SYNC = 3
+
+#: MachineConfig fields that only set timing.  Configs differing in
+#: nothing else — plus the ``latency`` of each cache level — share a
+#: memory pass; every other field, including any added later, splits
+#: the group (see :func:`memory_key`).
+TIMING_FIELDS = (
+    "name",
+    "dram_latency",
+    "hop_intra_latency",
+    "socket_link_latency",
+    "remote_link_latency",
+    "disaggregated",
+    "store_buffer_entries",
+    "energy",
+)
+_CANONICAL = MachineConfig()
 
 
-def _preprocess(tr, bs: int):
+def memory_key(config: MachineConfig) -> MachineConfig:
+    """``config`` with its timing-only fields set to canonical values.
+
+    Replays of one trace under configs with equal keys reach the same
+    coherence states and counters; only their latencies differ.
+    """
+    canon = {name: getattr(_CANONICAL, name) for name in TIMING_FIELDS}
+    for level in ("l1", "l2", "l3"):
+        canon[level] = dataclasses.replace(getattr(config, level), latency=1)
+    return dataclasses.replace(config, **canon)
+
+
+def memory_groups(configs: Sequence[MachineConfig]) -> List[List[int]]:
+    """Indices of ``configs`` grouped by :func:`memory_key`, groups in
+    order of first appearance and members in config order."""
+    groups: dict = {}
+    for i, config in enumerate(configs):
+        groups.setdefault(memory_key(config), []).append(i)
+    return list(groups.values())
+
+
+def _pack(values, width: int) -> int:
+    """One ``width``-bit field per lane, lane 0 in the low bits."""
+    packed = 0
+    for lane, value in enumerate(values):
+        packed |= value << (lane * width)
+    return packed
+
+
+def _lane_max(width: int, lanes: int):
+    """Lane-wise ``max`` of two packed ints whose fields stay below
+    ``1 << (width - 1)``.
+
+    The top bit of each field is a guard: ``(a | guard) - b`` cannot
+    borrow across fields and keeps a field's guard set exactly where
+    ``a >= b``, which selects that field of ``a``.
+    """
+    if lanes == 1:
+        return max
+    guard = _pack([1 << (width - 1)] * lanes, width)
+    full = (1 << (width * lanes)) - 1
+    ones = (1 << width) - 1
+    shift = width - 1
+
+    def lane_max(a: int, b: int) -> int:
+        take_a = ((((a | guard) - b) & guard) >> shift) * ones
+        return (a & take_a) | (b & (full ^ take_a))
+
+    return lane_max
+
+
+class _Prep:
+    """Config-independent columns of one trace at one block size."""
+
+    __slots__ = (
+        # memory pass
+        "kind", "thr", "atype", "addr", "aux", "bid", "rep", "baddrs", "mask",
+        # core-timing pass: per barrier, then per thread for its tail
+        "slot", "b_thr", "b_op", "b_charge", "b_loads", "b_aux", "tail_charge",
+        "tail_loads",
+        # core counters
+        "accesses", "loads", "stores", "rmws", "spin_loads", "compute_instrs",
+    )
+
+
+def _preprocess(tr, bs: int) -> _Prep:
     """Config-independent load-time pass: column lists, block-id
-    factorization, the adjacent-repeat flags, and written-sector masks.
+    factorization, the adjacent-repeat flags, written-sector masks, the
+    barrier structure of the core-timing pass and the core counters.
 
+    Raises :class:`ConfigError` on an event no replay can interpret.
     Memoized per trace (keyed by block size) — see ``Trace._prep``.
     """
     n = len(tr)
@@ -107,6 +217,17 @@ def _preprocess(tr, bs: int):
     aux = tr.aux.tolist()
     pre_i = tr.pre_instrs.tolist()
     pre_c = tr.pre_cycles.tolist()
+
+    unknown = set(kind) - _KINDS
+    if unknown:
+        k = next(k for k, kd in enumerate(kind) if kd in unknown)
+        raise ConfigError(f"trace event {k}: unknown event kind {kind[k]}")
+    if n and min(thr) < 0:
+        k = thr.index(min(thr))
+        raise ConfigError(f"trace event {k}: negative thread id {thr[k]}")
+    if n and min(sizes) < 0:
+        k = sizes.index(min(sizes))
+        raise ConfigError(f"trace event {k}: negative access size {sizes[k]}")
 
     np = load_numpy()
     if np is not None and n:
@@ -172,19 +293,103 @@ def _preprocess(tr, bs: int):
             a = addr[k]
             mask[k] = ((1 << sizes[k]) - 1) << (a % bs)
 
-    return (kind, thr, atype, spin, addr, aux, pre_i, pre_c,
-            bid, rep, baddrs, mask)
+    # Core-timing structure.  A barrier carries its thread's running
+    # charge total (inclusive) and load count (exclusive); the loads of a
+    # thread up to a barrier form that barrier's segment, the loads after
+    # its last barrier its tail.  ``slot[k]`` is a barrier's index, or a
+    # load's segment index (a tail's is ``barriers + thread``).
+    nthr = max(thr) + 1 if n else 0
+    slot = [-1] * n
+    waiting = [[] for _ in range(nthr)]
+    charge = [0] * nthr
+    nloads = [0] * nthr
+    b_thr: List[int] = []
+    b_op: List[int] = []
+    b_charge: List[int] = []
+    b_loads: List[int] = []
+    b_aux: List[int] = []
+    stores = rmws = spins = 0
+    for k, t, kd, at, sp, a, pi, pc in zip(
+        range(n), thr, kind, atype, spin, aux, pre_i, pre_c,
+    ):
+        if pi or pc:
+            charge[t] += pi + pc
+        if kd == K_ACCESS:
+            if at == AT_LOAD:
+                waiting[t].append(k)
+                nloads[t] += 1
+                if sp:
+                    spins += 1
+                continue
+            if at == AT_STORE:
+                stores += 1
+            elif at == AT_RMW:
+                rmws += 1
+            else:
+                raise ConfigError(f"trace event {k}: unknown access type {at}")
+        elif kd != K_SYNC:
+            continue
+        j = len(b_thr)
+        for q in waiting[t]:
+            slot[q] = j
+        waiting[t] = []
+        slot[k] = j
+        b_thr.append(t)
+        b_op.append(at if kd == K_ACCESS else _OP_SYNC)
+        b_charge.append(charge[t])
+        b_loads.append(nloads[t])
+        b_aux.append(a)
+    nb = len(b_thr)
+    for t, ks in enumerate(waiting):
+        for q in ks:
+            slot[q] = nb + t
+
+    p = _Prep()
+    p.kind, p.thr, p.atype, p.addr, p.aux = kind, thr, atype, addr, aux
+    p.bid, p.rep, p.baddrs, p.mask = bid, rep, baddrs, mask
+    p.slot, p.b_thr, p.b_op = slot, b_thr, b_op
+    p.b_charge, p.b_loads, p.b_aux = b_charge, b_loads, b_aux
+    p.tail_charge, p.tail_loads = charge, nloads
+    p.loads = sum(nloads)
+    p.stores, p.rmws, p.spin_loads = stores, rmws, spins
+    p.accesses = p.loads + stores + rmws
+    p.compute_instrs = sum(pre_i)
+    return p
+
+
+def _recorded_config(meta: dict) -> MachineConfig:
+    if "config" not in meta:
+        raise ConfigError(
+            "trace meta has no recorded config; pass a config to replay it"
+        )
+    try:
+        return config_from_dict(meta["config"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"trace meta has a malformed config: {exc}") from None
 
 
 class ReplayKernel:
-    """Replays one :class:`~repro.replay.trace.Trace` over packed arrays."""
+    """Replays one :class:`~repro.replay.trace.Trace` under a group of
+    configs that share one :func:`memory_key` (default: the recorded
+    config alone)."""
 
-    def __init__(self, trace: Trace, config: Optional[MachineConfig] = None):
+    def __init__(
+        self,
+        trace: Trace,
+        configs: Optional[Sequence[MachineConfig]] = None,
+    ):
         self.trace = trace
         meta = trace.meta
-        self.config = (
-            config if config is not None else config_from_dict(meta["config"])
-        )
+        if configs is None:
+            configs = [_recorded_config(meta)]
+        self.configs = configs = list(configs)
+        if not configs:
+            raise ValueError("a replay needs at least one config")
+        shared = memory_key(configs[0])
+        if any(memory_key(config) != shared for config in configs[1:]):
+            raise ValueError("a replay group must share one memory key")
+        #: the group's memory-side config (its timing fields are lane 0's)
+        self.config = configs[0]
         # dispatch mode from the recorded registry key; traces predating the
         # key fall back on the supports_ward flag (mesi/warden era)
         key = meta.get("protocol")
@@ -206,6 +411,7 @@ class ReplayKernel:
         # under SI/SD where stores never consult a directory)
         self._smin = _S if self.is_sisd else _E
         self._prepare()
+        self._check_lanes()
 
     # ------------------------------------------------------------------
     # Load-time preprocessing (the vectorized part)
@@ -214,15 +420,14 @@ class ReplayKernel:
         tr = self.trace
         cfg = self.config
         bs = cfg.block_size
-        # The factorized event columns depend only on the block size, so
-        # they are memoized on the trace: repeat replays (bench repeats)
-        # and config sweeps (replay_matrix) skip the load-time pass.
-        prepped = tr._prep.get(bs)
-        if prepped is None:
-            prepped = tr._prep[bs] = _preprocess(tr, bs)
-        (self._kind, self._thr, self._atype, self._spin, self._addr,
-         self._aux, self._pre_i, self._pre_c, self._bid, self._rep,
-         self.baddrs, self._mask) = prepped
+        # The preprocessed columns depend only on the block size, so they
+        # are memoized on the trace: repeat replays (bench repeats) and
+        # config sweeps (replay_matrix) skip the load-time pass.
+        prep = tr._prep.get(bs)
+        if prep is None:
+            prep = tr._prep[bs] = _preprocess(tr, bs)
+        self.prep = prep
+        self.baddrs = prep.baddrs
         self.nblocks = len(self.baddrs)
 
         np = load_numpy()
@@ -262,14 +467,76 @@ class ReplayKernel:
             return [(a >> shift) % num_sets for a in baddrs]
         bsz = cache_cfg.block_size
         return [(a // bsz) % num_sets for a in baddrs]
+
+    def _check_lanes(self) -> None:
+        """Each config must fit the trace; then size the lanes.
+
+        One access's latency is at most ``l1 + l2 + l3 + dram + 4 links``
+        (an L2-hit upgrade: request, invalidate, ack, grant), and every
+        packed quantity is a sum of at most one latency per access, so
+        ``bound * accesses`` fits below each field's guard bit.
+        """
+        prep = self.prep
+        used = len(prep.tail_charge)
+        final = self.trace.meta.get("final_thread", 0)
+        bound = 0
+        for cfg in self.configs:
+            if used > cfg.num_threads:
+                raise ConfigError(
+                    f"trace uses thread {used - 1} but config {cfg.name!r} "
+                    f"has {cfg.num_threads} threads"
+                )
+            if not (isinstance(final, int) and 0 <= final < cfg.num_threads):
+                raise ConfigError(
+                    f"trace final_thread {final!r} is not a thread of "
+                    f"config {cfg.name!r} ({cfg.num_threads} threads)"
+                )
+            link = max(cfg.hop_intra_latency, cfg.cross_socket_latency())
+            lats = (cfg.l1.latency, cfg.l2.latency, cfg.l3.latency,
+                    cfg.dram_latency, cfg.hop_intra_latency,
+                    cfg.cross_socket_latency())
+            if min(lats) < 0:
+                raise ConfigError(f"config {cfg.name!r} has a negative latency")
+            bound = max(bound, sum(lats[:4]) + 4 * link)
+        self.final_thread = final
+        self.lanes = len(self.configs)
+        self.width = (bound * max(prep.accesses, 1)).bit_length() + 1
+
+    def _lane(self, values: List[int], lane: int) -> List[int]:
+        """Field ``lane`` of each packed value (the list itself for a
+        group of one)."""
+        if self.lanes == 1:
+            return values
+        width = self.width
+        shift = lane * width
+        ones = (1 << width) - 1
+        out = [(v >> shift) & ones for v in values]
+        assert not out or max(out) < 1 << (width - 1), "lane overflow"
+        return out
+
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
-    def run(self) -> RunStats:
+    def run(self) -> List[RunStats]:
+        """One memory pass, then one core-timing pass per config; the
+        stats come back in config order."""
+        barrier_lat, load_extra = self._memory_pass()
+        return [
+            self._finalize(lane, barrier_lat, load_extra)
+            for lane in range(self.lanes)
+        ]
+
+    def _memory_pass(self):
+        """Replay the protocol over the whole trace.
+
+        Returns the packed latency of each barrier's access, and per load
+        segment the packed sum of its loads' latency beyond the L1 hit
+        (L1-hit loads add nothing there: their latency is ``l1``).
+        """
         cfg = self.config
-        nthreads = cfg.num_threads
         ncores = cfg.num_cores
         nblocks = self.nblocks
+        prep = self.prep
 
         # protocol state (packed)
         self.pstate = [bytearray(nblocks) for _ in range(ncores)]
@@ -287,9 +554,7 @@ class ReplayKernel:
         self.page_homes = {}
         self.messages = Counter()
 
-        # coherence counters (slow path; the access fast path keeps its own
-        # locals and folds them in at the end)
-        self.tot = 0
+        # coherence counters
         self.l2a = 0
         self.wacc = 0
         self.l3a = 0
@@ -307,46 +572,32 @@ class ReplayKernel:
         self.x_self_downgrades = 0
         self.x_self_invalidations = 0
 
-        # timing constants / topology
-        self.l1_lat = l1_lat = cfg.l1.latency
-        self.l2_lat = cfg.l2.latency
-        self.l3_lat = cfg.l3.latency
-        self.dram_lat = cfg.dram_latency
-        self.intra_lat = cfg.hop_intra_latency
-        self.sock_lat = cfg.cross_socket_latency()
+        # lane-packed timing constants / topology
+        lanes = self.configs
+        width = self.width
+        self.l1_lat = l1_lat = _pack((c.l1.latency for c in lanes), width)
+        self.l2_lat = _pack((c.l2.latency for c in lanes), width)
+        self.l3_lat = _pack((c.l3.latency for c in lanes), width)
+        self.dram_lat = _pack((c.dram_latency for c in lanes), width)
+        self.intra_lat = _pack((c.hop_intra_latency for c in lanes), width)
+        self.sock_lat = _pack((c.cross_socket_latency() for c in lanes), width)
+        self._lmax = _lane_max(self.width, self.lanes)
         self.soc_of_core = tuple(
             cfg.socket_of_core(c) for c in range(ncores)
         )
         self.soc_of_thread = tuple(
-            cfg.socket_of_thread(t) for t in range(nthreads)
+            cfg.socket_of_thread(t) for t in range(cfg.num_threads)
         )
-        core_of = tuple(cfg.core_of_thread(t) for t in range(nthreads))
+        core_of = tuple(cfg.core_of_thread(t) for t in range(cfg.num_threads))
 
-        # per-thread core model state (CoreModel, transcribed)
-        self.clk = clk = [0] * nthreads
-        self.loads = loads = [0] * nthreads
-        self.stores = stores = [0] * nthreads
-        self.rmws = rmws = [0] * nthreads
-        self.ci = ci = [0] * nthreads
-        self.spins = spins = [0] * nthreads
-        self.lstall = lstall = [0] * nthreads
-        self.sbstall = sbstall = [0] * nthreads
-        sb = [deque() for _ in range(nthreads)]
-        sb_last = [0] * nthreads
-        sb_cap = cfg.store_buffer_entries
+        nbar = len(prep.b_thr)
+        barrier_lat = [l1_lat] * nbar
+        load_extra = [0] * (nbar + len(prep.tail_charge))
 
         # hot locals
-        kind = self._kind
-        thr = self._thr
-        atype = self._atype
-        spin_f = self._spin
-        aux = self._aux
-        pre_i = self._pre_i
-        pre_c = self._pre_c
-        bid = self._bid
-        rep = self._rep
-        mask_l = self._mask
-        addr = self._addr
+        slot = prep.slot
+        aux = prep.aux
+        addr = prep.addr
         pstate = self.pstate
         wmask = self.wmask
         access = self._access
@@ -356,35 +607,21 @@ class ReplayKernel:
         is_sisd = self.is_sisd
         smin = self._smin
         sisd_rmw = self._sisd_rmw
-        tot_f = 0
         wacc_f = 0
 
         # One flat unpack per event beats re-subscripting the hot columns:
         # the loop body is the throughput ceiling of the whole replay.
-        for k, t, kd, pi, pc, b, at, rp, mask_k, spin_k in zip(
-            range(len(kind)), thr, kind, pre_i, pre_c, bid, atype, rep,
-            mask_l, spin_f,
+        for k, t, kd, b, at, rp, mask_k in zip(
+            range(len(prep.kind)), prep.thr, prep.kind, prep.bid, prep.atype,
+            prep.rep, prep.mask,
         ):
-            if pi or pc:
-                clk[t] += pi + pc
-                ci[t] += pi
-
             if kd == K_ACCESS:
                 core = core_of[t]
-                if at == 2 and is_sisd:
+                if at == AT_RMW and is_sisd:
                     # SI/SD atomics execute at the home slice and never
                     # leave a cached copy, so the MRU/L1-hit assumptions
-                    # below do not apply; full transaction + RMW fence.
-                    latency = sisd_rmw(core, b)
-                    buf = sb[t]
-                    if buf:
-                        last = buf[-1]
-                        if last > clk[t]:
-                            sbstall[t] += last - clk[t]
-                            clk[t] = last
-                        buf.clear()
-                    clk[t] += latency
-                    rmws[t] += 1
+                    # below do not apply.
+                    barrier_lat[slot[k]] = sisd_rmw(core, b)
                     continue
                 if rp:
                     # Guaranteed L1-MRU hit (same thread, same block as the
@@ -395,56 +632,18 @@ class ReplayKernel:
                     st = pstate[core][b]
                     if at == AT_LOAD:
                         if st or not is_sisd:
-                            tot_f += 1
                             if st == _W:
                                 wacc_f += 1
-                            clk[t] += l1_lat
-                            loads[t] += 1
-                            if spin_k:
-                                spins[t] += 1
                             continue
                     elif st >= smin:
-                        tot_f += 1
                         if st == _W:
                             wacc_f += 1
                         elif st == smin:
                             pstate[core][b] = _M  # silent E -> M (S -> M)
                         wmask[core][b] |= mask_k
-                        if at == 1:  # store: TSO buffer issue
-                            buf = sb[t]
-                            ck = clk[t]
-                            while buf and buf[0] <= ck:
-                                buf.popleft()
-                            if len(buf) >= sb_cap:
-                                stall = buf[0] - ck
-                                if stall > 0:
-                                    ck += stall
-                                    sbstall[t] += stall
-                                while buf and buf[0] <= ck:
-                                    buf.popleft()
-                            ck += 1
-                            comp = ck + l1_lat
-                            last = sb_last[t]
-                            if comp < last:
-                                comp = last
-                            sb_last[t] = comp
-                            buf.append(comp)
-                            clk[t] = ck
-                            stores[t] += 1
-                        else:  # RMW: fence + full block
-                            buf = sb[t]
-                            if buf:
-                                last = buf[-1]
-                                if last > clk[t]:
-                                    sbstall[t] += last - clk[t]
-                                    clk[t] = last
-                                buf.clear()
-                            clk[t] += l1_lat
-                            rmws[t] += 1
                         continue
                     # S-state write: needs the directory; fall through to
-                    # the full transaction (which re-counts from scratch —
-                    # nothing was counted above on this branch).
+                    # the full transaction.
                 # Inlined _access L1-hit path (the dominant case): LRU
                 # refresh + state check without a method call.  Anything
                 # past the L1 falls back to the full transcription.
@@ -454,65 +653,24 @@ class ReplayKernel:
                     cset1[b] = True
                     st = pstate[core][b]
                     if at == AT_LOAD:
-                        tot_f += 1
                         if st == _W:
                             wacc_f += 1
-                        latency = l1_lat
-                    elif st >= smin:  # silent write grant
-                        tot_f += 1
+                        continue
+                    if st >= smin:  # silent write grant
                         if st == _W:
                             wacc_f += 1
                         elif st == smin:
                             pstate[core][b] = _M
                         wmask[core][b] |= mask_k
-                        latency = l1_lat
-                    else:  # S/O-state write: directory upgrade
-                        tot_f += 1
-                        latency = l1_lat + upgrade(core, b, mask_k)
-                else:
-                    latency = access(core, b, at, mask_k, True)
+                        continue
+                    # S/O-state write: directory upgrade
+                    barrier_lat[slot[k]] = l1_lat + upgrade(core, b, mask_k)
+                    continue
+                latency = access(core, b, at, mask_k, True)
                 if at == AT_LOAD:
-                    clk[t] += latency
-                    loads[t] += 1
-                    if spin_k:
-                        spins[t] += 1
-                    if latency > l1_lat:
-                        lstall[t] += latency - l1_lat
-                elif at == 1:  # store
-                    buf = sb[t]
-                    ck = clk[t]
-                    while buf and buf[0] <= ck:
-                        buf.popleft()
-                    if len(buf) >= sb_cap:
-                        stall = buf[0] - ck
-                        if stall > 0:
-                            ck += stall
-                            sbstall[t] += stall
-                        while buf and buf[0] <= ck:
-                            buf.popleft()
-                    ck += 1
-                    comp = ck + latency
-                    last = sb_last[t]
-                    if comp < last:
-                        comp = last
-                    sb_last[t] = comp
-                    buf.append(comp)
-                    clk[t] = ck
-                    stores[t] += 1
-                else:  # RMW
-                    buf = sb[t]
-                    if buf:
-                        last = buf[-1]
-                        if last > clk[t]:
-                            sbstall[t] += last - clk[t]
-                            clk[t] = last
-                        buf.clear()
-                    clk[t] += latency
-                    rmws[t] += 1
-            elif kd == K_SYNC:
-                a = aux[k]
-                if a > clk[t]:
-                    clk[t] = a
+                    load_extra[slot[k]] += latency - l1_lat
+                else:
+                    barrier_lat[slot[k]] = latency
             elif kd == K_REGION_ADD:
                 self._region_add(addr[k], aux[k])
             elif kd == K_REGION_REMOVE:
@@ -521,11 +679,81 @@ class ReplayKernel:
                 self._place(t, addr[k], aux[k])
             elif kd == K_LLC_WARM:
                 self._llc_fill(b, self._home(b))
-            # K_FLUSH: pendings already applied above
+            # K_SYNC, K_FLUSH: core timing only
 
-        self.tot += tot_f
         self.wacc += wacc_f
-        return self._finalize()
+        return barrier_lat, load_extra
+
+    def _core_timing(self, lane: int, barrier_lat, load_extra):
+        """The core-timing pass of one config (CoreModel, transcribed).
+
+        Returns ``(cycles, load stall cycles, store-buffer stall
+        cycles)``.  A load stalls for its latency beyond the L1 hit, so
+        the load stall is the sum of the segments' extras.
+        """
+        cfg = self.configs[lane]
+        prep = self.prep
+        l1 = cfg.l1.latency
+        sb_cap = cfg.store_buffer_entries
+        barrier_lat = self._lane(barrier_lat, lane)
+        load_extra = self._lane(load_extra, lane)
+        nthr = len(prep.tail_charge)
+        clk = [0] * nthr
+        charged = [0] * nthr  # charge total at the thread's last barrier
+        loaded = [0] * nthr  # load count at the thread's last barrier
+        sb = [deque() for _ in range(nthr)]
+        sb_last = [0] * nthr
+        sbstall = 0
+        for t, op, charge, nloads, a, latency, extra in zip(
+            prep.b_thr, prep.b_op, prep.b_charge, prep.b_loads, prep.b_aux,
+            barrier_lat, load_extra,
+        ):
+            # the thread's charges and loads since its previous barrier
+            ck = (
+                clk[t] + charge - charged[t] + (nloads - loaded[t]) * l1
+                + extra
+            )
+            charged[t] = charge
+            loaded[t] = nloads
+            if op == AT_STORE:  # TSO store-buffer issue
+                buf = sb[t]
+                while buf and buf[0] <= ck:
+                    buf.popleft()
+                if len(buf) >= sb_cap:
+                    stall = buf[0] - ck
+                    if stall > 0:
+                        ck += stall
+                        sbstall += stall
+                    while buf and buf[0] <= ck:
+                        buf.popleft()
+                ck += 1
+                comp = ck + latency
+                last = sb_last[t]
+                if comp < last:
+                    comp = last
+                sb_last[t] = comp
+                buf.append(comp)
+            elif op == AT_RMW:  # fence + full latency
+                buf = sb[t]
+                if buf:
+                    last = buf[-1]
+                    if last > ck:
+                        sbstall += last - ck
+                        ck = last
+                    buf.clear()
+                ck += latency
+            elif a > ck:  # clock clamp (strand handoff)
+                ck = a
+            clk[t] = ck
+        t = self.final_thread
+        cycles = 0
+        if t < nthr:
+            cycles = (
+                clk[t] + prep.tail_charge[t] - charged[t]
+                + (prep.tail_loads[t] - loaded[t]) * l1
+                + load_extra[len(barrier_lat) + t]
+            )
+        return cycles, sum(load_extra), sbstall
 
     # ------------------------------------------------------------------
     # Message accounting (Interconnect, transcribed; returns latency)
@@ -559,7 +787,6 @@ class ReplayKernel:
     def _access(
         self, core: int, b: int, at: int, mask: int, l1_missed: bool = False
     ) -> int:
-        self.tot += 1
         latency = self.l1_lat
         present = False
         if not l1_missed:
@@ -623,8 +850,7 @@ class ReplayKernel:
             else:
                 fwd = self._h2c(home, owner, _FWD_GET_M)
                 fwd += self._c2c(owner, core, _DATA)
-                if fwd > lat:
-                    lat = fwd
+                lat = self._lmax(lat, fwd)
                 self.inval += 1
                 cset = self.l2sets[owner].get(self.sidx2[b])
                 if cset is not None:
@@ -665,6 +891,7 @@ class ReplayKernel:
         """
         worst = 0
         inval = 0
+        lmax = self._lmax
         sh = self.dshare[b]
         core = 0
         i2 = self.sidx2[b]
@@ -673,8 +900,7 @@ class ReplayKernel:
             if sh & 1 and core != exclude:
                 lat = self._h2c(home, core, _INV)
                 lat += self._c2h(core, home, _INV_ACK)
-                if lat > worst:
-                    worst = lat
+                worst = lmax(worst, lat)
                 inval += 1
                 cset = self.l2sets[core].get(i2)
                 if cset is not None:
@@ -738,9 +964,7 @@ class ReplayKernel:
                 self.dstate[b] = _M
                 self.downer[b] = core
                 self.dshare[b] = 0
-                return (
-                    inv_latency if inv_latency > data_latency else data_latency
-                )
+                return self._lmax(inv_latency, data_latency)
             latency = self._fetch(b, home)
             latency += self._h2c(home, core, _DATA)
             self._install(core, b, _S, 0)
@@ -773,7 +997,7 @@ class ReplayKernel:
             self.dstate[b] = _M
             self.downer[b] = core
             self.dshare[b] = 0
-            return inv_latency if inv_latency > latency else latency
+            return self._lmax(inv_latency, latency)
         # E or M: forward to the owner
         return self._forward(core, b, at, mask, home)
 
@@ -979,7 +1203,6 @@ class ReplayKernel:
     def _sisd_rmw(self, core: int, b: int) -> int:
         """``_rmw_at_home``: flush any local copy, execute at the home
         slice, cache nothing."""
-        self.tot += 1
         latency = self.l1_lat
         cset1 = self.l1sets[core].get(self.sidx1[b])
         present = cset1 is not None and b in cset1
@@ -1146,9 +1369,15 @@ class ReplayKernel:
                 homes[page] = socket
 
     # ------------------------------------------------------------------
-    def _finalize(self) -> RunStats:
+    def _finalize(self, lane: int, barrier_lat, load_extra) -> RunStats:
+        """The ``RunStats`` of one config: the memory pass's counters (a
+        fresh copy per config) plus that config's core timing."""
         meta = self.trace.meta
-        cfg = self.config
+        cfg = self.configs[lane]
+        prep = self.prep
+        cycles, load_stall, sb_stall = self._core_timing(
+            lane, barrier_lat, load_extra
+        )
         stats = RunStats(
             benchmark=meta.get("benchmark", ""),
             protocol=meta.get("protocol_name", ""),
@@ -1156,17 +1385,17 @@ class ReplayKernel:
             num_threads=cfg.num_threads,
         )
         coh = stats.coherence
-        coh.messages = self.messages
+        coh.messages = Counter(self.messages)
         coh.invalidations = self.inval
         coh.downgrades = self.downg
         coh.dram_accesses = self.dram
         coh.l3_accesses = self.l3a
         # every access performs exactly one L1 lookup, so the recorded
         # Machine.finalize L1 hits+misses sum equals total_accesses
-        coh.l1_accesses = self.tot
+        coh.l1_accesses = prep.accesses
         coh.l2_accesses = self.l2a
         coh.ward_accesses = self.wacc
-        coh.total_accesses = self.tot
+        coh.total_accesses = prep.accesses
         coh.ward_region_adds = self.region_adds
         coh.ward_region_removes = self.region_removes
         coh.reconciled_blocks = self.recon
@@ -1181,20 +1410,45 @@ class ReplayKernel:
             coh.extra["self_invalidations"] = self.x_self_invalidations
 
         cores = CoreStats()
-        cores.loads = sum(self.loads)
-        cores.stores = sum(self.stores)
-        cores.rmws = sum(self.rmws)
-        cores.compute_instrs = sum(self.ci)
-        cores.spin_loads = sum(self.spins)
-        cores.load_stall_cycles = sum(self.lstall)
-        cores.store_buffer_stall_cycles = sum(self.sbstall)
+        cores.loads = prep.loads
+        cores.stores = prep.stores
+        cores.rmws = prep.rmws
+        cores.compute_instrs = prep.compute_instrs
+        cores.spin_loads = prep.spin_loads
+        cores.load_stall_cycles = load_stall
+        cores.store_buffer_stall_cycles = sb_stall
         for attempts, successes in meta.get("steals", []):
             cores.steal_attempts += attempts
             cores.successful_steals += successes
         stats.cores = cores
-        stats.cycles = self.clk[meta.get("final_thread", 0)]
+        stats.cycles = cycles
         EnergyModel(cfg).compute(stats)
         return stats
+
+
+def replay_group(
+    trace: Trace,
+    configs: Optional[Sequence[MachineConfig]] = None,
+) -> list:
+    """Replay a trace under every config of one :func:`memory_key` group
+    (default: the recorded config); returns ``BenchResult``\\ s in config
+    order, each owning its objects."""
+    from repro.analysis.run import BenchResult
+
+    meta = trace.meta
+    kernel = ReplayKernel(trace, configs)
+    return [
+        BenchResult(
+            benchmark=meta.get("benchmark", ""),
+            protocol=meta.get("protocol_name", ""),
+            machine=config.name,
+            size=meta.get("size", "default"),
+            stats=stats,
+            result=decode_result(meta["result"]) if "result" in meta else None,
+            ward_checked=False,
+        )
+        for config, stats in zip(kernel.configs, kernel.run())
+    ]
 
 
 def replay_trace(
@@ -1208,25 +1462,13 @@ def replay_trace(
     is bit-identical to the interpreted engine.  Passing a different config
     produces the trace-driven approximation described in the module doc.
     """
-    from repro.analysis.run import BenchResult
-
     meta = trace.meta
     if obs_sink is not None:
         obs_sink.emit(ReplayEvent(
             0, "replay-start", meta.get("benchmark", ""),
             meta.get("protocol_name", ""), events=len(trace),
         ))
-    kernel = ReplayKernel(trace, config)
-    stats = kernel.run()
-    result = BenchResult(
-        benchmark=meta.get("benchmark", ""),
-        protocol=meta.get("protocol_name", ""),
-        machine=kernel.config.name,
-        size=meta.get("size", "default"),
-        stats=stats,
-        result=decode_result(meta["result"]) if "result" in meta else None,
-        ward_checked=False,
-    )
+    result, = replay_group(trace, None if config is None else [config])
     if obs_sink is not None:
         obs_sink.emit(ReplayEvent(
             0, "replay-done", result.benchmark, result.protocol,

@@ -12,11 +12,11 @@ from repro.analysis.pool import RunTask, task_fingerprint
 from repro.analysis.run import run_benchmark, set_disk_cache
 from repro.cli import build_parser, main
 from repro.coherence.registry import available_protocols, protocol_class
-from repro.common.config import dual_socket
+from repro.common.config import dual_socket, single_socket
 from repro.common.errors import ConfigError, ReproError, UnknownProtocolError
 from repro.replay import record_benchmark, replay_trace
 from repro.replay.kernel import ReplayKernel
-from repro.replay.trace import Trace
+from repro.replay.trace import K_ACCESS, Trace
 from repro.workloads import make_trace, memtrace
 
 
@@ -325,3 +325,54 @@ class TestUnknownProtocol:
 
         with pytest.raises(ConfigError):
             Machine(dual_socket(), "dragon")
+
+
+# ----------------------------------------------------------------------
+# .wtrace files that parse but do not fit their config: exit 2
+# ----------------------------------------------------------------------
+
+def _first_access(trace):
+    return trace.kind.tolist().index(K_ACCESS)
+
+
+DOCTORINGS = {
+    "thread-out-of-range": lambda tr: tr.thread.__setitem__(
+        _first_access(tr), 999),
+    "no-config": lambda tr: tr.meta.pop("config"),
+    "malformed-config": lambda tr: tr.meta.__setitem__("config", {"l1": 5}),
+    "final-thread-out-of-range": lambda tr: tr.meta.__setitem__(
+        "final_thread", 99),
+    "final-thread-not-an-int": lambda tr: tr.meta.__setitem__(
+        "final_thread", "0"),
+    "event-kind-9": lambda tr: tr.kind.__setitem__(len(tr) // 2, 9),
+    "access-atype-7": lambda tr: tr.atype.__setitem__(_first_access(tr), 7),
+    "negative-thread": lambda tr: tr.thread.__setitem__(_first_access(tr), -1),
+    "negative-size": lambda tr: tr.size.__setitem__(_first_access(tr), -3),
+}
+
+
+class TestDoctoredTrace:
+    @pytest.fixture(scope="class")
+    def primes(self):
+        trace, _ = record_benchmark(
+            "primes", "warden", dual_socket(), size="test", seed=42
+        )
+        return trace.to_bytes()
+
+    @pytest.mark.parametrize("doctor", sorted(DOCTORINGS))
+    def test_cli_exits_2(self, doctor, primes, tmp_path, capsys):
+        trace = Trace.from_bytes(primes)
+        DOCTORINGS[doctor](trace)
+        path = tmp_path / f"{doctor}.wtrace"
+        path.write_bytes(trace.to_bytes())
+        assert main(["replay", "--trace", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "replay: error:" in err
+        assert "Traceback" not in err
+        with pytest.raises(ConfigError):
+            replay_trace(Trace.from_bytes(path.read_bytes()))
+
+    def test_variant_with_too_few_threads(self, primes):
+        trace = Trace.from_bytes(primes)
+        with pytest.raises(ConfigError, match="threads"):
+            replay_trace(trace, single_socket(cores=2))
