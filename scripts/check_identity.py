@@ -1,0 +1,145 @@
+#!/usr/bin/env python
+"""CI gate: every execution path of one cell must give the same RunStats.
+
+Runs one cell (by default primes/warden at the small input on the
+dual-socket machine) three ways and diffs the full ``RunStats.to_dict()``
+— cycles, per-core counters and the coherence message matrix — plus the
+benchmark's result value:
+
+* the epoch-batched engine (``run_benchmark``, the default path);
+* per-op stepping: the trace recorder's machine sets ``record_per_op``,
+  so ``record_benchmark``'s recorded result is the per-op reference;
+* the replay kernel on that recording, after a ``to_bytes``/``from_bytes``
+  round trip so the on-disk format is on the hook too.
+
+A sweep leg then checks grouped replays: ``replay_matrix`` over a 2
+L2-size x 3 socket-link grid (two memory-key groups of three latency
+lanes) must give, for every variant, exactly the ``RunStats.to_dict()`` of
+that variant's own single-config replay.
+
+Any mismatch prints the differing keys and exits 1.  The broader matrices
+(every benchmark x protocol at the "test" size) live in
+tests/test_epoch.py, tests/test_replay.py and tests/test_replay_groups.py;
+this script is the standalone check the identity CI job runs on
+small-size cells.
+
+Usage: PYTHONPATH=src python scripts/check_identity.py
+       [benchmark] [protocol] [size]
+"""
+
+from __future__ import annotations
+
+import sys
+
+
+def diff_dicts(left: dict, right: dict, prefix: str = "") -> list:
+    diffs = []
+    for key in sorted(set(left) | set(right)):
+        path = f"{prefix}{key}"
+        a = left.get(key)
+        b = right.get(key)
+        if isinstance(a, dict) and isinstance(b, dict):
+            diffs.extend(diff_dicts(a, b, path + "."))
+        elif a != b:
+            diffs.append(f"  {path}: {a!r} != {b!r}")
+    return diffs
+
+
+def diff_results(left, right) -> list:
+    diffs = diff_dicts(left.stats.to_dict(), right.stats.to_dict())
+    if left.result != right.result:
+        diffs.append("  benchmark result values differ")
+    return diffs
+
+
+def sweep_variants(config):
+    """2 L2 sizes x 3 socket-link latencies, the recorded config first."""
+    from dataclasses import replace
+
+    grid = [
+        config.replace(
+            l2=replace(config.l2, size_bytes=kb * 1024),
+            socket_link_latency=link,
+        )
+        for kb in (128, config.l2.size_bytes // 1024)
+        for link in (60, config.socket_link_latency, 3300)
+    ]
+    return [config] + [variant for variant in grid if variant != config]
+
+
+def check_sweep(trace, task) -> list:
+    """Diff each ``replay_matrix`` result against its own replay."""
+    import tempfile
+
+    from repro.analysis.pool import replay_matrix, task_fingerprint
+    from repro.replay import TraceStore, replay_trace
+
+    variants = sweep_variants(task.config)
+    with tempfile.TemporaryDirectory() as root:
+        store = TraceStore(root)
+        store.store(task_fingerprint(task), trace)
+        swept = replay_matrix(task, variants, trace_store=store)
+    diffs = []
+    for config, result in zip(variants, swept):
+        single = replay_trace(trace, config)
+        for line in diff_dicts(result.stats.to_dict(), single.stats.to_dict()):
+            diffs.append(
+                f"  [l2 {config.l2.size_bytes // 1024}K, link "
+                f"{config.socket_link_latency}]{line}"
+            )
+    return diffs
+
+
+def main(argv) -> int:
+    name = argv[1] if len(argv) > 1 else "primes"
+    protocol = argv[2] if len(argv) > 2 else "warden"
+    size = argv[3] if len(argv) > 3 else "small"
+    cell = f"{name}/{protocol}/{size}"
+
+    from repro.analysis.pool import RunTask, task_fingerprint
+    from repro.analysis.run import run_benchmark
+    from repro.common.config import dual_socket
+    from repro.replay import Trace, record_benchmark, replay_trace
+
+    task = RunTask(
+        benchmark=name, protocol=protocol, config=dual_socket(), size=size,
+    )
+    batched = run_benchmark(
+        name, protocol, task.config, size=size,
+        use_cache=False, use_disk_cache=False,
+    )
+    trace, per_op = record_benchmark(
+        name, protocol, task.config, size=size,
+        fingerprint=task_fingerprint(task),
+    )
+    replayed = replay_trace(Trace.from_bytes(trace.to_bytes()))
+
+    failed = False
+    for label, result in (("epoch-batched engine", batched),
+                          ("replay kernel", replayed)):
+        diffs = diff_results(result, per_op)
+        if diffs:
+            print(f"FAIL: {cell} {label} diverges from per-op stepping "
+                  f"({label} != per-op):")
+            print("\n".join(diffs))
+            failed = True
+        else:
+            print(f"ok: {cell} {label} bit-identical to per-op stepping "
+                  f"({per_op.stats.instructions} instructions, "
+                  f"{per_op.stats.cycles} cycles, {len(trace)} events)")
+    if failed:
+        return 1
+
+    diffs = check_sweep(trace, task)
+    if diffs:
+        print(f"FAIL: {cell} grouped sweep replay diverges from "
+              f"single-config replays (grouped != single):")
+        print("\n".join(diffs))
+        return 1
+    print(f"ok: {cell} sweep of {len(sweep_variants(task.config))} configs "
+          f"bit-identical to single-config replays")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv))

@@ -1,4 +1,4 @@
-"""Deterministic fault injection for the run/bench pipeline.
+"""Deterministic fault injection for the run pipeline.
 
 The robustness layer in :mod:`repro.analysis.pool` (timeouts, retries,
 pool re-spawn, serial fallback, checkpoint/resume) is only trustworthy if
@@ -190,6 +190,18 @@ def mark_worker() -> None:
     IN_WORKER = True
 
 
+def _plan_int(text: str, field: str, clause: str) -> int:
+    """One integer field of a ``site@WHERE[xTIMES]`` clause."""
+    if not text:
+        raise FaultSyntaxError(f"missing fault {field} in {clause!r}")
+    try:
+        return int(text)
+    except ValueError:
+        raise FaultSyntaxError(
+            f"bad fault {field} {text!r} in {clause!r}"
+        ) from None
+
+
 def parse_plan(text: Optional[str]) -> Optional[FaultPlan]:
     """Parse a ``REPRO_FAULTS`` string; None/empty disables injection."""
     if not text or not text.strip():
@@ -211,17 +223,12 @@ def parse_plan(text: Optional[str]) -> Optional[FaultPlan]:
         site, sep, where_text = clause.partition("@")
         where, times = 1, 1
         if sep:
-            if "x" in where_text:
-                where_text, times_text = where_text.split("x", 1)
-            else:
-                times_text = "1"
-            try:
-                where = int(where_text)
-                times = int(times_text)
-            except ValueError:
-                raise FaultSyntaxError(
-                    f"bad fault address {where_text!r} in {clause!r}"
-                ) from None
+            where_text, x, times_text = where_text.partition("x")
+            where = _plan_int(where_text, "address", clause)
+            if x:
+                times = _plan_int(times_text, "count", clause)
+        if where < 0:
+            raise FaultSyntaxError(f"fault {clause!r} has a negative address")
         if times < 1:
             raise FaultSyntaxError(f"fault {clause!r} must fire >= 1 time")
         specs.append(FaultSpec(site=site.strip(), where=where, times=times, arg=arg))

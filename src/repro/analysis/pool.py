@@ -51,7 +51,7 @@ from concurrent.futures import TimeoutError as FuturesTimeout
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional
 
 import repro
 from repro.analysis import faults
@@ -118,13 +118,7 @@ def _reset_code_fingerprint() -> None:
 
 @dataclass(frozen=True)
 class RunTask:
-    """One (benchmark, protocol, config, size, seed, policy) simulation.
-
-    ``use_cache=False`` makes the task bypass both the in-process and the
-    persistent result cache (the bench suite measures simulation, not
-    cache lookups); it does not participate in the task fingerprint — a
-    run is the same run however it was served.
-    """
+    """One (benchmark, protocol, config, size, seed, policy) simulation."""
 
     benchmark: str
     protocol: str
@@ -133,7 +127,6 @@ class RunTask:
     seed: int = 42
     policy: MarkingPolicy = MarkingPolicy.FULL
     check_ward: bool = False
-    use_cache: bool = True
 
 
 def _workload_fingerprint(benchmark: str) -> Optional[str]:
@@ -506,25 +499,10 @@ def _execute_task(
             seed=task.seed,
             policy=task.policy,
             check_ward=task.check_ward,
-            use_cache=task.use_cache,
         )
     finally:
         if cache_dir is not None:
             run_mod.set_disk_cache(previous)
-
-
-def _execute_task_timed(
-    task: RunTask,
-    cache_dir: Optional[str] = None,
-    index: Optional[int] = None,
-    attempt: int = 0,
-):
-    """Like :func:`_execute_task` but also returns the wall-clock seconds
-    the simulation took *inside* this process (excludes pool spawn/IPC —
-    the bench suite's robust mode needs clean per-row timings)."""
-    t0 = time.perf_counter()
-    result = _execute_task(task, cache_dir, index, attempt)
-    return result, time.perf_counter() - t0
 
 
 def _kill_pool(pool: ProcessPoolExecutor) -> None:
@@ -800,7 +778,7 @@ def _run_matrix_robust(
 
 
 # ----------------------------------------------------------------------
-# Single-task robust execution (the bench suite's per-row wrapper)
+# Sweep amplification: one recording, many replayed configs
 # ----------------------------------------------------------------------
 
 
@@ -894,77 +872,3 @@ def replay_matrix(
         for i, result in zip(group, replays):
             results[i] = result
     return results
-
-
-def run_task_robust(
-    task: RunTask,
-    *,
-    timeout: Optional[float] = None,
-    retries: int = 0,
-    seed: int = 0,
-    backoff_base: float = 0.05,
-    backoff_cap: float = 2.0,
-    report: Optional[MatrixReport] = None,
-    cache_dir: Optional[str] = None,
-    index: int = 0,
-    faults_plan=None,
-) -> Tuple[object, float]:
-    """Run one task with timeout/retry protection; returns (result, wall_s).
-
-    ``wall_s`` is measured inside the executing process (no pool-spawn
-    overhead).  With a ``timeout`` each attempt runs in a fresh
-    single-worker pool — process isolation is the only way to preempt a
-    wedged simulation; without one, attempts run in-process.
-    """
-    if report is None:
-        report = MatrixReport()
-    plan = faults.resolve_plan(faults_plan)
-    previous_plan = faults.install(plan) if plan is not None else None
-    if plan is not None:
-        report.faults = plan.describe()
-    faults_spec = plan.describe() if plan is not None else None
-    try:
-        attempt = 0
-        while True:
-            try:
-                if timeout is None:
-                    return _execute_task_timed(task, cache_dir, index, attempt)
-                pool = ProcessPoolExecutor(
-                    max_workers=1,
-                    initializer=_pool_worker_init,
-                    initargs=(faults_spec,),
-                )
-                try:
-                    future = pool.submit(
-                        _execute_task_timed, task, cache_dir, index, attempt
-                    )
-                    result, wall = future.result(timeout=timeout)
-                except FuturesTimeout:
-                    _kill_pool(pool)
-                    raise TaskTimeoutError(index, timeout)
-                except BaseException:
-                    _kill_pool(pool)
-                    raise
-                pool.shutdown()
-                return result, wall
-            except (KeyboardInterrupt, SystemExit):
-                raise
-            except Exception as exc:
-                attempt += 1
-                action = (
-                    "timeout" if isinstance(exc, TaskTimeoutError) else "retry"
-                )
-                report.record(action, index, attempt - 1, detail=repr(exc))
-                if attempt > retries:
-                    if isinstance(exc, TaskTimeoutError):
-                        raise
-                    raise PoolError(
-                        f"task {task.benchmark}/{task.protocol} failed after "
-                        f"{attempt} attempt(s): {exc!r}"
-                    ) from exc
-                time.sleep(_backoff_delay(
-                    backoff_base, backoff_cap, seed, index, attempt
-                ))
-    finally:
-        if plan is not None:
-            faults.install(previous_plan)

@@ -184,16 +184,9 @@ def replay_benchmark(
 
     Replay results never enter the exact-result caches (``_CACHE`` / the
     disk cache): those are reserved for the interpreted engine, and the
-    trace store is already the replay path's own cache.  Set
-    ``REPRO_REPLAY=0`` to force the interpreted engine.
+    trace store is already the replay path's own cache.  Callers that
+    want the interpreted engine call :func:`run_benchmark`.
     """
-    import os
-
-    if os.environ.get("REPRO_REPLAY", "1") == "0":
-        return run_benchmark(
-            name, protocol, config, size=size, seed=seed, policy=policy,
-            obs_sink=obs_sink,
-        )
     from repro.replay import TraceStore, record_benchmark, replay_trace
 
     task = RunTask(

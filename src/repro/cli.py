@@ -12,8 +12,6 @@ Usage (after ``pip install -e .``)::
     warden-repro run primes --protocol warden --machine dual [--json]
     warden-repro trace fib --size test --out trace.json   # Perfetto trace
     warden-repro profile fib --size test    # flame summary + region profile
-    warden-repro bench --quick              # simulator throughput baseline
-    warden-repro bench --quick --replay     # replay-kernel throughput
     warden-repro record fib --size test     # record a replayable trace
     warden-repro replay fib --size test     # replay it (bit-identical stats)
     warden-repro ingest ext.trace --matrix  # external text trace, whole zoo
@@ -25,6 +23,11 @@ Usage (after ``pip install -e .``)::
 ``figure`` and ``run`` read and write a persistent result cache under
 ``.warden-cache/`` (keyed by config + code content hashes); disable with
 ``--no-disk-cache``.
+
+The simulator's own speed is measured by ``python3 perf/run.py`` (see
+perf/README.md); to find hot spots, profile a real command::
+
+    python -m cProfile -s cumulative -m repro.cli figure fig8 --size small
 """
 
 from __future__ import annotations
@@ -35,14 +38,6 @@ import json
 import sys
 from typing import List, Optional
 
-from repro.analysis.bench import (
-    compare_to_baseline,
-    find_default_baseline,
-    load_report,
-    render_report,
-    run_bench_suite,
-    write_report,
-)
 from repro.analysis.conformance import run_verify
 from repro.analysis.metrics import compare_multi, summarize
 from repro.analysis.pool import DEFAULT_CACHE_DIR, DiskCache, MatrixReport
@@ -305,71 +300,6 @@ def cmd_profile(args) -> int:
     print()
     print(f"== coherence events per {args.bin_cycles}-cycle phase ==")
     print(phases.render())
-    return 0
-
-
-def cmd_bench(args) -> int:
-    matrix_report = _robustness_report(args)
-    mode = "replay" if args.replay else "sim"
-    suite_kwargs = dict(
-        quick=args.quick, repeats=args.repeats,
-        timeout=args.timeout, retries=args.retries, resume=args.resume,
-        report=matrix_report, mode=mode,
-        extra_rows=[(w, "test") for w in (args.workload or [])],
-    )
-    if args.profile:
-        import cProfile
-        import io
-        import pstats
-
-        profiler = cProfile.Profile()
-        profiler.enable()
-        report = run_bench_suite(**suite_kwargs)
-        profiler.disable()
-        stream = io.StringIO()
-        stats = pstats.Stats(profiler, stream=stream)
-        stats.sort_stats("cumulative").print_stats(args.profile_top)
-        print(f"== cProfile: top {args.profile_top} by cumulative time ==")
-        print(stream.getvalue())
-    else:
-        report = run_bench_suite(**suite_kwargs)
-    write_report(args.out, report)
-    baseline_path = args.baseline
-    baseline_report = None
-    baseline_note = None
-    if baseline_path is None and not args.no_baseline:
-        # No baseline given: auto-select the newest committed report of the
-        # same mode (never the file we just wrote).
-        found, found_report = find_default_baseline(
-            ".", mode=mode, exclude=args.out
-        )
-        if found is not None:
-            baseline_path = found
-            baseline_report = found_report
-            baseline_note = (
-                f"baseline: auto-selected {found} (newest committed "
-                f"{mode}-mode report; pass --baseline/--no-baseline to "
-                "override)"
-            )
-    if baseline_note:
-        print(baseline_note)
-    print(render_report(report))
-    _print_robustness(matrix_report)
-    print(f"\nreport written to {args.out}")
-    if baseline_path:
-        if baseline_report is None:
-            baseline_report = load_report(baseline_path)
-        ok, message = compare_to_baseline(
-            report, baseline_report, args.max_regress
-        )
-        print(message)
-        if not ok and baseline_note is not None:
-            # Auto-selected baselines inform; only an explicit --baseline
-            # turns the comparison into an exit-code gate (CI does this).
-            print("(informational: gate only applies with an explicit "
-                  "--baseline)")
-            return 0
-        return 0 if ok else 1
     return 0
 
 
@@ -685,7 +615,7 @@ def _add_cache_args(parser) -> None:
 
 
 def _add_robust_args(parser) -> None:
-    """Robustness knobs shared by ``figure`` and ``bench`` (see pool.py)."""
+    """Robustness knobs shared by ``figure`` and ``verify`` (see pool.py)."""
     parser.add_argument("--timeout", type=float, default=None, metavar="SECONDS",
                         help="per-task timeout; a hung simulation is killed "
                              "and retried in a fresh worker")
@@ -769,42 +699,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="emit a JSONL run manifest instead of text")
     _add_cache_args(pr)
     pr.set_defaults(func=cmd_run)
-
-    pb = sub.add_parser(
-        "bench",
-        help="time the simulator itself; emit a BENCH_*.json throughput report",
-    )
-    pb.add_argument("--quick", action="store_true",
-                    help="CI smoke suite (seconds) instead of the full suite")
-    pb.add_argument("--repeats", type=_positive_int, default=1,
-                    help="time each row N times, keep the fastest")
-    pb.add_argument("--out", default="BENCH_latest.json",
-                    help="report output path (default: %(default)s)")
-    pb.add_argument("--baseline", default=None,
-                    help="compare against a committed BENCH_*.json; exit 1 "
-                         "when steps/second regresses past --max-regress "
-                         "(default: newest committed same-mode report)")
-    pb.add_argument("--no-baseline", action="store_true",
-                    help="skip the baseline comparison entirely")
-    pb.add_argument("--replay", action="store_true",
-                    help="time the vectorized replay kernel instead of the "
-                         "interpreted engine (records each trace untimed "
-                         "first)")
-    pb.add_argument("--max-regress", type=float, default=0.30,
-                    help="tolerated fractional throughput drop "
-                         "(default: %(default)s)")
-    pb.add_argument("--profile", action="store_true",
-                    help="wrap the suite in cProfile and print the hottest "
-                         "functions (for hunting simulator hot spots)")
-    pb.add_argument("--profile-top", type=_positive_int, default=25,
-                    help="number of functions to show with --profile "
-                         "(default: %(default)s)")
-    pb.add_argument("--workload", type=_workload_name, action="append",
-                    default=None, metavar="NAME",
-                    help="append a workload row (synth-* or trace:<path>, "
-                         "timed at the test size) to the suite; repeatable")
-    _add_robust_args(pb)
-    pb.set_defaults(func=cmd_bench)
 
     pt = sub.add_parser(
         "trace", help="record a coherence event trace (Chrome trace JSON)"

@@ -57,7 +57,8 @@ class WorkStealingScheduler:
         #: mirror the engine's epoch knob: scheduler deque/spin accesses are
         #: overwhelmingly private hits, so route them through the epoch fast
         #: path (identical statistical effects; see try_fast_access) unless
-        #: REPRO_EPOCH_BATCH=0 asks for the pure reference access path
+        #: a per-op machine (``record_per_op``) asks for the pure reference
+        #: access path
         self._fast_touch = getattr(rt.engine, "epoch_batch", False)
         # hoisted hot-path handles (all stable for the machine's lifetime;
         # on_idle dominates simulated idle time, so attribute chains matter)

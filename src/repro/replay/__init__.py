@@ -21,8 +21,7 @@ in the loop.
 Replay of a trace under a *different* machine config is a trace-driven
 approximation (the event stream is the recorded one; only the memory-system
 response changes) — useful for memory-hierarchy sweeps, never cached as an
-exact result.  Set ``REPRO_REPLAY=0`` to force every consumer back onto the
-interpreted engine.
+exact result.
 """
 
 from repro.replay.kernel import ReplayKernel, replay_group, replay_trace

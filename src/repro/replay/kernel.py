@@ -25,8 +25,7 @@ where packing is the identity.
 
 The memory pass works over packed state:
 
-* block addresses are factorized once into dense ids (numpy ``unique``
-  when available — see :mod:`repro.replay._compat`), so all per-block
+* block addresses are factorized once into dense ids, so all per-block
   state lives in flat arrays: a ``bytearray`` of coherence states and a
   written-mask list per core, plus directory state/owner arrays and an
   int-bitmask sharer vector;
@@ -69,7 +68,6 @@ from repro.coherence.warden import reconcile_plan
 from repro.energy.model import EnergyModel
 from repro.mem.cache import set_index_params
 from repro.obs.tracer import ReplayEvent
-from repro.replay._compat import load_numpy
 from repro.replay.trace import (
     AT_LOAD,
     AT_RMW,
@@ -229,64 +227,38 @@ def _preprocess(tr, bs: int) -> _Prep:
         k = sizes.index(min(sizes))
         raise ConfigError(f"trace event {k}: negative access size {sizes[k]}")
 
-    np = load_numpy()
-    if np is not None and n:
-        kind_a = np.frombuffer(tr.kind, dtype=np.uint8)
-        thr_a = np.frombuffer(tr.thread, dtype=np.int16)
-        addr_a = np.frombuffer(tr.addr, dtype=np.int64)
-        acc = kind_a == K_ACCESS
-        # warm fills occupy LLC ways too, so their blocks need ids even
-        # when no access ever touches them
-        blk = acc | (kind_a == K_LLC_WARM)
-        baddr_a = addr_a - addr_a % bs
-        uniq, inverse = np.unique(baddr_a[blk], return_inverse=True)
-        bid_a = np.full(n, -1, dtype=np.int64)
-        bid_a[blk] = inverse
-        rep_a = np.zeros(n, dtype=bool)
-        rep_a[1:] = (
-            acc[1:]
-            & acc[:-1]
-            & (thr_a[1:] == thr_a[:-1])
-            & (baddr_a[1:] == baddr_a[:-1])
-        )
-        bid = bid_a.tolist()
-        rep = rep_a.tolist()
-        baddrs = uniq.tolist()
-    else:
-        bid = [-1] * n
-        rep = [False] * n
-        uniq_set = set()
-        for k in range(n):
-            if kind[k] == K_ACCESS or kind[k] == K_LLC_WARM:
-                a = addr[k]
-                uniq_set.add(a - a % bs)
-        # sorted: block-id order == address order, matching np.unique
-        # (and hence sorted(region.blocks) iterates like the object
-        # protocol's sorted block addresses)
-        baddrs = sorted(uniq_set)
-        index = {a: i for i, a in enumerate(baddrs)}
-        prev_acc = False
-        pt = -1
-        pb = -1
-        for k in range(n):
-            kd = kind[k]
-            if kd == K_ACCESS or kd == K_LLC_WARM:
-                a = addr[k]
-                b = index[a - a % bs]
-                bid[k] = b
-                if kd != K_ACCESS:
-                    prev_acc = False
-                    continue
-                if prev_acc and thr[k] == pt and b == pb:
-                    rep[k] = True
-                prev_acc = True
-                pt = thr[k]
-                pb = b
-            else:
+    bid = [-1] * n
+    rep = [False] * n
+    uniq_set = set()
+    for k in range(n):
+        if kind[k] == K_ACCESS or kind[k] == K_LLC_WARM:
+            a = addr[k]
+            uniq_set.add(a - a % bs)
+    # sorted: block-id order == address order, so sorted(region.blocks)
+    # iterates like the object protocol's sorted block addresses
+    baddrs = sorted(uniq_set)
+    index = {a: i for i, a in enumerate(baddrs)}
+    prev_acc = False
+    pt = -1
+    pb = -1
+    for k in range(n):
+        kd = kind[k]
+        if kd == K_ACCESS or kd == K_LLC_WARM:
+            a = addr[k]
+            b = index[a - a % bs]
+            bid[k] = b
+            if kd != K_ACCESS:
                 prev_acc = False
+                continue
+            if prev_acc and thr[k] == pt and b == pb:
+                rep[k] = True
+            prev_acc = True
+            pt = thr[k]
+            pb = b
+        else:
+            prev_acc = False
 
-    # Written-sector masks per event.  Pure Python on purpose: a
-    # block-size-64 mask is up to (1<<64)-1, past int64.
+    # Written-sector masks per event.
     mask = [0] * n
     for k in range(n):
         if kind[k] == K_ACCESS and atype[k] != AT_LOAD:
@@ -421,8 +393,8 @@ class ReplayKernel:
         cfg = self.config
         bs = cfg.block_size
         # The preprocessed columns depend only on the block size, so they
-        # are memoized on the trace: repeat replays (bench repeats) and
-        # config sweeps (replay_matrix) skip the load-time pass.
+        # are memoized on the trace: repeat replays and config sweeps
+        # (replay_matrix) skip the load-time pass.
         prep = tr._prep.get(bs)
         if prep is None:
             prep = tr._prep[bs] = _preprocess(tr, bs)
@@ -430,37 +402,22 @@ class ReplayKernel:
         self.baddrs = prep.baddrs
         self.nblocks = len(self.baddrs)
 
-        np = load_numpy()
         llc_cfg = llc_config(cfg)
-        self.sidx1 = self._set_indices(cfg.l1, np)
-        self.sidx2 = self._set_indices(cfg.l2, np)
-        self.sidxL = self._set_indices(llc_cfg, np)
+        self.sidx1 = self._set_indices(cfg.l1)
+        self.sidx2 = self._set_indices(cfg.l2)
+        self.sidxL = self._set_indices(llc_cfg)
         self.l1_assoc = cfg.l1.associativity
         self.l2_assoc = cfg.l2.associativity
         self.llc_assoc = llc_cfg.associativity
 
         baddrs = self.baddrs
         nsock = cfg.num_sockets
-        if np is not None and baddrs:
-            u = np.array(baddrs, dtype=np.int64)
-            self.page_of = (u >> _PAGE_SHIFT).tolist()
-            self.interleave = ((u // bs) % nsock).tolist()
-        else:
-            self.page_of = [a >> _PAGE_SHIFT for a in baddrs]
-            self.interleave = [(a // bs) % nsock for a in baddrs]
+        self.page_of = [a >> _PAGE_SHIFT for a in baddrs]
+        self.interleave = [(a // bs) % nsock for a in baddrs]
 
-    def _set_indices(self, cache_cfg, np) -> List[int]:
+    def _set_indices(self, cache_cfg) -> List[int]:
         num_sets, shift, maskv = set_index_params(cache_cfg)
         baddrs = self.baddrs
-        if np is not None and baddrs:
-            u = np.array(baddrs, dtype=np.int64)
-            if maskv >= 0:
-                idx = (u >> shift) & maskv
-            elif shift >= 0:
-                idx = (u >> shift) % num_sets
-            else:
-                idx = (u // cache_cfg.block_size) % num_sets
-            return idx.tolist()
         if maskv >= 0:
             return [(a >> shift) & maskv for a in baddrs]
         if shift >= 0:

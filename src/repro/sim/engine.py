@@ -17,8 +17,8 @@ Epoch batching
 --------------
 
 Most retired ops are private-cache hits that no other core can observe, so
-paying a heap interaction per op is pure overhead.  When enabled (the
-default; ``REPRO_EPOCH_BATCH=0`` disables it), the engine lets the worker it
+paying a heap interaction per op is pure overhead.  Unless the machine
+asks for per-op stepping (``record_per_op``), the engine lets the worker it
 just popped as the global minimum retire a *run* of consecutive ops in a
 tight loop (:meth:`Engine._retire_run`) — without re-touching the heap — for
 as long as the run provably cannot change the schedule:
@@ -69,7 +69,6 @@ spin, reported as a deadlock.
 
 from __future__ import annotations
 
-import os
 from heapq import heapify, heappop, heappush
 from typing import Callable, Optional
 
@@ -182,14 +181,11 @@ class Engine:
         #: the worker currently being stepped (used by the runtime to charge
         #: internal work such as region instructions to the right thread)
         self.current_worker: Optional[Worker] = None
-        #: epoch-batched stepping (escape hatch: REPRO_EPOCH_BATCH=0).
-        #: A machine may demand pure per-op stepping (``record_per_op``):
-        #: the trace recorder needs every access to flow through
-        #: ``Machine.access`` so the protocol-visible stream is complete.
-        self.epoch_batch = (
-            os.environ.get("REPRO_EPOCH_BATCH", "1") != "0"
-            and not getattr(machine, "record_per_op", False)
-        )
+        #: epoch-batched stepping, unless the machine demands pure per-op
+        #: stepping (``record_per_op``): the trace recorder needs every
+        #: access to flow through ``Machine.access`` so the
+        #: protocol-visible stream is complete.
+        self.epoch_batch = not getattr(machine, "record_per_op", False)
 
     # ------------------------------------------------------------------
     def pin(self, thread: int, gen, on_done: Optional[Callable] = None) -> Strand:

@@ -2,8 +2,8 @@
 
 The adapter turns a logical memory trace into the same ``Benchmark``
 object the 14 paper kernels use, so every existing consumer —
-``run_benchmark``, the conformance harness, ``record``/``replay``,
-``bench``, the golden corpus — accepts it unchanged:
+``run_benchmark``, the conformance harness, ``record``/``replay``, the
+golden corpus — accepts it unchanged:
 
 * one simulated task is forked per distinct trace thread (via
   ``ctx.par``, i.e. the normal fork-join scheduler path);

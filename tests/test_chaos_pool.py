@@ -30,11 +30,10 @@ from repro.analysis.pool import (
     RunTask,
     matrix_fingerprint,
     run_matrix,
-    run_task_robust,
     task_fingerprint,
 )
 from repro.analysis.run import clear_cache, run_benchmark, set_disk_cache
-from repro.common.errors import FaultInjected, PoolError, TaskTimeoutError
+from repro.common.errors import PoolError, TaskTimeoutError
 from repro.obs.export import run_manifest
 from repro.obs.tracer import ListSink, MatrixEvent
 from tests.conftest import tiny_config
@@ -104,17 +103,30 @@ class TestFaultPlanSyntax:
         assert parse_plan("") is None
         assert parse_plan("  ,  ") is None
 
-    def test_unknown_site_rejected(self):
-        with pytest.raises(FaultSyntaxError):
-            parse_plan("worker.explode@1")
-
-    def test_bad_address_rejected(self):
-        with pytest.raises(FaultSyntaxError):
-            parse_plan("worker.crash@one")
-
-    def test_bad_arg_rejected(self):
-        with pytest.raises(FaultSyntaxError):
-            parse_plan("worker.hang@0:soon")
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("worker.explode@1", "unknown fault site 'worker.explode'"),
+            ("worker.crash@one", "bad fault address 'one'"),
+            ("worker.hang@0:soon", "bad fault arg 'soon'"),
+            # can never fire, so a chaos run would pass uninjected
+            ("worker.crash@-1", "'worker.crash@-1' has a negative address"),
+            ("worker.crash@3xq", "bad fault count 'q'"),
+            ("worker.crash@1x1x1", "bad fault count '1x1'"),
+            ("worker.crash@x", "missing fault address"),
+            ("worker.crash@2x", "missing fault count"),
+            ("worker.fail@0x0", "must fire >= 1 time"),
+        ],
+        ids=[
+            "unknown-site", "bad-address", "bad-arg", "negative-address",
+            "bad-count", "double-count", "missing-address", "missing-count",
+            "zero-count",
+        ],
+    )
+    def test_bad_plan_rejected(self, text, message):
+        with pytest.raises(FaultSyntaxError) as exc:
+            parse_plan(text)
+        assert message in str(exc.value)
 
     def test_env_plan_resolution(self, monkeypatch):
         monkeypatch.setenv(faults.ENV_VAR, "worker.fail@3")
@@ -355,37 +367,3 @@ class TestJournalResume:
         with journal.path.open("a", encoding="utf-8") as fh:
             fh.write('{"schema": 1, "fingerprint": "xyz", "trunc')
         assert len(journal.load()) == 1
-
-
-class TestRobustSingleTask:
-    def test_run_task_robust_retries_transient_failure(self):
-        task = small_matrix()[0]
-        report = MatrixReport()
-        calls = {"n": 0}
-
-        real = faults.worker_faults
-
-        def fail_once(index, attempt):
-            calls["n"] += 1
-            if calls["n"] == 1:
-                raise FaultInjected("worker.fail", index)
-
-        faults.worker_faults = fail_once
-        faults.ACTIVE = True
-        try:
-            result, wall = run_task_robust(
-                task, retries=1, report=report, backoff_base=0.001
-            )
-        finally:
-            faults.worker_faults = real
-            faults.ACTIVE = False
-        assert result.benchmark == "fib" and wall >= 0.0
-        assert report.retries == 1
-
-    def test_run_task_robust_timeout_raises(self):
-        task = small_matrix()[0]
-        with pytest.raises(TaskTimeoutError):
-            run_task_robust(
-                task, timeout=1.5, retries=0,
-                faults_plan=f"worker.hang@0x99:{HANG}",
-            )

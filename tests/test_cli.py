@@ -139,17 +139,23 @@ class TestRobustnessFlags:
         ipc_improvement_pct=7.0, ward_coverage=0.5,
     )
 
-    def test_flags_parse_on_figure_and_bench(self):
+    def test_flags_parse_on_figure(self):
         args = build_parser().parse_args(
             ["figure", "fig9", "--timeout", "5", "--retries", "2", "--resume"]
         )
         assert (args.timeout, args.retries, args.resume) == (5.0, 2, True)
-        args = build_parser().parse_args(["bench", "--quick", "--retries", "1"])
+        args = build_parser().parse_args(["figure", "fig8", "--retries", "1"])
         assert args.retries == 1 and args.timeout is None and not args.resume
 
     def test_negative_retries_rejected(self):
         with pytest.raises(SystemExit):
-            build_parser().parse_args(["bench", "--retries", "-1"])
+            build_parser().parse_args(["figure", "fig8", "--retries", "-1"])
+
+    def test_bench_subcommand_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["bench", "--quick"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'bench'" in capsys.readouterr().err
 
     def test_figure_json_surfaces_robustness_block(self, capsys, monkeypatch):
         def fake_metrics(config, names, size, jobs=1, timeout=None,

@@ -1,13 +1,11 @@
 """Bit-identity of the epoch-batched engine vs per-op reference stepping.
 
-The epoch fast path (``REPRO_EPOCH_BATCH=1``, the default) must produce
-*exactly* the statistics of the per-op reference engine
-(``REPRO_EPOCH_BATCH=0``): same schedule, same cache/coherence counters,
-same cycles — see the min-clock preservation argument in
-``repro/sim/engine.py`` and EXPERIMENTS.md.
+The epoch fast path (the engine's default) must produce *exactly* the
+statistics of per-op stepping, which a machine with ``record_per_op`` set
+demands (the trace recorder's machine does): same schedule, same
+cache/coherence counters, same cycles — see the min-clock preservation
+argument in ``repro/sim/engine.py`` and EXPERIMENTS.md.
 """
-
-import os
 
 import pytest
 
@@ -17,6 +15,7 @@ from repro.coherence.registry import available_protocols
 from repro.common.config import dual_socket
 from repro.common.errors import SimulationError
 from repro.common.types import AccessType
+from repro.replay import record_benchmark
 from repro.sim.engine import Engine
 from repro.sim.machine import Machine
 from repro.sim.ops import (
@@ -32,35 +31,21 @@ from repro.workloads import GOLDEN_SYNTH
 from tests.conftest import tiny_config
 
 
-def _run_in_mode(name: str, protocol: str, mode: str):
-    """Run one benchmark with REPRO_EPOCH_BATCH forced to ``mode``."""
-    saved = os.environ.get("REPRO_EPOCH_BATCH")
-    os.environ["REPRO_EPOCH_BATCH"] = mode
-    try:
-        return run_benchmark(
-            name,
-            protocol,
-            dual_socket(),
-            size="test",
-            use_cache=False,
-            use_disk_cache=False,
-        )
-    finally:
-        if saved is None:
-            os.environ.pop("REPRO_EPOCH_BATCH", None)
-        else:
-            os.environ["REPRO_EPOCH_BATCH"] = saved
-
-
 @pytest.mark.parametrize("name", sorted(BENCHMARKS) + list(GOLDEN_SYNTH))
 def test_epoch_batching_is_bit_identical(name):
     """Every workload/protocol pair: RunStats (including CoherenceStats)
     must match field-for-field between batched and per-op stepping.  The
-    synthetic workloads leave most workers idle, so they are where parked
-    spinners are fast-forwarded most."""
+    per-op reference is the recorder's run.  The synthetic workloads leave
+    most workers idle, so they are where parked spinners are
+    fast-forwarded most."""
     for protocol in available_protocols():
-        batched = _run_in_mode(name, protocol, "1")
-        reference = _run_in_mode(name, protocol, "0")
+        batched = run_benchmark(
+            name, protocol, dual_socket(), size="test",
+            use_cache=False, use_disk_cache=False,
+        )
+        _, reference = record_benchmark(
+            name, protocol, dual_socket(), size="test",
+        )
         assert batched.stats.to_dict() == reference.stats.to_dict(), (
             f"{name}/{protocol}: epoch-batched stats diverge from per-op"
         )

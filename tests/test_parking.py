@@ -22,18 +22,12 @@ from repro.sim.ops import ComputeOp, ForkOp
 from tests.conftest import tiny_config
 
 
-@pytest.fixture
-def epoch_mode(monkeypatch):
-    """Set REPRO_EPOCH_BATCH (the engine samples it at construction)."""
-
-    def set_mode(mode: str) -> None:
-        monkeypatch.setenv("REPRO_EPOCH_BATCH", mode)
-
-    return set_mode
-
-
-def _runtime(config, protocol="mesi", sink=None, model_traffic=True):
+def _runtime(
+    config, protocol="mesi", sink=None, model_traffic=True, per_op=False,
+):
     machine = Machine(config, protocol)
+    # the engine reads this when it is built: per-op stepping, no parking
+    machine.record_per_op = per_op
     if sink is not None:
         machine.tracer.install(sink)
     rt = Runtime(machine, seed=42)
@@ -50,16 +44,15 @@ def _runtime(config, protocol="mesi", sink=None, model_traffic=True):
     return rt, calls
 
 
-def _run(epoch_mode, mode, root, arg, config, **kwargs):
-    epoch_mode(mode)
-    rt, calls = _runtime(config, **kwargs)
+def _run(per_op, root, arg, config, **kwargs):
+    rt, calls = _runtime(config, per_op=per_op, **kwargs)
     result, stats = rt.run(root, arg)
     return result, stats.to_dict(), calls
 
 
-def _both_modes(epoch_mode, root, arg, config, **kwargs):
-    batched = _run(epoch_mode, "1", root, arg, config, **kwargs)
-    reference = _run(epoch_mode, "0", root, arg, config, **kwargs)
+def _both_modes(root, arg, config, **kwargs):
+    batched = _run(False, root, arg, config, **kwargs)
+    reference = _run(True, root, arg, config, **kwargs)
     assert batched[0] == reference[0]
     assert batched[1] == reference[1], "parked run diverges from per-op"
     return batched[2], reference[2]
@@ -85,19 +78,17 @@ def _root_charging_inside_send(ctx, pre_fork_cycles):
 
 
 @pytest.mark.parametrize("pre_fork_cycles", [1, 37, 5_000])
-def test_wake_key_is_the_pre_send_clock(epoch_mode, pre_fork_cycles):
+def test_wake_key_is_the_pre_send_clock(pre_fork_cycles):
     batched, reference = _both_modes(
-        epoch_mode, _root_charging_inside_send, pre_fork_cycles,
-        tiny_config(),
+        _root_charging_inside_send, pre_fork_cycles, tiny_config(),
     )
     assert batched["skip_spins"] > 0  # spinners really were parked
     assert batched["on_idle"] < reference["on_idle"]
 
 
-def test_every_worker_parked_is_a_deadlock(epoch_mode):
+def test_every_worker_parked_is_a_deadlock():
     # nothing was pushed, so every worker spins until it parks; per-op
     # stepping would spin forever
-    epoch_mode("1")
     rt, calls = _runtime(tiny_config())
     with pytest.raises(SimulationError, match="deadlock"):
         rt.engine.run()
@@ -110,9 +101,8 @@ def test_every_worker_parked_is_a_deadlock(epoch_mode):
 THREAD = 2
 
 
-def _parked_spinner(epoch_mode):
+def _parked_spinner():
     """A runtime whose worker THREAD just made a clean spin."""
-    epoch_mode("1")
     rt, _ = _runtime(tiny_config())
     sched = rt.scheduler
     worker = rt.engine.workers[THREAD]
@@ -140,8 +130,8 @@ def _spinner_state(rt):
     )
 
 
-def _spin_clocks(epoch_mode, count):
-    rt = _parked_spinner(epoch_mode)
+def _spin_clocks(count):
+    rt = _parked_spinner()
     clocks = []
     for _ in range(count):
         clocks.append(rt.machine.cores[THREAD].clock)
@@ -149,10 +139,10 @@ def _spin_clocks(epoch_mode, count):
     return clocks
 
 
-def test_closed_form_matches_real_spins_at_ramp_and_plateau_edges(epoch_mode):
+def test_closed_form_matches_real_spins_at_ramp_and_plateau_edges():
     # the ramp is 64 -> 128 -> 256 -> 512; keys around spins 0..7 cover
     # every ramp step, the switch to the plateau and plateau multiples
-    clocks = _spin_clocks(epoch_mode, 8)
+    clocks = _spin_clocks(8)
     keys = {
         (clock + delta, thread)
         for clock in clocks
@@ -161,9 +151,9 @@ def test_closed_form_matches_real_spins_at_ramp_and_plateau_edges(epoch_mode):
     }
     keys.add((clocks[-1] + 40 * BACKOFF_MAX + 5, THREAD + 1))  # far out
     for key_clock, key_thread in sorted(keys):
-        closed = _parked_spinner(epoch_mode)
+        closed = _parked_spinner()
         closed.scheduler.skip_spins(THREAD, key_clock, key_thread)
-        real = _parked_spinner(epoch_mode)
+        real = _parked_spinner()
         core = real.machine.cores[THREAD]
         worker = real.engine.workers[THREAD]
         while (core.clock, THREAD) < (key_clock, key_thread):
@@ -176,16 +166,16 @@ def test_closed_form_matches_real_spins_at_ramp_and_plateau_edges(epoch_mode):
 # ----------------------------------------------------------------------
 # Where parking must stay off
 # ----------------------------------------------------------------------
-def _fib(epoch_mode, config, **kwargs):
+def _fib(config, **kwargs):
     bench = get_benchmark("fib")
     return _both_modes(
-        epoch_mode, bench.root_task, bench.workload(size="test", seed=42),
+        bench.root_task, bench.workload(size="test", seed=42),
         config, **kwargs,
     )
 
 
-def test_parking_is_on_by_default(epoch_mode):
-    batched, reference = _fib(epoch_mode, tiny_config())
+def test_parking_is_on_by_default():
+    batched, reference = _fib(tiny_config())
     assert batched["skip_spins"] > 0
     assert batched["on_idle"] < reference["on_idle"]
 
@@ -199,7 +189,7 @@ def test_parking_is_on_by_default(epoch_mode):
     ],
     ids=["smt", "tracer", "no-traffic"],
 )
-def test_parking_stays_off(epoch_mode, config, kwargs):
-    batched, reference = _fib(epoch_mode, config, **kwargs)
+def test_parking_stays_off(config, kwargs):
+    batched, reference = _fib(config, **kwargs)
     assert batched["skip_spins"] == 0
     assert batched["on_idle"] == reference["on_idle"]

@@ -4,8 +4,7 @@ The load-bearing property is *bit-identity*: for the recorded (benchmark,
 protocol, config, seed, policy) tuple, the vectorized replay kernel must
 produce exactly the ``RunStats`` the interpreted engine produces — pinned
 here against the same golden digest corpus that guards the engine itself,
-for every benchmark x protocol cell, on both the numpy and the pure-Python
-preprocessing paths.
+for every benchmark x protocol cell.
 """
 
 import dataclasses
@@ -45,10 +44,10 @@ def _record(name, protocol, **kwargs):
 
 
 # ----------------------------------------------------------------------
-# Golden replay identity: every cell, both preprocessing paths
+# Golden replay identity: every cell
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("cell", CELLS)
-def test_replay_matches_golden_digest(cell, monkeypatch):
+def test_replay_matches_golden_digest(cell):
     name, protocol = cell.split("/")
     expected = GOLDEN["entries"][cell]["digest"]
     trace, recorded = _record(name, protocol)
@@ -58,12 +57,6 @@ def test_replay_matches_golden_digest(cell, monkeypatch):
     replayed = replay_trace(trace)
     assert stats_digest(replayed.stats) == expected, (
         f"replay kernel diverges from the engine on {cell}"
-    )
-
-    monkeypatch.setenv("REPRO_NUMPY", "0")
-    fallback = replay_trace(trace)
-    assert stats_digest(fallback.stats) == expected, (
-        f"pure-Python replay path diverges on {cell}"
     )
 
 
@@ -151,21 +144,6 @@ def test_replay_benchmark_never_touches_result_caches(tmp_path):
     assert run_mod._CACHE == before, (
         "replay results must never enter the exact-result cache"
     )
-
-
-def test_replay_env_escape_hatch(tmp_path, monkeypatch):
-    monkeypatch.setenv("REPRO_REPLAY", "0")
-    store = TraceStore(tmp_path)
-    result = replay_benchmark(
-        "fib", "mesi", dual_socket(), size="test", trace_store=store,
-    )
-    reference = run_benchmark(
-        "fib", "mesi", dual_socket(), size="test", use_cache=False,
-        use_disk_cache=False,
-    )
-    assert result.stats.to_dict() == reference.stats.to_dict()
-    # the interpreted path must not have written any trace
-    assert list(store.root.glob("*.wtrace")) == []
 
 
 def test_replay_matrix_sweeps_variants(tmp_path):

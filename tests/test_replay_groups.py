@@ -60,23 +60,13 @@ _TRACES = {}
 
 
 def _trace(name, protocol):
-    """One recording per cell for the module; the preprocessing memo is
-    dropped so each test runs the numpy or pure-Python path it asks for."""
+    """One recording per cell for the module."""
     key = (name, protocol)
     if key not in _TRACES:
         _TRACES[key] = record_benchmark(
             name, protocol, BASE, size="test", seed=42
         )[0]
-    trace = _TRACES[key]
-    trace._prep.clear()
-    return trace
-
-
-@pytest.fixture(params=["numpy", "pure"])
-def prep_path(request, monkeypatch):
-    if request.param == "pure":
-        monkeypatch.setenv("REPRO_NUMPY", "0")
-    return request.param
+    return _TRACES[key]
 
 
 # ----------------------------------------------------------------------
@@ -84,7 +74,7 @@ def prep_path(request, monkeypatch):
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("protocol", PROTOCOLS)
 @pytest.mark.parametrize("name", WORKLOADS)
-def test_group_matches_single_replays(name, protocol, prep_path):
+def test_group_matches_single_replays(name, protocol):
     grid = latency_grid(BASE)
     assert len(memory_groups(grid)) == 1
     trace = _trace(name, protocol)

@@ -162,24 +162,6 @@ class TestWorkloadPlumbing:
         payload = json.loads(capsys.readouterr().out)
         assert payload["results"][0]["benchmark"] == f"trace:{trace_file}"
 
-    def test_bench_parser_accepts_workloads(self):
-        args = build_parser().parse_args(
-            ["bench", "--quick", "--workload", "synth-zipf",
-             "--workload", "synth-ring"]
-        )
-        assert args.workload == ["synth-zipf", "synth-ring"]
-
-    def test_bench_suite_times_extra_workload_rows(self, monkeypatch):
-        from repro.analysis import bench as bench_mod
-
-        monkeypatch.setattr(bench_mod, "QUICK_SUITE", [])
-        report = bench_mod.run_bench_suite(
-            quick=True, extra_rows=[("synth-falseshare", "test")]
-        )
-        rows = report["runs"]
-        assert {row["benchmark"] for row in rows} == {"synth-falseshare"}
-        assert {row["protocol"] for row in rows} == {"MESI", "WARDen"}
-
 
 # ----------------------------------------------------------------------
 # Fingerprints: trace files are content-addressed, not path-addressed
