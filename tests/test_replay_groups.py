@@ -72,8 +72,11 @@ def _trace(name, protocol):
 # ----------------------------------------------------------------------
 # Grouped == independent, bit for bit
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("protocol", PROTOCOLS)
-@pytest.mark.parametrize("name", WORKLOADS)
+# The "pure-" id prefix names the preprocessing path: pure Python, the only one.
+@pytest.mark.parametrize("name, protocol", [
+    pytest.param(name, protocol, id=f"pure-{name}-{protocol}")
+    for name in WORKLOADS for protocol in PROTOCOLS
+])
 def test_group_matches_single_replays(name, protocol):
     grid = latency_grid(BASE)
     assert len(memory_groups(grid)) == 1
