@@ -7,7 +7,7 @@ machine-checked property over the benchmark suite, generalized to any
 WARDen).  For each benchmark the harness runs three legs:
 
 1. **Differential** — the benchmark under the baseline and under the
-   candidate protocol (cacheable through the PR 2 pool/cache machinery,
+   candidate protocol (cacheable through the run-matrix pool/cache machinery,
    so full sweeps are cheap and resumable) with final results compared
    and stats invariants asserted:
 
@@ -418,32 +418,31 @@ def run_verify(
 ) -> ConformanceReport:
     """Verify every benchmark in ``names``; returns a full report.
 
-    With ``jobs > 1`` (or any robustness flag) the differential legs fan
-    out over the PR 2 process pool first; the per-benchmark verification
-    then reads them back from the cache.  The detector/oracle leg always
-    runs in-process (it needs live hooks, which do not serialize).
+    The differential legs run first as one matrix through
+    :func:`~repro.analysis.run.prefetch` (over ``jobs`` processes, with
+    the robustness layer); the per-benchmark verification then reads them
+    back from the cache.  The detector/oracle leg always runs in-process
+    (it needs live hooks, which do not serialize).
     """
-    robust = timeout is not None or retries > 0 or resume or report is not None
-    if jobs > 1 or robust:
-        prefetch(
-            [
-                RunTask(
-                    benchmark=name,
-                    protocol=proto,
-                    config=config,
-                    size=size,
-                    seed=seed,
-                    policy=policy,
-                )
-                for name in names
-                for proto in sorted({baseline, protocol})
-            ],
-            jobs=jobs,
-            timeout=timeout,
-            retries=retries,
-            resume=resume,
-            report=report,
-        )
+    prefetch(
+        [
+            RunTask(
+                benchmark=name,
+                protocol=proto,
+                config=config,
+                size=size,
+                seed=seed,
+                policy=policy,
+            )
+            for name in names
+            for proto in sorted({baseline, protocol})
+        ],
+        jobs=jobs,
+        timeout=timeout,
+        retries=retries,
+        resume=resume,
+        report=report,
+    )
     out = ConformanceReport(size=size, machine=config.name, seed=seed)
     for name in names:
         out.results.append(

@@ -36,8 +36,12 @@ on attempt 0 only, ``worker.fail@0x3`` fires on attempts 0-2 of task 0.
 Keying by task index (not per-process hit counts) keeps the injection
 deterministic across pool re-spawns — the whole point of the exercise.
 
-``cache.*`` sites are keyed by a per-process hit counter: ``site@N`` fires
-on the N-th hit (1-based), ``site@NxM`` on hits N..N+M-1.
+``cache.*`` sites are keyed by the armed plan's hit counter, which starts
+at 1: ``site@N`` fires on the N-th hit, ``site@NxM`` on hits N..N+M-1, and
+``site@0`` is rejected because it could never fire.  Each pool worker
+parses its own plan, and :func:`~repro.analysis.pool.run_matrix` re-reads
+``REPRO_FAULTS`` on every call, so an environment plan's counter restarts
+with each worker and each in-process matrix.
 
 Syntax (``REPRO_FAULTS`` environment variable or :func:`parse_plan`)::
 
@@ -227,11 +231,16 @@ def parse_plan(text: Optional[str]) -> Optional[FaultPlan]:
             where = _plan_int(where_text, "address", clause)
             if x:
                 times = _plan_int(times_text, "count", clause)
+        site = site.strip()
         if where < 0:
             raise FaultSyntaxError(f"fault {clause!r} has a negative address")
+        if where == 0 and site.startswith("cache."):
+            raise FaultSyntaxError(
+                f"fault {clause!r} never fires: cache.* hits count from 1"
+            )
         if times < 1:
             raise FaultSyntaxError(f"fault {clause!r} must fire >= 1 time")
-        specs.append(FaultSpec(site=site.strip(), where=where, times=times, arg=arg))
+        specs.append(FaultSpec(site=site, where=where, times=times, arg=arg))
     return FaultPlan(specs) if specs else None
 
 

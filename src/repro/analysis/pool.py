@@ -3,29 +3,33 @@ layer that keeps a long (benchmark x protocol x seed) sweep alive.
 
 The matrix behind every figure harness is embarrassingly parallel: each
 simulation is a deterministic, isolated process-sized unit of work.
-:func:`run_matrix` fans the matrix out over a
-:class:`~concurrent.futures.ProcessPoolExecutor` and merges results in task
-order, so the output is bit-identical to a serial sweep.  On top of the
-fan-out sits a fault-tolerant scheduler:
+:func:`run_matrix` is the one scheduler every figure and verify matrix
+goes through.  It runs the matrix in-process when ``jobs == 1`` and no
+timeout is set, and otherwise fans it out over a
+:class:`~concurrent.futures.ProcessPoolExecutor`; either way results merge
+in task order, bit-identical to a serial sweep.  Both paths share the
+fault-tolerant layer:
 
-* **per-task timeouts** — a hung worker is killed, the pool re-spawned,
-  and the task retried (:class:`~repro.common.errors.TaskTimeoutError`
-  once the retry budget is spent);
-* **bounded retry** with exponential backoff and *seeded* jitter, so a
-  retried sweep sleeps the same amount every time it is replayed;
+* **per-task timeouts** (pool only) — a hung worker is killed, the pool
+  re-spawned, and the task retried
+  (:class:`~repro.common.errors.TaskTimeoutError` once the retry budget is
+  spent);
+* **bounded retry** with exponential backoff and *seeded* jitter
+  (:data:`BACKOFF_BASE`, :data:`BACKOFF_CAP`), so a retried sweep sleeps
+  the same amount every time it is replayed;
 * **``BrokenProcessPool`` recovery** — a crashed worker triggers a pool
-  re-spawn (bounded by ``max_respawns``), then graceful degradation to
-  serial execution when workers keep dying;
-* **checkpoint/resume** — completed tasks are journaled to
-  ``.warden-cache/journal-<matrix-fingerprint>.jsonl`` as they finish, so
-  an interrupted matrix resumes from the journal with bit-identical
-  merged results.
+  re-spawn; past :data:`MAX_RESPAWNS` the matrix degrades to in-process
+  serial execution;
+* **checkpoint/resume** — with ``resume`` completed tasks are journaled to
+  ``<cache_dir>/journal-<matrix-fingerprint>.jsonl`` as they finish, so an
+  interrupted matrix resumes from the journal with bit-identical merged
+  results.
 
-Robustness events (retries, timeouts, respawns, fallback) are recorded in
-a :class:`MatrixReport` as typed :class:`~repro.obs.tracer.MatrixEvent`
-objects, optionally mirrored into any ``repro.obs`` sink, and surfaced in
-run manifests.  Deterministic fault injection for all of the above lives
-in :mod:`repro.analysis.faults`.
+Every call resolves the fault plan (:mod:`repro.analysis.faults`, the
+installed plan or ``REPRO_FAULTS``) and records it, with every recovery
+event, in a :class:`MatrixReport` of typed
+:class:`~repro.obs.tracer.MatrixEvent` objects, optionally mirrored into
+any ``repro.obs`` sink and surfaced in run manifests.
 
 :class:`DiskCache` makes the sweep incremental across invocations: results
 live in ``.warden-cache/`` keyed by a content hash of the *full*
@@ -67,6 +71,14 @@ DEFAULT_CACHE_DIR = ".warden-cache"
 
 #: bump when the cache payload layout changes (old entries fall back to re-run)
 CACHE_SCHEMA = 1
+
+#: seconds slept before a task's first retry; doubles per attempt up to
+#: BACKOFF_CAP, then scaled by a seeded jitter in [0.5, 1)
+BACKOFF_BASE = 0.05
+BACKOFF_CAP = 2.0
+
+#: pool re-spawns one matrix tolerates before it degrades to serial execution
+MAX_RESPAWNS = 3
 
 _code_fingerprint: Optional[str] = None
 
@@ -383,21 +395,28 @@ class MatrixJournal:
 # ----------------------------------------------------------------------
 
 
+def _counted(action: str) -> property:
+    """A :class:`MatrixReport` counter, derived from its event list."""
+    return property(lambda self: self.actions().count(action))
+
+
 class MatrixReport:
-    """Record of everything a robust matrix run had to survive.
+    """Record of everything a matrix run had to survive.
 
     Accumulates across :func:`run_matrix` invocations (one figure sweeps
     several benchmarks), mirrors each event into an optional ``repro.obs``
-    sink, and serializes into run manifests via :meth:`to_dict`.
+    sink, and serializes into run manifests via :meth:`to_dict`.  A report
+    is clean only when no event happened *and* no fault plan was armed.
     """
+
+    retries = _counted("retry")
+    timeouts = _counted("timeout")
+    respawns = _counted("respawn")
+    fallbacks = _counted("fallback")
 
     def __init__(self, sink=None) -> None:
         self.sink = sink
         self.events: List[MatrixEvent] = []
-        self.retries = 0
-        self.timeouts = 0
-        self.respawns = 0
-        self.fallbacks = 0
         self.resumed = 0
         self.completed = 0
         self.faults: Optional[str] = None
@@ -411,19 +430,11 @@ class MatrixReport:
         self.events.append(event)
         if self.sink is not None:
             self.sink.emit(event)
-        if action == "retry":
-            self.retries += 1
-        elif action == "timeout":
-            self.timeouts += 1
-        elif action == "respawn":
-            self.respawns += 1
-        elif action == "fallback":
-            self.fallbacks += 1
         return event
 
     @property
     def clean(self) -> bool:
-        return not self.events
+        return not self.events and self.faults is None
 
     def actions(self) -> List[str]:
         return [event.action for event in self.events]
@@ -451,58 +462,52 @@ class MatrixReport:
         }
 
 
-def _backoff_delay(
-    base: float, cap: float, seed: int, index: int, attempt: int
-) -> float:
+def _backoff_delay(index: int, attempt: int) -> float:
     """Exponential backoff with deterministic (seeded) jitter.
 
-    The jitter stream is keyed by (seed, task index, attempt), so a
-    replayed sweep backs off identically — reproducibility extends to the
-    failure path.
+    The jitter stream is keyed by (task index, attempt), so a replayed
+    sweep backs off identically — reproducibility extends to the failure
+    path.
     """
-    rng = random.Random(seed * 1_000_003 + index * 8191 + attempt)
-    return min(base * (2 ** max(attempt - 1, 0)), cap) * (0.5 + 0.5 * rng.random())
+    rng = random.Random(index * 8191 + attempt)
+    delay = min(BACKOFF_BASE * 2 ** (attempt - 1), BACKOFF_CAP)
+    return delay * (0.5 + 0.5 * rng.random())
 
 
 # ----------------------------------------------------------------------
-# The process-pool fan-out
+# The scheduler
 # ----------------------------------------------------------------------
 
 
-def _pool_worker_init(faults_spec: Optional[str] = None) -> None:
-    """Worker bootstrap: arm the ``worker.*`` fault sites in this process."""
-    faults.mark_worker()
-    if faults_spec:
-        faults.install(faults.parse_plan(faults_spec))
-
-
-def _execute_task(
-    task: RunTask,
-    cache_dir: Optional[str] = None,
-    index: Optional[int] = None,
-    attempt: int = 0,
-):
-    """Run one task in the current process (pool worker entry point)."""
+def _pool_worker_init(
+    faults_spec: Optional[str], cache_dir: Optional[str]
+) -> None:
+    """Worker bootstrap: arm the ``worker.*`` fault sites in this process
+    and open its own view of the persistent result cache."""
     from repro.analysis import run as run_mod
 
-    if faults.ACTIVE and index is not None:
-        faults.worker_faults(index, attempt)
-    previous = run_mod.get_disk_cache()
+    faults.mark_worker()
+    faults.install(faults.parse_plan(faults_spec))
     if cache_dir is not None:
         run_mod.set_disk_cache(DiskCache(cache_dir))
-    try:
-        return run_mod.run_benchmark(
-            task.benchmark,
-            task.protocol,
-            task.config,
-            size=task.size,
-            seed=task.seed,
-            policy=task.policy,
-            check_ward=task.check_ward,
-        )
-    finally:
-        if cache_dir is not None:
-            run_mod.set_disk_cache(previous)
+
+
+def _execute_task(task: RunTask, index: int, attempt: int):
+    """Run one task in this process (serial path and pool worker entry);
+    results flow through whichever disk cache the process has installed."""
+    from repro.analysis import run as run_mod
+
+    if faults.ACTIVE:
+        faults.worker_faults(index, attempt)
+    return run_mod.run_benchmark(
+        task.benchmark,
+        task.protocol,
+        task.config,
+        size=task.size,
+        seed=task.seed,
+        policy=task.policy,
+        check_ward=task.check_ward,
+    )
 
 
 def _kill_pool(pool: ProcessPoolExecutor) -> None:
@@ -537,14 +542,7 @@ def run_matrix(
     timeout: Optional[float] = None,
     retries: int = 0,
     resume: bool = False,
-    journal_dir: Optional[str] = None,
     report: Optional[MatrixReport] = None,
-    faults_plan=None,
-    backoff_base: float = 0.05,
-    backoff_cap: float = 2.0,
-    seed: int = 0,
-    max_respawns: int = 3,
-    fallback_serial: bool = True,
 ) -> List:
     """Execute a run matrix, ``jobs`` processes wide, fault-tolerantly.
 
@@ -555,90 +553,55 @@ def run_matrix(
     hangs, and retries: a recovered matrix returns exactly the results a
     clean serial sweep would.
 
-    Robustness knobs (all keyword-only):
-
+    * ``jobs`` — with 1 and no ``timeout`` the tasks run in this process,
+      through the disk cache installed with
+      :func:`repro.analysis.run.set_disk_cache`; otherwise over a pool of
+      up to ``jobs`` workers.
+    * ``cache_dir`` — the persistent cache each pool worker opens, and the
+      journal's directory (default ``.warden-cache``).
     * ``timeout`` — per-task seconds; a task that blows it is retried in a
-      fresh pool (the hung worker is killed).  Requires process isolation,
-      so ``timeout`` forces the pool path even for ``jobs=1``.
+      fresh pool (the hung worker is killed).  It needs process isolation,
+      so it selects the pool even for ``jobs=1``.
     * ``retries`` — failed/timed-out attempts tolerated per task, with
       exponential backoff and seeded jitter between attempts.
-    * ``resume`` / ``journal_dir`` — checkpoint completed tasks to
-      ``journal-<matrix-fingerprint>.jsonl`` (under ``journal_dir``,
-      ``cache_dir``, or ``.warden-cache``); with ``resume`` the journal is
-      read first and only unfinished tasks execute.  The journal is
-      removed once the whole matrix completes.
-    * ``report`` — a :class:`MatrixReport` collecting robustness events.
-    * ``faults_plan`` — a :class:`~repro.analysis.faults.FaultPlan` (or
-      its string form) for deterministic fault injection; defaults to the
-      installed plan or ``REPRO_FAULTS``.
+    * ``resume`` — checkpoint completed tasks to
+      ``journal-<matrix-fingerprint>.jsonl``, reading back the ones an
+      interrupted run already checkpointed; the journal is removed once
+      the whole matrix completes.
+    * ``report`` — the :class:`MatrixReport` that records the armed fault
+      plan and every robustness event (a fresh one when omitted).
+
+    The fault plan (the installed one, else ``REPRO_FAULTS``) is resolved
+    on every call, so a malformed plan fails serial and pooled runs alike.
     """
     tasks = list(tasks)
-    plan = faults.resolve_plan(faults_plan)
-    robust = (
-        timeout is not None
-        or retries > 0
-        or resume
-        or journal_dir is not None
-        or report is not None
-        or plan is not None
-    )
-    if not robust and (jobs <= 1 or len(tasks) <= 1):
-        return [_execute_task(task, cache_dir) for task in tasks]
+    plan = faults.resolve_plan()
+    faults_spec = plan.describe() if plan is not None else None
     if report is None:
         report = MatrixReport()
-    previous_plan = faults.install(plan) if plan is not None else None
-    try:
-        return _run_matrix_robust(
-            tasks, jobs, cache_dir, timeout, retries, resume, journal_dir,
-            report, plan, backoff_base, backoff_cap, seed, max_respawns,
-            fallback_serial,
-        )
-    finally:
-        if plan is not None:
-            faults.install(previous_plan)
-
-
-def _run_matrix_robust(
-    tasks: List[RunTask],
-    jobs: int,
-    cache_dir: Optional[str],
-    timeout: Optional[float],
-    retries: int,
-    resume: bool,
-    journal_dir: Optional[str],
-    report: MatrixReport,
-    plan,
-    backoff_base: float,
-    backoff_cap: float,
-    seed: int,
-    max_respawns: int,
-    fallback_serial: bool,
-) -> List:
+    if faults_spec is not None:
+        report.faults = faults_spec
+    if not tasks:
+        return []
     keys = [task_fingerprint(task) for task in tasks]
     fingerprint = matrix_fingerprint(keys)
     report.fingerprints.append(fingerprint)
-    if plan is not None:
-        report.faults = plan.describe()
-
-    journal: Optional[MatrixJournal] = None
-    if resume or journal_dir is not None:
-        journal = MatrixJournal(
-            journal_dir or cache_dir or DEFAULT_CACHE_DIR, fingerprint
-        )
-
+    journal = (
+        MatrixJournal(cache_dir or DEFAULT_CACHE_DIR, fingerprint)
+        if resume else None
+    )
     results: Dict[int, object] = {}
     attempts = [0] * len(tasks)
 
-    if journal is not None and resume:
+    if journal is not None:
         saved = journal.load()
-        for i, key in enumerate(keys):
-            if key in saved:
-                results[i] = saved[key]
+        results.update(
+            (i, saved[key]) for i, key in enumerate(keys) if key in saved
+        )
         if results:
             report.resumed += len(results)
             report.record(
-                "resume", -1, 0,
-                detail=f"{len(results)}/{len(tasks)} tasks from journal",
+                "resume", detail=f"{len(results)}/{len(tasks)} tasks from journal"
             )
 
     def finish(i: int, result) -> None:
@@ -647,107 +610,76 @@ def _run_matrix_robust(
         if journal is not None and not journal.append(keys[i], result):
             report.record("journal-error", i, attempts[i])
 
-    def run_serial(indices: List[int]) -> None:
-        for i in indices:
-            while True:
-                try:
-                    finish(i, _execute_task(tasks[i], cache_dir, i, attempts[i]))
-                    break
-                except (KeyboardInterrupt, SystemExit):
-                    raise
-                except Exception as exc:
-                    attempts[i] += 1
-                    if attempts[i] > retries:
-                        raise PoolError(
-                            f"matrix task {i} ({tasks[i].benchmark}/"
-                            f"{tasks[i].protocol}) failed after "
-                            f"{attempts[i]} attempt(s): {exc!r}"
-                        ) from exc
-                    report.record("retry", i, attempts[i], detail=repr(exc))
-                    time.sleep(_backoff_delay(
-                        backoff_base, backoff_cap, seed, i, attempts[i]
-                    ))
+    def retry_or_raise(i: int, exc: Exception) -> None:
+        """The one failure policy: back off before the next attempt, or
+        give up once the retry budget is spent."""
+        attempts[i] += 1
+        if attempts[i] > retries:
+            raise PoolError(
+                f"matrix task {i} ({tasks[i].benchmark}/{tasks[i].protocol}) "
+                f"failed after {attempts[i]} attempt(s): {exc!r}"
+            ) from exc
+        report.record("retry", i, attempts[i], detail=repr(exc))
+        time.sleep(_backoff_delay(i, attempts[i]))
 
-    pending = [i for i in range(len(tasks)) if i not in results]
-    use_pool = jobs > 1 or timeout is not None
-    if pending and not use_pool:
-        run_serial(pending)
-        pending = []
-
-    respawns = 0
-    faults_spec = plan.describe() if plan is not None else None
-    while pending:
-        workers = max(1, min(jobs, len(pending)))
-        pool = ProcessPoolExecutor(
-            max_workers=workers,
-            initializer=_pool_worker_init,
-            initargs=(faults_spec,),
-        )
-        futures = {
-            i: pool.submit(_execute_task, tasks[i], cache_dir, i, attempts[i])
-            for i in pending
-        }
-        broken = False
-        crashed = False
-        queue = list(pending)
-        qi = 0
-        while qi < len(queue):
-            i = queue[qi]
+    def collect(i: int) -> bool:
+        """Wait for pool task ``i``; False when it hung and holds a worker."""
+        while True:
             try:
-                result = futures[i].result(timeout=timeout)
-            except (KeyboardInterrupt, SystemExit):
-                _kill_pool(pool)
-                raise
+                finish(i, futures[i].result(timeout=timeout))
+                return True
             except FuturesTimeout:
                 attempts[i] += 1
                 report.record("timeout", i, attempts[i] - 1)
                 if attempts[i] > retries:
-                    _kill_pool(pool)
-                    raise TaskTimeoutError(i, timeout or 0.0)
-                # The worker is hung and occupies a slot: kill the whole
-                # pool and respawn with the remaining tasks.
-                broken = True
-                break
+                    raise TaskTimeoutError(i, timeout) from None
+                return False
             except BrokenProcessPool:
-                respawns += 1
-                crashed = True
+                raise  # a dead pool, not a task failure: respawn it
+            except Exception as exc:
+                retry_or_raise(i, exc)
+                futures[i] = pool.submit(_execute_task, tasks[i], i, attempts[i])
+
+    pending = [i for i in range(len(tasks)) if i not in results]
+    previous_plan = faults.install(plan)
+    try:
+        respawns = 0
+        while pending and (jobs > 1 or timeout is not None):
+            pool = ProcessPoolExecutor(
+                max_workers=max(1, min(jobs, len(pending))),
+                initializer=_pool_worker_init,
+                initargs=(faults_spec, cache_dir),
+            )
+            futures = {}
+            crashed = False
+            try:
+                for i in pending:
+                    futures[i] = pool.submit(
+                        _execute_task, tasks[i], i, attempts[i]
+                    )
+                for i in pending:
+                    if not collect(i):
+                        break  # task i hung: respawn the pool
+                else:
+                    pool.shutdown()
+                    pending = []
+                    break
+            except BrokenProcessPool:
+                # A worker died while task i was being submitted or awaited.
                 report.record(
                     "respawn", i, attempts[i], detail="BrokenProcessPool"
                 )
-                broken = True
-                break
-            except Exception as exc:
-                attempts[i] += 1
-                if attempts[i] > retries:
-                    _kill_pool(pool)
-                    raise PoolError(
-                        f"matrix task {i} ({tasks[i].benchmark}/"
-                        f"{tasks[i].protocol}) failed after "
-                        f"{attempts[i]} attempt(s): {exc!r}"
-                    ) from exc
-                report.record("retry", i, attempts[i], detail=repr(exc))
-                time.sleep(_backoff_delay(
-                    backoff_base, backoff_cap, seed, i, attempts[i]
-                ))
-                futures[i] = pool.submit(
-                    _execute_task, tasks[i], cache_dir, i, attempts[i]
-                )
-                continue  # re-wait on the same task
-            else:
-                finish(i, result)
-                qi += 1
-
-        if broken:
+                crashed = True
+            except BaseException:
+                _kill_pool(pool)
+                raise
             # Harvest tasks that completed before the pool broke.
-            for i in pending:
-                if i in results:
-                    continue
-                fut = futures.get(i)
+            for i, future in futures.items():
                 if (
-                    fut is not None and fut.done() and not fut.cancelled()
-                    and fut.exception() is None
+                    i not in results and future.done()
+                    and not future.cancelled() and future.exception() is None
                 ):
-                    finish(i, fut.result())
+                    finish(i, future.result())
             _kill_pool(pool)
             pending = [i for i in pending if i not in results]
             if crashed:
@@ -756,21 +688,21 @@ def _run_matrix_robust(
                 # deterministic crash fault doesn't re-fire forever.
                 for i in pending:
                     attempts[i] += 1
-                if respawns > max_respawns:
-                    if not fallback_serial:
-                        raise PoolError(
-                            f"process pool kept dying ({respawns} respawns); "
-                            "serial fallback disabled"
-                        )
+                respawns += 1
+                if respawns > MAX_RESPAWNS:
                     report.record(
-                        "fallback", -1, 0,
+                        "fallback",
                         detail=f"serial after {respawns} pool respawns",
                     )
-                    run_serial(pending)
-                    pending = []
-        else:
-            pool.shutdown()
-            pending = [i for i in pending if i not in results]
+                    break
+        for i in pending:  # the serial path, and the pool's fallback
+            while i not in results:
+                try:
+                    finish(i, _execute_task(tasks[i], i, attempts[i]))
+                except Exception as exc:
+                    retry_or_raise(i, exc)
+    finally:
+        faults.install(previous_plan)
 
     if journal is not None:
         journal.remove()

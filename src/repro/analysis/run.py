@@ -246,24 +246,20 @@ def prefetch(
     retries: int = 0,
     resume: bool = False,
     report=None,
-) -> None:
+) -> List[str]:
     """Warm the in-process cache for ``tasks`` through the run matrix.
 
-    Used by harnesses (e.g. :mod:`repro.analysis.conformance`) that want
-    the PR 2 pool/cache machinery — parallel fan-out, disk cache, the
-    robustness layer — before reading individual results back through
-    :func:`run_benchmark`, which then hits the cache.
+    Every harness (figures via :func:`run_pairs`, conformance via
+    :func:`~repro.analysis.conformance.run_verify`) runs its matrix here:
+    :func:`~repro.analysis.pool.run_matrix` resolves the fault plan, fans
+    out or runs in-process, and records what it survived in ``report``.
+    Returns the tasks' fingerprints, the keys of their ``_CACHE`` entries.
     """
-    todo = [
-        (task, key)
-        for task, key in ((t, task_fingerprint(t)) for t in tasks)
-        if key not in _CACHE
-    ]
-    if not todo:
-        return
+    keys = [task_fingerprint(task) for task in tasks]
+    todo = [i for i, key in enumerate(keys) if key not in _CACHE]
     cache_dir = str(_DISK_CACHE.root) if _DISK_CACHE is not None else None
     results = run_matrix(
-        [task for task, _ in todo],
+        [tasks[i] for i in todo],
         jobs=jobs,
         cache_dir=cache_dir,
         timeout=timeout,
@@ -271,8 +267,9 @@ def prefetch(
         resume=resume,
         report=report,
     )
-    for (_, key), result in zip(todo, results):
-        _CACHE[key] = result
+    for i, result in zip(todo, results):
+        _CACHE[keys[i]] = result
+    return keys
 
 
 #: seeds used by the figure harnesses (averaged to cancel steal-timing noise)
@@ -295,55 +292,27 @@ def run_pairs(
 ) -> List[Tuple[BenchResult, ...]]:
     """Run protocol tuples across several seeds (for figure harnesses).
 
-    With ``jobs > 1`` the (protocol x seed) matrix fans out over a process
-    pool (see :mod:`repro.analysis.pool`); results merge deterministically
-    and are bit-identical to the serial path, land in the in-process cache
-    exactly as serial runs would, and flow through the persistent disk
+    The (protocol x seed) matrix goes through :func:`prefetch`: in-process
+    for ``jobs=1``, over a process pool otherwise (see
+    :mod:`repro.analysis.pool`).  Either way results are bit-identical,
+    land in the in-process cache, and flow through the persistent disk
     cache when one is installed.  ``timeout``/``retries``/``resume``/
-    ``report`` feed the pool's robustness layer (and force the matrix path
-    even for ``jobs=1``).
+    ``report`` feed the pool's robustness layer.
     """
-    robust = (
-        timeout is not None or retries > 0 or resume or report is not None
-    )
-    if jobs > 1 or robust:
-        tasks = [
-            RunTask(
-                benchmark=name,
-                protocol=proto,
-                config=config,
-                size=size,
-                seed=seed,
-                policy=policy,
-            )
-            for seed in seeds
-            for proto in protocols
-        ]
-        keys = [task_fingerprint(task) for task in tasks]
-        todo = [
-            (task, key) for task, key in zip(tasks, keys) if key not in _CACHE
-        ]
-        if todo:
-            cache_dir = str(_DISK_CACHE.root) if _DISK_CACHE is not None else None
-            results = run_matrix(
-                [task for task, _ in todo],
-                jobs=jobs,
-                cache_dir=cache_dir,
-                timeout=timeout,
-                retries=retries,
-                resume=resume,
-                report=report,
-            )
-            for (_, key), result in zip(todo, results):
-                _CACHE[key] = result
-        paired = iter(keys)
-        return [
-            tuple(_CACHE[next(paired)] for _ in protocols) for _ in seeds
-        ]
-    return [
-        run_pair(
-            name, config, size=size, seed=seed, policy=policy,
-            protocols=protocols,
+    tasks = [
+        RunTask(
+            benchmark=name,
+            protocol=_protocol_key(proto),
+            config=config,
+            size=size,
+            seed=seed,
+            policy=policy,
         )
         for seed in seeds
+        for proto in protocols
     ]
+    keys = iter(prefetch(
+        tasks, jobs,
+        timeout=timeout, retries=retries, resume=resume, report=report,
+    ))
+    return [tuple(_CACHE[next(keys)] for _ in protocols) for _ in seeds]

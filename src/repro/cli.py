@@ -33,9 +33,12 @@ perf/README.md); to find hot spots, profile a real command::
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
+import math
 import sys
+from pathlib import Path
 from typing import List, Optional
 
 from repro.analysis.conformance import run_verify
@@ -59,7 +62,7 @@ from repro.bench import (
 from repro.bench.microbench import run_table1
 from repro.coherence.registry import available_protocols, protocol_class
 from repro.common.config import disaggregated, dual_socket, single_socket
-from repro.common.errors import ReproError
+from repro.common.errors import ConfigError, ReproError
 from repro.energy.cacti import region_cam_area_overhead, sectoring_area_overhead
 from repro.obs.collect import (
     LatencyHistogram,
@@ -75,8 +78,6 @@ from repro.obs.export import (
     write_chrome_trace,
 )
 
-FIGURES = ("fig7", "fig8", "fig9", "fig10", "fig11", "fig12")
-
 #: machine presets selectable from the command line
 MACHINES = {
     "single": single_socket,
@@ -91,42 +92,80 @@ def _machine_config(args):
 
 def _configure_disk_cache(args) -> None:
     """Install the persistent result cache unless ``--no-disk-cache``."""
-    if getattr(args, "no_disk_cache", False):
-        set_disk_cache(None)
-    else:
-        set_disk_cache(DiskCache(getattr(args, "cache_dir", DEFAULT_CACHE_DIR)))
+    set_disk_cache(None if args.no_disk_cache else DiskCache(args.cache_dir))
 
 
-def _metrics_for(
-    config, names: List[str], size: str, jobs: int = 1,
-    timeout: Optional[float] = None, retries: int = 0, resume: bool = False,
-    report: Optional[MatrixReport] = None,
-):
-    return [
-        compare_multi(run_pairs(
-            name, config, size=size, jobs=jobs,
-            timeout=timeout, retries=retries, resume=resume, report=report,
-        ))
-        for name in names
-    ]
-
-
-def _robustness_report(args) -> Optional[MatrixReport]:
-    """A MatrixReport when any robustness flag is in play, else None."""
-    if args.timeout is not None or args.retries or args.resume:
-        return MatrixReport()
-    return None
-
-
-def _print_robustness(report: Optional[MatrixReport]) -> None:
-    if report is None or report.clean:
-        return
-    print(
-        f"robustness: {report.retries} retries, {report.timeouts} timeouts, "
-        f"{report.respawns} pool respawns, {report.fallbacks} serial "
-        f"fallbacks, {report.resumed} tasks resumed from journal",
-        file=sys.stderr,
+def _matrix_options(args, report: MatrixReport) -> dict:
+    """The run-matrix keywords ``figure`` and ``verify`` pass through."""
+    return dict(
+        jobs=args.jobs, timeout=args.timeout, retries=args.retries,
+        resume=args.resume, report=report,
     )
+
+
+def _print_report(args, payload: dict, text: str, report: MatrixReport) -> None:
+    """Print a matrix command's ``--json`` payload or text rendering, with
+    the robustness block whenever the matrix was not clean."""
+    if args.json:
+        if not report.clean:
+            payload["robustness"] = report.to_dict()
+        print(json.dumps(payload, sort_keys=True))
+        return
+    print(text)
+    if not report.clean:
+        faults = f"; faults armed: {report.faults}" if report.faults else ""
+        print(
+            f"robustness: {report.retries} retries, {report.timeouts} "
+            f"timeouts, {report.respawns} pool respawns, {report.fallbacks} "
+            f"serial fallbacks, {report.resumed} tasks resumed from "
+            f"journal{faults}",
+            file=sys.stderr,
+        )
+
+
+def _print_rows(rows: dict) -> None:
+    for label, value in rows.items():
+        print(f"{label:<10}: {value}")
+
+
+def _print_result(result, **extra) -> None:
+    """The one text rendering of a simulated run (run, replay, record,
+    ingest --run); ``extra`` rows follow the counters."""
+    s = result.stats
+    _print_rows({
+        "benchmark": f"{result.benchmark} ({result.size})",
+        "protocol": result.protocol,
+        "machine": result.machine,
+        "cycles": s.cycles,
+        "instrs": f"{s.instructions}  (IPC {s.ipc:.4f})",
+        "inv/dg": f"{s.coherence.invalidations}/{s.coherence.downgrades}",
+        "ward cov.": f"{s.coherence.ward_coverage:.2%}",
+        "energy": f"{s.energy.processor_nj / 1e3:.1f} uJ "
+                  f"(network {s.energy.interconnect_nj / 1e3:.1f} uJ)",
+        **extra,
+    })
+
+
+def _trace_rows(trace) -> dict:
+    """Summary rows of a text memory trace (ingest, synth)."""
+    loads, stores, rmws = trace.counts()
+    blocks, shared = trace.footprint()
+    return {
+        "ops": f"{len(trace)} ({loads} loads, {stores} stores, {rmws} rmws)",
+        "threads": len(trace.threads()),
+        "footprint": f"{blocks} blocks ({shared} shared between threads)",
+    }
+
+
+@contextlib.contextmanager
+def _writing(path):
+    """Turn a failed output write into an operational error (exit 2)."""
+    try:
+        yield
+    except OSError as exc:
+        raise ConfigError(
+            f"cannot write {path}: {exc.strerror or exc}"
+        ) from None
 
 
 def cmd_specs(_args) -> int:
@@ -139,65 +178,47 @@ def cmd_table1(args) -> int:
     return 0
 
 
-#: per-figure rendering: (machine preset, benchmark list, renderer).
-#: argparse restricts ``figure`` to FIGURES, so this mapping is total.
+def _gains(number: int, machine: str):
+    """Renderer of a speedup-and-energy figure (Figs. 7, 8, 12)."""
+    title = f"Figure {number}: performance and energy gains on {machine}"
+    return lambda metrics: speedup_energy_figure(metrics, title)
+
+
+#: per-figure rendering: (machine preset, benchmark list, renderer)
 _FIGURE_SPECS = {
-    "fig7": (
-        single_socket,
-        lambda: PAPER_ORDER,
-        lambda m: speedup_energy_figure(
-            m, "Figure 7: performance and energy gains on single socket"
-        ),
-    ),
-    "fig8": (
-        dual_socket,
-        lambda: PAPER_ORDER,
-        lambda m: speedup_energy_figure(
-            m, "Figure 8: performance and energy gains on dual socket"
-        ),
-    ),
-    "fig9": (dual_socket, lambda: PAPER_ORDER, figure9),
-    "fig10": (dual_socket, lambda: PAPER_ORDER, figure10),
-    "fig11": (dual_socket, lambda: PAPER_ORDER, figure11),
-    "fig12": (
-        disaggregated,
-        lambda: DISAGGREGATED_SUBSET,
-        lambda m: speedup_energy_figure(
-            m, "Figure 12: performance and energy gains on disaggregated"
-        ),
-    ),
+    "fig7": (single_socket, PAPER_ORDER, _gains(7, "single socket")),
+    "fig8": (dual_socket, PAPER_ORDER, _gains(8, "dual socket")),
+    "fig9": (dual_socket, PAPER_ORDER, figure9),
+    "fig10": (dual_socket, PAPER_ORDER, figure10),
+    "fig11": (dual_socket, PAPER_ORDER, figure11),
+    "fig12": (disaggregated, DISAGGREGATED_SUBSET, _gains(12, "disaggregated")),
 }
+FIGURES = tuple(_FIGURE_SPECS)
 
 
 def cmd_figure(args) -> int:
     _configure_disk_cache(args)
-    config_fn, names_fn, renderer = _FIGURE_SPECS[args.figure]
-    report = _robustness_report(args)
-    metrics = _metrics_for(
-        config_fn(), names_fn(), args.size, jobs=args.jobs,
-        timeout=args.timeout, retries=args.retries, resume=args.resume,
-        report=report,
-    )
-    if args.json:
-        payload = {
-            "figure": args.figure,
-            "size": args.size,
-            "rows": [dataclasses.asdict(m) for m in metrics],
-            "summary": summarize(metrics),
-        }
-        if report is not None and not report.clean:
-            payload["robustness"] = report.to_dict()
-        print(json.dumps(payload, sort_keys=True))
-    else:
-        print(renderer(metrics))
-        _print_robustness(report)
+    machine, names, renderer = _FIGURE_SPECS[args.figure]
+    config = machine()
+    report = MatrixReport()
+    metrics = [
+        compare_multi(run_pairs(
+            name, config, size=args.size, **_matrix_options(args, report)
+        ))
+        for name in names
+    ]
+    payload = {
+        "figure": args.figure,
+        "size": args.size,
+        "rows": [dataclasses.asdict(m) for m in metrics],
+        "summary": summarize(metrics),
+    }
+    _print_report(args, payload, renderer(metrics), report)
     return 0
 
 
 def _pick_workload(args) -> str:
     """The workload under test: positional name or ``--workload`` (one)."""
-    from repro.common.errors import ConfigError
-
     workload = getattr(args, "workload", None)
     if workload and args.benchmark and workload != args.benchmark:
         raise ConfigError(
@@ -212,57 +233,46 @@ def _pick_workload(args) -> str:
     return name
 
 
+def _simulate(args, name: str, config, obs_sink=None):
+    """The engine run of ``run``/``trace``/``profile``: WARD-checked
+    wherever the protocol supports it."""
+    return run_benchmark(
+        name, args.protocol, config, size=args.size,
+        check_ward=protocol_class(args.protocol).supports_ward,
+        obs_sink=obs_sink,
+    )
+
+
 def cmd_run(args) -> int:
     _configure_disk_cache(args)
     config = _machine_config(args)
-    result = run_benchmark(
-        _pick_workload(args),
-        args.protocol,
-        config,
-        size=args.size,
-        check_ward=protocol_class(args.protocol).supports_ward,
-    )
+    result = _simulate(args, _pick_workload(args), config)
     if args.json:
         print(manifest_json(run_manifest(result, config)))
-        return 0
-    s = result.stats
-    print(f"benchmark : {result.benchmark} ({args.size})")
-    print(f"protocol  : {result.protocol}")
-    print(f"machine   : {result.machine}")
-    print(f"cycles    : {s.cycles}")
-    print(f"instrs    : {s.instructions}  (IPC {s.ipc:.4f})")
-    print(f"inv/dg    : {s.coherence.invalidations}/{s.coherence.downgrades}")
-    print(f"ward cov. : {s.coherence.ward_coverage:.2%}")
-    print(f"energy    : {s.energy.processor_nj / 1e3:.1f} uJ "
-          f"(network {s.energy.interconnect_nj / 1e3:.1f} uJ)")
+    else:
+        _print_result(result)
     return 0
 
 
 def cmd_trace(args) -> int:
     config = _machine_config(args)
     sink = RingBufferSink(capacity=args.capacity, sample_every=args.sample)
-    result = run_benchmark(
-        args.benchmark,
-        args.protocol,
-        config,
-        size=args.size,
-        check_ward=protocol_class(args.protocol).supports_ward,
-        obs_sink=sink,
-    )
-    written = write_chrome_trace(
-        args.out,
-        sink.events(),
-        config,
-        extra={
-            "benchmark": result.benchmark,
-            "protocol": result.protocol,
-            "machine": result.machine,
-            "size": result.size,
-            "events_seen": sink.seen,
-            "events_recorded": len(sink),
-            "events_dropped": sink.dropped,
-        },
-    )
+    result = _simulate(args, args.benchmark, config, sink)
+    with _writing(args.out):
+        written = write_chrome_trace(
+            args.out,
+            sink.events(),
+            config,
+            extra={
+                "benchmark": result.benchmark,
+                "protocol": result.protocol,
+                "machine": result.machine,
+                "size": result.size,
+                "events_seen": sink.seen,
+                "events_recorded": len(sink),
+                "events_dropped": sink.dropped,
+            },
+        )
     print(f"benchmark : {result.benchmark} ({args.size}) on {result.protocol}")
     print(f"events    : {sink.seen} seen, {len(sink)} recorded, "
           f"{sink.dropped} dropped by the ring buffer")
@@ -277,13 +287,9 @@ def cmd_profile(args) -> int:
     latencies = LatencyHistogram()
     phases = PhaseHistogram(bin_cycles=args.bin_cycles)
     regions = RegionProfile()
-    result = run_benchmark(
-        args.benchmark,
-        args.protocol,
-        config,
-        size=args.size,
-        check_ward=protocol_class(args.protocol).supports_ward,
-        obs_sink=MultiSink(ring, latencies, phases, regions),
+    result = _simulate(
+        args, args.benchmark, config,
+        MultiSink(ring, latencies, phases, regions),
     )
     s = result.stats
     print(f"profile: {result.benchmark} ({args.size}) on {result.protocol}, "
@@ -337,15 +343,12 @@ def cmd_record(args) -> int:
         obs_sink=_ReplayProgress(),
     )
     path = store.store(fp, trace)
-    s = result.stats
-    print(f"recorded  : {result.benchmark} ({args.size}) on {result.protocol}")
-    print(f"events    : {len(trace)}")
-    print(f"cycles    : {s.cycles}  instrs: {s.instructions}")
     if path is None:
-        print("trace     : store failed (read-only trace dir?)",
-              file=sys.stderr)
-        return 1
-    print(f"trace     : {path} ({path.stat().st_size} bytes)")
+        raise ConfigError(f"cannot write the trace to {store.root}")
+    _print_result(
+        result, events=len(trace),
+        trace=f"{path} ({path.stat().st_size} bytes)",
+    )
     return 0
 
 
@@ -355,7 +358,6 @@ def _replay_trace_file(args) -> int:
     The protocol comes from the trace meta; an unregistered key is an
     operational error (exit 2) listing the registered protocols.
     """
-    from repro.common.errors import ConfigError
     from repro.replay import replay_trace
     from repro.replay.trace import Trace
 
@@ -373,21 +375,13 @@ def _replay_trace_file(args) -> int:
             f"{args.trace!r} is not a valid .wtrace file: {exc}"
         ) from None
     result = replay_trace(trace, obs_sink=_ReplayProgress())
-    s = result.stats
-    print(f"trace     : {args.trace} ({len(trace)} events)")
-    print(f"benchmark : {result.benchmark}")
-    print(f"protocol  : {result.protocol}")
-    print(f"machine   : {result.machine}")
-    print(f"cycles    : {s.cycles}")
-    print(f"instrs    : {s.instructions}  (IPC {s.ipc:.4f})")
-    print(f"inv/dg    : {s.coherence.invalidations}/{s.coherence.downgrades}")
+    _print_result(result, trace=f"{args.trace} ({len(trace)} events)")
     return 0
 
 
 def cmd_replay(args) -> int:
     """Replay one benchmark through the kernel (recording on first use)."""
     from repro.analysis.run import replay_benchmark
-    from repro.common.errors import ConfigError
     from repro.replay import TraceStore
 
     if args.trace is not None:
@@ -406,16 +400,7 @@ def cmd_replay(args) -> int:
         trace_store=TraceStore(args.trace_dir),
         obs_sink=_ReplayProgress(),
     )
-    s = result.stats
-    print(f"benchmark : {result.benchmark} ({args.size})")
-    print(f"protocol  : {result.protocol}")
-    print(f"machine   : {result.machine}")
-    print(f"cycles    : {s.cycles}")
-    print(f"instrs    : {s.instructions}  (IPC {s.ipc:.4f})")
-    print(f"inv/dg    : {s.coherence.invalidations}/{s.coherence.downgrades}")
-    print(f"ward cov. : {s.coherence.ward_coverage:.2%}")
-    print(f"energy    : {s.energy.processor_nj / 1e3:.1f} uJ "
-          f"(network {s.energy.interconnect_nj / 1e3:.1f} uJ)")
+    _print_result(result)
     return 0
 
 
@@ -457,35 +442,24 @@ def cmd_ingest(args) -> int:
     # the summary and every run below.
     name = f"trace:{args.trace}"
     trace = get_benchmark(name).workload("test")
-    loads, stores, rmws = trace.counts()
-    blocks, shared = trace.footprint()
-    print(f"trace     : {args.trace}")
-    print(f"ops       : {len(trace)} ({loads} loads, {stores} stores, "
-          f"{rmws} rmws)")
-    print(f"threads   : {len(trace.threads())}")
-    print(f"footprint : {blocks} blocks ({shared} shared between threads)")
-    print(f"checksum  : {trace.checksum():#x}")
+    _print_rows({
+        "trace": args.trace,
+        **_trace_rows(trace),
+        "checksum": f"{trace.checksum():#x}",
+    })
     if args.matrix:
         return _workload_matrix(name, _machine_config(args), "test", args.seed)
     if args.run:
-        result = run_benchmark(
+        _print_result(run_benchmark(
             name, args.protocol, _machine_config(args),
             size="test", seed=args.seed,
             use_cache=False, use_disk_cache=False,
-        )
-        s = result.stats
-        print(f"protocol  : {result.protocol}")
-        print(f"cycles    : {s.cycles}")
-        print(f"instrs    : {s.instructions}  (IPC {s.ipc:.4f})")
-        print(f"inv/dg    : {s.coherence.invalidations}/"
-              f"{s.coherence.downgrades}")
+        ))
     return 0
 
 
 def _parse_knob(text: str):
     """One ``--set name=value`` override (int, then float, else error)."""
-    from repro.common.errors import ConfigError
-
     name, sep, value = text.partition("=")
     if not sep or not name:
         raise ConfigError(f"--set expects name=value, got {text!r}")
@@ -504,22 +478,20 @@ def cmd_synth(args) -> int:
     knobs = dict(_parse_knob(item) for item in args.set or [])
     trace = make_trace(args.kind, seed=args.seed, ops_per_thread=args.ops,
                        **knobs)
-    loads, stores, rmws = trace.counts()
-    blocks, shared = trace.footprint()
-    if args.out == "-":
+    out = args.out or f"{args.kind}.trace"
+    if out == "-":
         sys.stdout.write(trace.to_text())
         return 0
-    with open(args.out, "w", encoding="utf-8") as handle:
-        handle.write(trace.to_text())
-    print(f"workload  : {trace.name} (seed {args.seed})")
-    print(f"ops       : {len(trace)} ({loads} loads, {stores} stores, "
-          f"{rmws} rmws)")
-    print(f"threads   : {len(trace.threads())}")
-    print(f"footprint : {blocks} blocks ({shared} shared between threads)")
-    print(f"trace     : {args.out}")
+    with _writing(out):
+        Path(out).write_text(trace.to_text(), encoding="utf-8")
+    _print_rows({
+        "workload": f"{trace.name} (seed {args.seed})",
+        **_trace_rows(trace),
+        "trace": out,
+    })
     if args.matrix:
         return _workload_matrix(
-            f"trace:{args.out}", _machine_config(args), "test", args.seed
+            f"trace:{out}", _machine_config(args), "test", args.seed
         )
     return 0
 
@@ -528,59 +500,44 @@ def cmd_verify(args) -> int:
     """Differential conformance + race detection (exit 1 on violation)."""
     _configure_disk_cache(args)
     config = _machine_config(args)
-    if args.all:
-        # Paper kernels plus the golden-pinned synthetic workloads — the
-        # same cell set scripts/update_golden.py digests.
-        from repro.workloads import GOLDEN_SYNTH
+    # --all: the paper kernels plus the golden-pinned synthetic workloads,
+    # the same cell set scripts/update_golden.py digests.
+    from repro.workloads import GOLDEN_SYNTH
 
-        names = list(PAPER_ORDER) + list(GOLDEN_SYNTH)
-    elif getattr(args, "workload", None):
-        names = [args.workload]
-    else:
-        names = [args.benchmark]
-    report = _robustness_report(args)
-
-    try:
-        conformance = run_verify(
-            names,
-            config,
-            size=args.size,
-            seed=args.seed,
-            protocol=args.protocol,
-            baseline=args.baseline,
-            jobs=args.jobs,
-            check_oracle=not args.no_oracle,
-            timeout=args.timeout,
-            retries=args.retries,
-            resume=args.resume,
-            report=report,
+    names = (
+        list(PAPER_ORDER) + list(GOLDEN_SYNTH) if args.all
+        else [args.workload or args.benchmark]
+    )
+    report = MatrixReport()
+    # An operational failure (injected fault, broken pool, timeout budget
+    # exhausted...) raises to main(), exit 2 — never a conformance verdict.
+    conformance = run_verify(
+        names,
+        config,
+        size=args.size,
+        seed=args.seed,
+        protocol=args.protocol,
+        baseline=args.baseline,
+        check_oracle=not args.no_oracle,
+        **_matrix_options(args, report),
+    )
+    lines = [
+        f"conformance: {len(names)} benchmark(s), {args.protocol} vs "
+        f"baseline {args.baseline}, size {args.size}, machine "
+        f"{conformance.machine}, seed {args.seed}"
+    ]
+    for r in conformance.results:
+        lines.append(
+            f"  {r.benchmark:<14} {'PASS' if r.passed else 'FAIL'}  "
+            f"races={r.races} benign_waws={r.benign_waws} "
+            f"oracle_regions={r.oracle_regions} "
+            f"checked={r.detector.get('checked_accesses', 0)}"
         )
-    except ReproError as exc:
-        # Operational failure (injected fault, broken pool, timeout budget
-        # exhausted...) — distinct from a conformance violation (exit 1).
-        print(f"verify: error: {exc}", file=sys.stderr)
-        return 2
-    if args.json:
-        payload = conformance.to_dict()
-        if report is not None and not report.clean:
-            payload["robustness"] = report.to_dict()
-        print(json.dumps(payload, sort_keys=True))
-    else:
-        print(f"conformance: {len(names)} benchmark(s), "
-              f"{args.protocol} vs baseline {args.baseline}, "
-              f"size {args.size}, machine {conformance.machine}, "
-              f"seed {args.seed}")
-        for r in conformance.results:
-            verdict = "PASS" if r.passed else "FAIL"
-            print(f"  {r.benchmark:<14} {verdict}  races={r.races} "
-                  f"benign_waws={r.benign_waws} "
-                  f"oracle_regions={r.oracle_regions} "
-                  f"checked={r.detector.get('checked_accesses', 0)}")
-            for failure in r.failures:
-                print(f"    - {failure}")
-        _print_robustness(report)
-        print("verify: " + ("all benchmarks conform"
-                            if conformance.passed else "VIOLATIONS FOUND"))
+        lines.extend(f"    - {failure}" for failure in r.failures)
+    lines.append("verify: " + (
+        "all benchmarks conform" if conformance.passed else "VIOLATIONS FOUND"
+    ))
+    _print_report(args, conformance.to_dict(), "\n".join(lines), report)
     return 0 if conformance.passed else 1
 
 
@@ -607,26 +564,11 @@ def _nonnegative_int(text: str) -> int:
     return value
 
 
-def _add_cache_args(parser) -> None:
-    parser.add_argument("--no-disk-cache", action="store_true",
-                        help="do not read or write the persistent result cache")
-    parser.add_argument("--cache-dir", default=DEFAULT_CACHE_DIR,
-                        help="persistent cache directory (default: %(default)s)")
-
-
-def _add_robust_args(parser) -> None:
-    """Robustness knobs shared by ``figure`` and ``verify`` (see pool.py)."""
-    parser.add_argument("--timeout", type=float, default=None, metavar="SECONDS",
-                        help="per-task timeout; a hung simulation is killed "
-                             "and retried in a fresh worker")
-    parser.add_argument("--retries", type=_nonnegative_int, default=0,
-                        metavar="N",
-                        help="retry a failed or timed-out task up to N times "
-                             "(exponential backoff, seeded jitter)")
-    parser.add_argument("--resume", action="store_true",
-                        help="checkpoint completed tasks to a journal under "
-                             "the cache dir and resume an interrupted run "
-                             "from it")
+def _positive_float(text: str) -> float:
+    value = float(text)
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError("must be a positive number")
+    return value
 
 
 def _workload_name(text: str) -> str:
@@ -647,22 +589,170 @@ def _workload_name(text: str) -> str:
     )
 
 
-def _add_bench_args(
-    parser, default_protocol: str = "warden", optional_benchmark: bool = False
-) -> None:
-    kwargs = {"nargs": "?", "default": None} if optional_benchmark else {}
-    parser.add_argument(
-        "benchmark", type=_workload_name, metavar="BENCHMARK",
-        help="a paper kernel, a synth-* workload, or trace:<path>",
-        **kwargs,
-    )
-    parser.add_argument("--protocol", default=default_protocol,
-                        choices=available_protocols())
-    parser.add_argument("--size", default="default",
-                        choices=("test", "small", "default"))
-    parser.add_argument("--machine", default="dual",
-                        choices=sorted(MACHINES),
-                        help="machine preset (default: dual-socket Table 2)")
+def _arg(*flags, **kwargs):
+    return flags, kwargs
+
+
+def _argument_groups() -> dict:
+    """Arguments shared between subcommands, declared once: group -> args."""
+    workload = dict(type=_workload_name, metavar="BENCHMARK",
+                    help="a paper kernel, a synth-* workload, or trace:<path>")
+    return {
+        "workload": [_arg("benchmark", **workload)],
+        "workload?": [_arg("benchmark", nargs="?", default=None, **workload)],
+        "protocol": [_arg("--protocol", default="warden",
+                          choices=available_protocols(),
+                          help="coherence protocol (default: %(default)s)")],
+        "size": [_arg("--size", default="default",
+                      choices=("test", "small", "default"),
+                      help="workload size (default: %(default)s)")],
+        "machine": [_arg("--machine", default="dual", choices=sorted(MACHINES),
+                         help="machine preset (default: dual-socket Table 2)")],
+        "seed": [_arg("--seed", type=int, default=42,
+                      help="scheduler seed, and synth's generator seed "
+                           "(default: %(default)s)")],
+        "trace-dir": [_arg("--trace-dir", default=None,
+                           help="trace store directory (default: "
+                                f"{DEFAULT_CACHE_DIR}/traces)")],
+        "json": [_arg("--json", action="store_true",
+                      help="emit machine-readable JSON instead of text")],
+        "cache": [
+            _arg("--no-disk-cache", action="store_true",
+                 help="do not read or write the persistent result cache"),
+            _arg("--cache-dir", default=DEFAULT_CACHE_DIR,
+                 help="persistent cache directory (default: %(default)s)"),
+        ],
+        # The run matrix and its robustness layer (see analysis/pool.py).
+        "matrix": [
+            _arg("--jobs", type=_positive_int, default=1,
+                 help="run the matrix over N processes (default: in-process)"),
+            _arg("--timeout", type=_positive_float, default=None,
+                 metavar="SECONDS",
+                 help="per-task timeout; a hung simulation is killed and "
+                      "retried in a fresh worker"),
+            _arg("--retries", type=_nonnegative_int, default=0, metavar="N",
+                 help="retry a failed or timed-out task up to N times "
+                      "(exponential backoff, seeded jitter)"),
+            _arg("--resume", action="store_true",
+                 help="checkpoint completed tasks to a journal under the "
+                      "cache dir and resume an interrupted run from it"),
+        ],
+    }
+
+
+def _commands() -> dict:
+    """Subcommand -> (handler, help, shared groups, own arguments).
+
+    An own argument that is a list is a required one-of group.
+    """
+    from repro.workloads import GENERATORS
+
+    bench = ("protocol", "size", "machine")
+    return {
+        "specs": (cmd_specs, "print Table 2", (), []),
+        "table1": (cmd_table1, "run the ping-pong validation", (), [
+            _arg("--iterations", type=_positive_int, default=300),
+        ]),
+        "figure": (cmd_figure, "regenerate one figure",
+                   ("size", "json", "cache", "matrix"), [
+            _arg("figure", choices=FIGURES),
+        ]),
+        "run": (cmd_run, "run one benchmark or workload",
+                ("workload?", *bench, "json", "cache"), [
+            _arg("--workload", type=_workload_name, default=None,
+                 help="workload to run (synth-* or trace:<path>); "
+                      "alternative spelling of the positional name"),
+        ]),
+        "trace": (cmd_trace,
+                  "record a coherence event trace (Chrome trace JSON)",
+                  ("workload", *bench), [
+            _arg("--out", default="trace.json",
+                 help="output path for the Chrome trace (default: %(default)s)"),
+            _arg("--capacity", type=_positive_int, default=1_000_000,
+                 help="ring-buffer capacity in events (default: %(default)s)"),
+            _arg("--sample", type=_positive_int, default=1,
+                 help="keep every N-th event (default: record everything)"),
+        ]),
+        "profile": (cmd_profile,
+                    "run with collectors and print a profile summary",
+                    ("workload", *bench), [
+            _arg("--capacity", type=_positive_int, default=1_000_000,
+                 help="flame-summary ring-buffer capacity "
+                      "(default: %(default)s)"),
+            _arg("--bin-cycles", type=_positive_int, default=100_000,
+                 help="phase-histogram bin width in cycles "
+                      "(default: %(default)s)"),
+        ]),
+        "record": (cmd_record,
+                   "record one benchmark's protocol-event trace (replayable "
+                   "via 'replay'; stored under the fingerprinted trace store)",
+                   ("workload", *bench, "seed", "trace-dir"), []),
+        "replay": (cmd_replay,
+                   "replay one benchmark through the vectorized kernel "
+                   "(bit-identical stats; records the trace on first use)",
+                   ("workload?", *bench, "seed", "trace-dir"), [
+            _arg("--trace", default=None, metavar="FILE",
+                 help="replay a raw .wtrace file instead of a named "
+                      "benchmark (protocol comes from the trace meta)"),
+        ]),
+        "verify": (cmd_verify,
+                   "differential conformance: baseline vs candidate "
+                   "--protocol vs the value oracle, plus happens-before race "
+                   "detection (exit 1 on violation)",
+                   (*bench, "seed", "json", "cache", "matrix"), [
+            [
+                _arg("--all", action="store_true",
+                     help="verify every paper benchmark plus the "
+                          "golden-pinned synthetic workloads"),
+                _arg("--benchmark", choices=sorted(BENCHMARKS),
+                     help="verify a single benchmark"),
+                _arg("--workload", type=_workload_name, metavar="NAME",
+                     help="verify a workload (synth-* or trace:<path>)"),
+            ],
+            _arg("--baseline", default="mesi", choices=available_protocols(),
+                 help="reference protocol the candidate is diffed against "
+                      "(default: %(default)s)"),
+            _arg("--no-oracle", action="store_true",
+                 help="skip the value-level WardMemoryModel replay leg"),
+        ]),
+        "ingest": (cmd_ingest,
+                   "parse an external text memory trace ('thread op address "
+                   "[size]' lines) and optionally run it through the "
+                   "protocol zoo",
+                   ("protocol", "machine", "seed"), [
+            _arg("trace", help="path to the text trace file"),
+            _arg("--run", action="store_true",
+                 help="simulate the trace under --protocol after parsing"),
+            _arg("--matrix", action="store_true",
+                 help="run under every registered protocol on both the "
+                      "engine and replay paths; exit 1 on any "
+                      "engine-vs-replay stats divergence"),
+        ]),
+        "synth": (cmd_synth,
+                  "generate a seeded synthetic service workload as a text "
+                  "trace (runnable via 'ingest', 'run --workload "
+                  "trace:<path>', ...)",
+                  ("machine", "seed"), [
+            _arg("kind", choices=sorted(GENERATORS),
+                 help="traffic shape to generate"),
+            _arg("--ops", type=_positive_int, default=150, metavar="N",
+                 help="ops per thread (default: %(default)s)"),
+            _arg("--set", action="append", metavar="KNOB=VALUE",
+                 help="override a generator knob (e.g. skew=2.0, "
+                      "threads=16); repeatable"),
+            _arg("--out", default=None, metavar="FILE",
+                 help="output path (default: <kind>.trace; '-' for stdout)"),
+            _arg("--matrix", action="store_true",
+                 help="after writing, run the trace under every registered "
+                      "protocol on both engine and replay paths; exit 1 on "
+                      "divergence"),
+        ]),
+        "area": (cmd_area, "§6.1 area estimates", (), []),
+    }
+
+
+#: per-subcommand defaults that differ from the shared group's
+_DEFAULTS = {"verify": {"size": "test"}}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -671,185 +761,31 @@ def build_parser() -> argparse.ArgumentParser:
         description="Reproduce the tables and figures of the WARDen paper.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    sub.add_parser("specs", help="print Table 2").set_defaults(func=cmd_specs)
-
-    p1 = sub.add_parser("table1", help="run the ping-pong validation")
-    p1.add_argument("--iterations", type=int, default=300)
-    p1.set_defaults(func=cmd_table1)
-
-    pf = sub.add_parser("figure", help="regenerate one figure")
-    pf.add_argument("figure", choices=FIGURES)
-    pf.add_argument("--size", default="default",
-                    choices=("test", "small", "default"))
-    pf.add_argument("--json", action="store_true",
-                    help="emit machine-readable JSON instead of the table")
-    pf.add_argument("--jobs", type=_positive_int, default=1,
-                    help="run the (protocol x seed) matrix over N processes")
-    _add_cache_args(pf)
-    _add_robust_args(pf)
-    pf.set_defaults(func=cmd_figure)
-
-    pr = sub.add_parser("run", help="run one benchmark or workload")
-    _add_bench_args(pr, optional_benchmark=True)
-    pr.add_argument("--workload", type=_workload_name, default=None,
-                    help="workload to run (synth-* or trace:<path>); "
-                         "alternative spelling of the positional name")
-    pr.add_argument("--json", action="store_true",
-                    help="emit a JSONL run manifest instead of text")
-    _add_cache_args(pr)
-    pr.set_defaults(func=cmd_run)
-
-    pt = sub.add_parser(
-        "trace", help="record a coherence event trace (Chrome trace JSON)"
-    )
-    _add_bench_args(pt)
-    pt.add_argument("--out", default="trace.json",
-                    help="output path for the Chrome trace (default: %(default)s)")
-    pt.add_argument("--capacity", type=_positive_int, default=1_000_000,
-                    help="ring-buffer capacity in events (default: %(default)s)")
-    pt.add_argument("--sample", type=_positive_int, default=1,
-                    help="keep every N-th event (default: record everything)")
-    pt.set_defaults(func=cmd_trace)
-
-    pp = sub.add_parser(
-        "profile", help="run with collectors and print a profile summary"
-    )
-    _add_bench_args(pp)
-    pp.add_argument("--capacity", type=_positive_int, default=1_000_000,
-                    help="flame-summary ring-buffer capacity (default: %(default)s)")
-    pp.add_argument("--bin-cycles", type=_positive_int, default=100_000,
-                    help="phase-histogram bin width in cycles (default: %(default)s)")
-    pp.set_defaults(func=cmd_profile)
-
-    prc = sub.add_parser(
-        "record",
-        help="record one benchmark's protocol-event trace (replayable via "
-             "'replay'; stored under the fingerprinted trace store)",
-    )
-    _add_bench_args(prc)
-    prc.add_argument("--seed", type=int, default=42,
-                     help="scheduler seed (default: %(default)s)")
-    prc.add_argument("--trace-dir", default=None,
-                     help="trace store directory (default: "
-                          f"{DEFAULT_CACHE_DIR}/traces)")
-    prc.set_defaults(func=cmd_record)
-
-    prp = sub.add_parser(
-        "replay",
-        help="replay one benchmark through the vectorized kernel "
-             "(bit-identical stats; records the trace on first use)",
-    )
-    _add_bench_args(prp, optional_benchmark=True)
-    prp.add_argument("--seed", type=int, default=42,
-                     help="scheduler seed (default: %(default)s)")
-    prp.add_argument("--trace-dir", default=None,
-                     help="trace store directory (default: "
-                          f"{DEFAULT_CACHE_DIR}/traces)")
-    prp.add_argument("--trace", default=None, metavar="FILE",
-                     help="replay a raw .wtrace file instead of a named "
-                          "benchmark (protocol comes from the trace meta)")
-    prp.set_defaults(func=cmd_replay)
-
-    pv = sub.add_parser(
-        "verify",
-        help="differential conformance: baseline vs candidate protocol vs "
-             "the value oracle, plus happens-before race detection "
-             "(exit 1 on violation)",
-    )
-    which = pv.add_mutually_exclusive_group(required=True)
-    which.add_argument("--all", action="store_true",
-                       help="verify every paper benchmark plus the "
-                            "golden-pinned synthetic workloads")
-    which.add_argument("--benchmark", choices=sorted(BENCHMARKS),
-                       help="verify a single benchmark")
-    which.add_argument("--workload", type=_workload_name, metavar="NAME",
-                       help="verify a workload (synth-* or trace:<path>)")
-    pv.add_argument("--protocol", default="warden",
-                    choices=available_protocols(),
-                    help="candidate protocol: the race-detector/oracle leg "
-                         "runs under it and the differential leg diffs it "
-                         "against --baseline (default: %(default)s)")
-    pv.add_argument("--baseline", default="mesi",
-                    choices=available_protocols(),
-                    help="reference protocol of the differential leg "
-                         "(default: %(default)s)")
-    pv.add_argument("--size", default="test",
-                    choices=("test", "small", "default"),
-                    help="workload size (default: %(default)s)")
-    pv.add_argument("--machine", default="dual", choices=sorted(MACHINES),
-                    help="machine preset (default: dual-socket Table 2)")
-    pv.add_argument("--seed", type=int, default=42,
-                    help="scheduler seed (default: %(default)s)")
-    pv.add_argument("--json", action="store_true",
-                    help="emit the machine-readable conformance report")
-    pv.add_argument("--jobs", type=_positive_int, default=1,
-                    help="fan the differential runs over N processes")
-    pv.add_argument("--no-oracle", action="store_true",
-                    help="skip the value-level WardMemoryModel replay leg")
-    _add_cache_args(pv)
-    _add_robust_args(pv)
-    pv.set_defaults(func=cmd_verify)
-
-    pi = sub.add_parser(
-        "ingest",
-        help="parse an external text memory trace ('thread op address "
-             "[size]' lines) and optionally run it through the protocol zoo",
-    )
-    pi.add_argument("trace", help="path to the text trace file")
-    pi.add_argument("--protocol", default="warden",
-                    choices=available_protocols())
-    pi.add_argument("--machine", default="dual", choices=sorted(MACHINES),
-                    help="machine preset (default: dual-socket Table 2)")
-    pi.add_argument("--seed", type=int, default=42,
-                    help="scheduler seed (default: %(default)s)")
-    pi.add_argument("--run", action="store_true",
-                    help="simulate the trace under --protocol after parsing")
-    pi.add_argument("--matrix", action="store_true",
-                    help="run under every registered protocol on both the "
-                         "engine and replay paths; exit 1 on any "
-                         "engine-vs-replay stats divergence")
-    pi.set_defaults(func=cmd_ingest)
-
-    ps = sub.add_parser(
-        "synth",
-        help="generate a seeded synthetic service workload as a text trace "
-             "(runnable via 'ingest', 'run --workload trace:<path>', ...)",
-    )
-    from repro.workloads import GENERATORS as _GENERATORS
-
-    ps.add_argument("kind", choices=sorted(_GENERATORS),
-                    help="traffic shape to generate")
-    ps.add_argument("--seed", type=int, default=42,
-                    help="generator seed (default: %(default)s)")
-    ps.add_argument("--ops", type=_positive_int, default=150,
-                    metavar="N", help="ops per thread (default: %(default)s)")
-    ps.add_argument("--set", action="append", metavar="KNOB=VALUE",
-                    help="override a generator knob (e.g. skew=2.0, "
-                         "threads=16); repeatable")
-    ps.add_argument("--out", default=None, metavar="FILE",
-                    help="output path (default: <kind>.trace; '-' for stdout)")
-    ps.add_argument("--machine", default="dual", choices=sorted(MACHINES),
-                    help="machine preset for --matrix (default: dual)")
-    ps.add_argument("--matrix", action="store_true",
-                    help="after writing, run the trace under every "
-                         "registered protocol on both engine and replay "
-                         "paths; exit 1 on divergence")
-    ps.set_defaults(func=cmd_synth)
-
-    sub.add_parser("area", help="§6.1 area estimates").set_defaults(func=cmd_area)
+    groups = _argument_groups()
+    for name, (handler, help_text, shared, own) in _commands().items():
+        command = sub.add_parser(name, help=help_text)
+        for item in own:
+            if isinstance(item, list):
+                target = command.add_mutually_exclusive_group(required=True)
+                for flags, kwargs in item:
+                    target.add_argument(*flags, **kwargs)
+            else:
+                command.add_argument(*item[0], **item[1])
+        for group in shared:
+            for flags, kwargs in groups[group]:
+                command.add_argument(*flags, **kwargs)
+        command.set_defaults(func=handler, **_DEFAULTS.get(name, {}))
     return parser
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    if getattr(args, "out", None) is None and args.command == "synth":
-        args.out = f"{args.kind}.trace"
     try:
         return args.func(args)
     except ReproError as exc:
         # Operational failure (malformed trace file, unknown protocol or
-        # workload, unreadable store...) — never a traceback.
+        # workload, unreadable store, unwritable output, injected fault,
+        # exhausted retry budget...) — never a traceback.
         print(f"{args.command}: error: {exc}", file=sys.stderr)
         return 2
 

@@ -43,11 +43,10 @@ class DisentanglementError(ReproError):
 
 
 class PoolError(ReproError):
-    """The parallel run matrix could not complete a task.
+    """The run matrix could not complete a task.
 
     Raised by :func:`repro.analysis.pool.run_matrix` when a task keeps
-    failing after its retry budget, or when the process pool cannot be
-    kept alive and serial fallback is disabled.
+    failing after its retry budget, in a pool worker or in-process.
     """
 
 

@@ -23,8 +23,10 @@ from pathlib import Path
 import pytest
 
 from repro.analysis import faults
+from repro.analysis import pool as pool_mod
 from repro.analysis.faults import FaultSyntaxError, parse_plan
 from repro.analysis.pool import (
+    DiskCache,
     MatrixJournal,
     MatrixReport,
     RunTask,
@@ -32,7 +34,12 @@ from repro.analysis.pool import (
     run_matrix,
     task_fingerprint,
 )
-from repro.analysis.run import clear_cache, run_benchmark, set_disk_cache
+from repro.analysis.run import (
+    clear_cache,
+    run_benchmark,
+    run_pairs,
+    set_disk_cache,
+)
 from repro.common.errors import PoolError, TaskTimeoutError
 from repro.obs.export import run_manifest
 from repro.obs.tracer import ListSink, MatrixEvent
@@ -48,10 +55,12 @@ HANG = 120.0
 
 
 @pytest.fixture(autouse=True)
-def clean_slate():
+def clean_slate(monkeypatch):
     clear_cache()
     previous_disk = set_disk_cache(None)
     previous_plan = faults.uninstall()
+    monkeypatch.delenv(faults.ENV_VAR, raising=False)
+    monkeypatch.setattr(pool_mod, "BACKOFF_BASE", 0.001)
     yield
     clear_cache()
     set_disk_cache(previous_disk)
@@ -70,6 +79,11 @@ def small_matrix():
 
 def stats_of(results):
     return [r.stats.to_dict() for r in results]
+
+
+def arm(text: str) -> None:
+    """Install a fault plan; the clean_slate fixture disarms it."""
+    faults.install(parse_plan(text))
 
 
 def export_artifact(name: str, payload: dict) -> None:
@@ -116,11 +130,13 @@ class TestFaultPlanSyntax:
             ("worker.crash@x", "missing fault address"),
             ("worker.crash@2x", "missing fault count"),
             ("worker.fail@0x0", "must fire >= 1 time"),
+            # cache.* hits count from 1: a zero address could never fire
+            ("cache.store.oserror@0", "never fires"),
         ],
         ids=[
             "unknown-site", "bad-address", "bad-arg", "negative-address",
             "bad-count", "double-count", "missing-address", "missing-count",
-            "zero-count",
+            "zero-count", "zero-hit",
         ],
     )
     def test_bad_plan_rejected(self, text, message):
@@ -156,10 +172,8 @@ class TestWorkerCrashRecovery:
         tasks = small_matrix()
         serial = stats_of(run_matrix(tasks))
         report = MatrixReport()
-        results = run_matrix(
-            tasks, jobs=2, report=report, faults_plan="worker.crash@1",
-            backoff_base=0.001,
-        )
+        arm("worker.crash@1")
+        results = run_matrix(tasks, jobs=2, report=report)
         assert stats_of(results) == serial
         assert report.respawns >= 1
         assert "respawn" in report.actions()
@@ -169,15 +183,14 @@ class TestWorkerCrashRecovery:
         assert manifest["robustness"]["respawns"] >= 1
         export_artifact("crash-recovery", manifest)
 
-    def test_persistent_crash_degrades_to_serial(self):
+    def test_persistent_crash_degrades_to_serial(self, monkeypatch):
         tasks = small_matrix()
         serial = stats_of(run_matrix(tasks))
         clear_cache()  # the fallback must re-simulate, not read the cache
         report = MatrixReport()
-        results = run_matrix(
-            tasks, jobs=2, report=report, faults_plan="worker.crash@0x99",
-            max_respawns=1, backoff_base=0.001,
-        )
+        monkeypatch.setattr(pool_mod, "MAX_RESPAWNS", 1)
+        arm("worker.crash@0x99")
+        results = run_matrix(tasks, jobs=2, report=report)
         assert stats_of(results) == serial
         assert report.fallbacks == 1 and report.respawns >= 2
         assert report.actions()[-1] == "fallback"
@@ -187,23 +200,15 @@ class TestWorkerCrashRecovery:
                          robustness=report.to_dict()),
         )
 
-    def test_persistent_crash_without_fallback_raises(self):
-        tasks = small_matrix()
-        with pytest.raises(PoolError, match="kept dying"):
-            run_matrix(
-                tasks, jobs=2, faults_plan="worker.crash@0x99",
-                max_respawns=1, fallback_serial=False, backoff_base=0.001,
-            )
-
 
 class TestWorkerHangTimeout:
     def test_hang_is_killed_and_retried(self):
         tasks = small_matrix()
         serial = stats_of(run_matrix(tasks))
         report = MatrixReport()
+        arm(f"worker.hang@0:{HANG}")
         results = run_matrix(
-            tasks, jobs=2, report=report, timeout=TIMEOUT, retries=1,
-            faults_plan=f"worker.hang@0:{HANG}", backoff_base=0.001,
+            tasks, jobs=2, report=report, timeout=TIMEOUT, retries=1
         )
         assert stats_of(results) == serial
         assert report.timeouts == 1
@@ -218,11 +223,9 @@ class TestWorkerHangTimeout:
 
     def test_timeout_budget_exhaustion_raises(self):
         tasks = small_matrix()[:2]
+        arm(f"worker.hang@0x99:{HANG}")
         with pytest.raises(TaskTimeoutError) as excinfo:
-            run_matrix(
-                tasks, jobs=2, timeout=1.5, retries=0,
-                faults_plan=f"worker.hang@0x99:{HANG}", backoff_base=0.001,
-            )
+            run_matrix(tasks, jobs=2, timeout=1.5, retries=0)
         assert excinfo.value.task_index == 0
 
 
@@ -231,10 +234,8 @@ class TestWorkerFailureRetry:
         tasks = small_matrix()
         serial = stats_of(run_matrix(tasks))
         report = MatrixReport()
-        results = run_matrix(
-            tasks, jobs=2, report=report, retries=2,
-            faults_plan="worker.fail@2x2", backoff_base=0.001,
-        )
+        arm("worker.fail@2x2")
+        results = run_matrix(tasks, jobs=2, report=report, retries=2)
         assert stats_of(results) == serial
         assert report.retries == 2
         retried = [e for e in report.events if e.action == "retry"]
@@ -250,20 +251,16 @@ class TestWorkerFailureRetry:
 
     def test_retry_budget_exhaustion_raises_pool_error(self):
         tasks = small_matrix()[:2]
+        arm("worker.fail@1x99")
         with pytest.raises(PoolError, match="failed after 2 attempt"):
-            run_matrix(
-                tasks, jobs=2, retries=1, faults_plan="worker.fail@1x99",
-                backoff_base=0.001,
-            )
+            run_matrix(tasks, jobs=2, retries=1)
 
     def test_report_events_mirror_into_obs_sink(self):
         tasks = small_matrix()[:2]
         sink = ListSink()
         report = MatrixReport(sink=sink)
-        run_matrix(
-            tasks, jobs=2, report=report, retries=1,
-            faults_plan="worker.fail@1", backoff_base=0.001,
-        )
+        arm("worker.fail@1")
+        run_matrix(tasks, jobs=2, report=report, retries=1)
         assert [type(e) for e in sink.events] == [MatrixEvent]
         assert sink.events[0].action == "retry"
 
@@ -273,8 +270,6 @@ class TestCacheChaos:
         return run_benchmark("fib", "mesi", tiny_config(), size="test")
 
     def test_corrupted_load_evicts_and_reruns(self, tmp_path):
-        from repro.analysis.pool import DiskCache
-
         cache = DiskCache(tmp_path / "cache")
         set_disk_cache(cache)
         fresh = self._run_fib()
@@ -282,7 +277,7 @@ class TestCacheChaos:
 
         clear_cache()
         cache.hits = cache.misses = 0
-        faults.install(parse_plan("cache.load.corrupt@1"))
+        arm("cache.load.corrupt@1")
         rerun = self._run_fib()
         assert rerun.stats.to_dict() == fresh.stats.to_dict()
         assert cache.hits == 0 and cache.misses == 1
@@ -293,11 +288,9 @@ class TestCacheChaos:
         assert cache.stores == 2 and len(cache) == 1
 
     def test_transient_store_error_is_absorbed(self, tmp_path):
-        from repro.analysis.pool import DiskCache
-
         cache = DiskCache(tmp_path / "cache")
         set_disk_cache(cache)
-        faults.install(parse_plan("cache.store.oserror@1"))
+        arm("cache.store.oserror@1")
         result = self._run_fib()
         assert result.benchmark == "fib"  # the run itself is unharmed
         assert cache.stores == 0 and cache.store_errors == 1
@@ -308,29 +301,48 @@ class TestCacheChaos:
         self._run_fib()
         assert cache.stores == 1 and len(cache) == 1
 
+    def test_env_plan_reaches_the_serial_path(self, tmp_path, monkeypatch):
+        # REPRO_FAULTS arms the in-process matrix too: every store fails,
+        # the runs themselves are unharmed, and the report names the plan.
+        clean = stats_of(
+            r for pair in run_pairs("fib", tiny_config(), size="test")
+            for r in pair
+        )
+        clear_cache()
+        cache = DiskCache(tmp_path / "cache")
+        set_disk_cache(cache)
+        monkeypatch.setenv(faults.ENV_VAR, "cache.store.oserror@1x999")
+        report = MatrixReport()
+        faulted = run_pairs("fib", tiny_config(), size="test", jobs=1,
+                            report=report)
+        assert stats_of(r for pair in faulted for r in pair) == clean
+        assert len(cache) == 0 and cache.store_errors == 6
+        assert report.faults == "cache.store.oserror@1x999"
+        assert not report.clean
+
 
 class TestJournalResume:
     def test_interrupted_matrix_resumes_only_unfinished_tasks(self, tmp_path):
         tasks = small_matrix()
         serial = stats_of(run_matrix(tasks))
-        journal_dir = str(tmp_path / "journal")
+        cache_dir = str(tmp_path / "cache")
 
         report = MatrixReport()
+        arm("worker.fail@2x99")
         with pytest.raises(PoolError):
             run_matrix(
-                tasks, jobs=2, report=report, resume=True,
-                journal_dir=journal_dir, faults_plan="worker.fail@2x99",
-                backoff_base=0.001,
+                tasks, jobs=2, cache_dir=cache_dir, report=report,
+                resume=True,
             )
-        journals = list(Path(journal_dir).glob("journal-*.jsonl"))
+        faults.uninstall()
+        journals = list(Path(cache_dir).glob("journal-*.jsonl"))
         assert len(journals) == 1
         checkpointed = sum(1 for _ in journals[0].open(encoding="utf-8"))
         assert 0 < checkpointed < len(tasks)
 
         resumed = MatrixReport()
         results = run_matrix(
-            tasks, jobs=2, report=resumed, resume=True,
-            journal_dir=journal_dir,
+            tasks, jobs=2, cache_dir=cache_dir, report=resumed, resume=True
         )
         assert stats_of(results) == serial
         assert resumed.resumed == checkpointed
@@ -338,7 +350,7 @@ class TestJournalResume:
         assert resumed.completed == len(tasks) - checkpointed
         assert "resume" in resumed.actions()
         # a completed matrix cleans up its journal
-        assert not list(Path(journal_dir).glob("journal-*.jsonl"))
+        assert not list(Path(cache_dir).glob("journal-*.jsonl"))
         export_artifact(
             "journal-resume",
             run_manifest(results[0], tasks[0].config,

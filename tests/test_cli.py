@@ -18,6 +18,18 @@ def _isolated_disk_cache(tmp_path, monkeypatch):
     set_disk_cache(None)
 
 
+def fake_figure_runs(monkeypatch, metrics, on_run=None):
+    """Skip a figure's simulations: each benchmark's ``run_pairs`` call
+    hands its matrix keywords to ``on_run`` and yields ``metrics``."""
+    def fake_run_pairs(name, config, size="default", **matrix):
+        if on_run is not None:
+            on_run(**matrix)
+        return []
+
+    monkeypatch.setattr(cli, "run_pairs", fake_run_pairs)
+    monkeypatch.setattr(cli, "compare_multi", lambda pairs: metrics)
+
+
 class TestParser:
     def test_requires_command(self):
         with pytest.raises(SystemExit):
@@ -115,16 +127,14 @@ class TestFigureJson:
             downgrade_reduction_pct=60.0, invalidation_reduction_pct=40.0,
             ipc_improvement_pct=7.0, ward_coverage=0.5,
         )
-        monkeypatch.setattr(
-            cli, "_metrics_for", lambda config, names, size, jobs=1, **kw: [fake]
-        )
+        fake_figure_runs(monkeypatch, fake)
         assert main(["figure", "fig9", "--size", "test", "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["figure"] == "fig9"
         assert payload["rows"][0]["benchmark"] == "fib"
         assert payload["rows"][0]["speedup"] == 1.5
         assert "summary" in payload
-        assert "robustness" not in payload  # clean run, no robust flags
+        assert "robustness" not in payload  # clean run, no plan armed
 
     def test_every_figure_has_a_spec(self):
         from repro.cli import FIGURES, _FIGURE_SPECS
@@ -158,14 +168,12 @@ class TestRobustnessFlags:
         assert "invalid choice: 'bench'" in capsys.readouterr().err
 
     def test_figure_json_surfaces_robustness_block(self, capsys, monkeypatch):
-        def fake_metrics(config, names, size, jobs=1, timeout=None,
-                         retries=0, resume=False, report=None):
+        def on_run(retries, report, **matrix):
             assert retries == 1
-            if report is not None:
+            if report.clean:
                 report.record("retry", 0, 1, detail="injected")
-            return [self.FAKE]
 
-        monkeypatch.setattr(cli, "_metrics_for", fake_metrics)
+        fake_figure_runs(monkeypatch, self.FAKE, on_run)
         assert main(
             ["figure", "fig9", "--size", "test", "--json", "--retries", "1"]
         ) == 0
@@ -174,13 +182,11 @@ class TestRobustnessFlags:
         assert payload["robustness"]["events"][0]["action"] == "retry"
 
     def test_figure_text_prints_robustness_summary(self, capsys, monkeypatch):
-        def fake_metrics(config, names, size, jobs=1, timeout=None,
-                         retries=0, resume=False, report=None):
-            if report is not None:
+        def on_run(report, **matrix):
+            if report.clean:
                 report.record("timeout", 2, 0)
-            return [self.FAKE]
 
-        monkeypatch.setattr(cli, "_metrics_for", fake_metrics)
+        fake_figure_runs(monkeypatch, self.FAKE, on_run)
         assert main(["figure", "fig9", "--size", "test", "--retries", "1"]) == 0
         captured = capsys.readouterr()
         assert "robustness:" in captured.err
@@ -217,9 +223,10 @@ class TestVerify:
 
     def test_verify_text_output(self, capsys):
         assert main(["verify", "--benchmark", "fib", "--size", "test"]) == 0
-        out = capsys.readouterr().out
+        out, err = capsys.readouterr()
         assert "fib" in out and "PASS" in out
         assert "verify: all benchmarks conform" in out
+        assert err == ""  # a clean matrix prints no robustness line
 
     def test_verify_violation_exits_1(self, capsys, monkeypatch):
         from repro.analysis.conformance import (
@@ -260,7 +267,17 @@ class TestVerify:
         monkeypatch.setenv("REPRO_FAULTS", "worker.fail@0")
         assert main(["verify", "--benchmark", "fib", "--size", "test",
                      "--no-oracle"]) == 0
-        assert "all benchmarks conform" in capsys.readouterr().out
+        out, err = capsys.readouterr()
+        assert "all benchmarks conform" in out
+        # ... but the armed plan is still reported, never silently dropped
+        assert "faults armed: worker.fail@0" in err
+
+    def test_armed_plan_reaches_serial_json_report(self, capsys, monkeypatch):
+        monkeypatch.setenv("REPRO_FAULTS", "cache.store.oserror@1x3")
+        assert main(["verify", "--benchmark", "fib", "--size", "test",
+                     "--no-oracle", "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["robustness"]["faults"] == "cache.store.oserror@1x3"
 
 
 class TestVerifyProtocolZoo:
@@ -315,3 +332,65 @@ class TestVerifyProtocolZoo:
                 ["run", "fib", "--size", "test", "--protocol", protocol]
             ) == 0
             assert "fib" in capsys.readouterr().out
+
+
+# ----------------------------------------------------------------------
+# Bad input: exit 2 with a diagnostic, never a traceback
+# ----------------------------------------------------------------------
+
+
+def _exit_code(argv) -> int:
+    """``main``'s exit code, including argparse's ``SystemExit``."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+@pytest.mark.parametrize(
+    "argv, env, message",
+    [
+        (["synth", "zipf", "--out", "{tmp}/missing/x.trace"], None,
+         "synth: error: cannot write {tmp}/missing/x.trace"),
+        (["trace", "fib", "--size", "test", "--out", "{tmp}/missing/x.json"],
+         None, "trace: error: cannot write {tmp}/missing/x.json"),
+        (["record", "fib", "--size", "test", "--trace-dir",
+          "{tmp}/a-file/traces"], None,
+         "record: error: cannot write the trace to {tmp}/a-file/traces"),
+        (["table1", "--iterations", "0"], None,
+         "argument --iterations: must be a positive integer"),
+        (["table1", "--iterations", "-3"], None,
+         "argument --iterations: must be a positive integer"),
+        (["figure", "fig7", "--timeout", "-1"], None,
+         "argument --timeout: must be a positive number"),
+        (["verify", "--benchmark", "fib", "--timeout", "-1"], None,
+         "argument --timeout: must be a positive number"),
+        (["figure", "fig7", "--size", "test"], "bogus",
+         "figure: error: unknown fault site 'bogus'"),
+        (["figure", "fig7", "--size", "test", "--jobs", "2"], "bogus",
+         "figure: error: unknown fault site 'bogus'"),
+        (["verify", "--benchmark", "fib"], "bogus",
+         "verify: error: unknown fault site 'bogus'"),
+        (["figure", "fig7", "--size", "test"], "cache.store.oserror@0",
+         "figure: error: fault 'cache.store.oserror@0' never fires"),
+    ],
+    ids=[
+        "synth-unwritable-out", "trace-unwritable-out",
+        "record-unwritable-trace-dir", "table1-zero-iterations",
+        "table1-negative-iterations", "figure-negative-timeout",
+        "verify-negative-timeout", "figure-serial-bogus-faults",
+        "figure-pool-bogus-faults", "verify-serial-bogus-faults",
+        "figure-zero-hit-fault",
+    ],
+)
+def test_bad_input_exits_2(argv, env, message, tmp_path, capsys, monkeypatch):
+    (tmp_path / "a-file").write_text("not a directory")
+    if env is None:
+        monkeypatch.delenv("REPRO_FAULTS", raising=False)
+    else:
+        monkeypatch.setenv("REPRO_FAULTS", env)
+    argv = [arg.format(tmp=tmp_path) for arg in argv]
+    assert _exit_code(argv) == 2
+    err = capsys.readouterr().err
+    assert message.format(tmp=tmp_path) in err
+    assert "Traceback" not in err

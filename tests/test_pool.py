@@ -340,6 +340,14 @@ class TestMatrixReport:
         report = MatrixReport()
         assert report.clean and report.to_dict()["events"] == []
 
+    def test_armed_plan_is_never_clean(self):
+        # nothing fired, but an archived result must still say it ran
+        # under fault injection
+        report = MatrixReport()
+        report.faults = "cache.store.oserror@1"
+        assert not report.clean
+        assert report.to_dict()["faults"] == "cache.store.oserror@1"
+
     def test_robust_matrix_with_no_faults_matches_plain_run(self):
         config = tiny_config()
         tasks = [
