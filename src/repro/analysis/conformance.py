@@ -286,7 +286,6 @@ def verify_benchmark(
     protocol: str = "warden",
     baseline: str = "mesi",
     check_oracle: bool = True,
-    obs_sink=None,
 ) -> ConformanceResult:
     """Run all three conformance legs for one benchmark.
 
@@ -362,7 +361,6 @@ def verify_benchmark(
     detector = RaceDetector(
         benchmark=name,
         raise_on_race=False,
-        sink=obs_sink,
         record_regions=check_oracle,
     )
     try:
@@ -375,7 +373,6 @@ def verify_benchmark(
             policy=policy,
             check_ward=cand_cls.supports_ward,
             race_detector=detector,
-            obs_sink=obs_sink,
         )
     except (RaceError, WardViolationError) as exc:
         out.fail(str(exc))
@@ -409,7 +406,6 @@ def run_verify(
     baseline: str = "mesi",
     jobs: int = 1,
     check_oracle: bool = True,
-    obs_sink=None,
     *,
     timeout: Optional[float] = None,
     retries: int = 0,
@@ -455,7 +451,6 @@ def run_verify(
                 protocol=protocol,
                 baseline=baseline,
                 check_oracle=check_oracle,
-                obs_sink=obs_sink,
             )
         )
     return out

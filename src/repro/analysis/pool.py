@@ -28,8 +28,7 @@ fault-tolerant layer:
 Every call resolves the fault plan (:mod:`repro.analysis.faults`, the
 installed plan or ``REPRO_FAULTS``) and records it, with every recovery
 event, in a :class:`MatrixReport` of typed
-:class:`~repro.obs.tracer.MatrixEvent` objects, optionally mirrored into
-any ``repro.obs`` sink and surfaced in run manifests.
+:class:`~repro.obs.tracer.MatrixEvent` objects, surfaced in run manifests.
 
 :class:`DiskCache` makes the sweep incremental across invocations: results
 live in ``.warden-cache/`` keyed by a content hash of the *full*
@@ -404,9 +403,9 @@ class MatrixReport:
     """Record of everything a matrix run had to survive.
 
     Accumulates across :func:`run_matrix` invocations (one figure sweeps
-    several benchmarks), mirrors each event into an optional ``repro.obs``
-    sink, and serializes into run manifests via :meth:`to_dict`.  A report
-    is clean only when no event happened *and* no fault plan was armed.
+    several benchmarks) and serializes into run manifests via
+    :meth:`to_dict`.  A report is clean only when no event happened *and*
+    no fault plan was armed.
     """
 
     retries = _counted("retry")
@@ -414,8 +413,7 @@ class MatrixReport:
     respawns = _counted("respawn")
     fallbacks = _counted("fallback")
 
-    def __init__(self, sink=None) -> None:
-        self.sink = sink
+    def __init__(self) -> None:
         self.events: List[MatrixEvent] = []
         self.resumed = 0
         self.completed = 0
@@ -428,8 +426,6 @@ class MatrixReport:
     ) -> MatrixEvent:
         event = MatrixEvent(0, action, task_index, attempt, detail)
         self.events.append(event)
-        if self.sink is not None:
-            self.sink.emit(event)
         return event
 
     @property

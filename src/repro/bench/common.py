@@ -1,20 +1,10 @@
-"""Benchmark framework: the contract every PBBS-style kernel implements.
-
-Also hosts the coalesced array-run helpers (:func:`read_run`,
-:func:`write_run`): dense sequential loops over a :class:`SimArray` yield
-one strided batch op instead of one scalar op per element.  The engine
-expands a batch one micro-op per step, so the machine observes the exact
-same address/compute stream as the element-by-element loop — only the
-Python-side yield count and allocations drop.
-"""
+"""Benchmark framework: the contract every PBBS-style kernel implements."""
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List
-
-from repro.sim.ops import LoadBatchOp, StoreBatchOp
+from typing import Any, Callable, Dict
 
 
 @dataclass(frozen=True)
@@ -67,48 +57,3 @@ def input_array(ctx, values, elem_size: int = 8, name: str = "input"):
     for block in block_range(arr.base, max(len(values), 1) * elem_size, bs):
         machine.llc_warm_fill(block, thread)
     return arr
-
-
-def read_run(arr, lo: int, hi: int, instrs: int = 0) -> List[Any]:
-    """Load ``arr[lo:hi)`` as one coalesced strided batch; return the values.
-
-    With ``instrs`` each load is followed by that much local compute —
-    stream-identical to ``for i: arr.get(i); yield ComputeOp(instrs)``.
-    Generator — use via ``yield from``.
-    """
-    if not 0 <= lo <= hi <= arr.length:
-        raise IndexError(
-            f"run [{lo}, {hi}) out of range for {arr.name or 'array'}"
-            f"[{arr.length}]"
-        )
-    n = hi - lo
-    if n == 0:
-        return []
-    yield LoadBatchOp(
-        arr.addr(lo), arr.elem_size, n, arr.elem_size,
-        heap=arr.heap, instrs=instrs,
-    )
-    return arr.data[lo:hi]
-
-
-def write_run(arr, lo: int, values, instrs: int = 0):
-    """Store ``values`` into ``arr[lo:lo+len(values))`` as one batch.
-
-    With ``instrs`` each store is *preceded* by that much compute — the
-    tabulate write pattern ``yield ComputeOp(instrs); arr.set(i, v)``.
-    Generator — use via ``yield from``.
-    """
-    values = list(values)
-    n = len(values)
-    if not 0 <= lo <= lo + n <= arr.length:
-        raise IndexError(
-            f"run [{lo}, {lo + n}) out of range for {arr.name or 'array'}"
-            f"[{arr.length}]"
-        )
-    if n == 0:
-        return
-    yield StoreBatchOp(
-        arr.addr(lo), arr.elem_size, n, arr.elem_size,
-        heap=arr.heap, instrs=instrs, compute_first=True,
-    )
-    arr.data[lo:lo + n] = values

@@ -12,7 +12,6 @@ from typing import List
 
 from repro.bench.common import Benchmark, input_array
 from repro.bench.msort import sort_task
-from repro.sim.ops import ComputeOp
 
 
 def build(rng: random.Random, scale: int) -> List[int]:
@@ -25,9 +24,9 @@ def root_task(ctx, values: List[int]):
     src = yield from input_array(ctx, values, name="input")
     sorted_arr = yield from sort_task(ctx, src, 0, len(src))
 
-    # out[i] = sorted[i] if it differs from its left neighbour (coalesced
-    # [Load(i), Load(i-1), Compute, Store] gather; element 0 has no
-    # neighbour and keeps its original scalar [Load, Store] stream).
+    # out[i] = sorted[i] if it differs from its left neighbour: [Load(i),
+    # Load(i-1), Compute, Store] per element; element 0 has no neighbour
+    # and runs first_elem's [Load] before its store instead.
     def first_elem(c, i):
         value = yield from sorted_arr.get(i)
         return value

@@ -39,12 +39,12 @@ def root_task(ctx, workload):
         return 1
 
     flags = yield from ctx.tabulate(max(n - m + 1, 0), match_at, grain=32, name="hits")
-    positions = yield from ctx.tabulate_batch(
-        len(flags), lambda i: i, grain=64, name="idx"
+    positions = yield from ctx.tabulate_gather(
+        len(flags), (), lambda i: i, grain=64, name="idx"
     )
 
-    # Pack the matching positions (filter over index/flag pairs); the dense
-    # [Load(flag), Load(pos), Store] body coalesces into gather batches.
+    # Pack the matching positions (filter over index/flag pairs): a
+    # [Load(flag), Load(pos), Store] stream per element.
     marked = yield from ctx.tabulate_gather(
         len(flags), [flags, positions],
         lambda i, flag, pos: pos if flag else -1,

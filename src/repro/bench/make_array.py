@@ -15,10 +15,11 @@ def build(rng, scale: int) -> int:
 
 
 def root_task(ctx, n: int):
-    # Host-computable body: coalesced tabulate ([ComputeOp(2), Store] per
-    # element, one fused batch per leaf).
-    arr = yield from ctx.tabulate_batch(
-        n, lambda i: (i * 2654435761) & 0xFFFF, grain=64, name="made", instrs=2
+    # Host-computable body: a source-less tabulate_gather ([ComputeOp(2),
+    # Store] per element).
+    arr = yield from ctx.tabulate_gather(
+        n, (), lambda i: (i * 2654435761) & 0xFFFF,
+        grain=64, name="made", instrs=2,
     )
     # Checksum computed host-side: the benchmark itself is the initialisation.
     return sum(arr.data) & 0xFFFFFFFF

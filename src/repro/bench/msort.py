@@ -11,7 +11,8 @@ from __future__ import annotations
 import random
 from typing import List
 
-from repro.bench.common import Benchmark, input_array, read_run, write_run
+from repro.bench.common import Benchmark, input_array
+from repro.hlpl.arrays import read_run, write_run
 from repro.sim.ops import ComputeOp
 
 SEQ_CUTOFF = 32
@@ -21,9 +22,9 @@ MERGE_CUTOFF = 48
 def _seq_sort(ctx, src, lo, hi):
     """Sort src[lo:hi) into a fresh local array (sequential base case).
 
-    The dense read and write loops retire as coalesced batch runs (the
-    merge loops above the cutoff stay per-op: their order is data
-    dependent).
+    The dense read and write loops are element runs, one generator each
+    (the merge loops above the cutoff go element by element through
+    ``get``/``set``: their order is data dependent).
     """
     n = hi - lo
     out = yield from ctx.alloc_array(n, name="leafsort")

@@ -12,13 +12,13 @@ from __future__ import annotations
 import math
 
 from repro.bench.common import Benchmark
-from repro.sim.ops import StoreBatchOp
+from repro.sim.ops import ComputeOp, StoreOp
 
 
 def sieve_task(ctx, n: int):
     """Return the flags array for primality up to ``n`` (paper Fig. 4)."""
-    flags = yield from ctx.tabulate_batch(
-        n + 1, lambda i: True, grain=64, elem_size=1, name="flags"
+    flags = yield from ctx.tabulate_gather(
+        n + 1, (), lambda i: True, grain=64, elem_size=1, name="flags"
     )
     yield from flags.set(0, False)
     if n >= 1:
@@ -27,19 +27,20 @@ def sieve_task(ctx, n: int):
         root = math.isqrt(n)
         sqrtflags = yield from sieve_task(ctx, root)
         phase = ctx.ward_begin(flags)
+        compute = ComputeOp(1)
+        store = StoreOp(0, flags.elem_size, heap=flags.heap)
 
         def mark_multiples(c, p):
             is_prime = yield from sqrtflags.get(p)
             if not is_prime:
                 return
-            # One strided batch per prime: the [ComputeOp(1), Store(p*m)]
-            # pairs for m in [2, n//p] retire as a single fused op
-            # (stream-identical to the per-multiple loop).
-            yield StoreBatchOp(
-                flags.addr(2 * p), p * flags.elem_size, n // p - 1,
-                flags.elem_size, heap=flags.heap,
-                instrs=1, compute_first=True,
-            )
+            # A [ComputeOp(1), Store(p*m)] pair per multiple m in [2, n//p],
+            # from this one generator; the flags are cleared afterwards.
+            stride = p * flags.elem_size
+            for addr in range(flags.addr(2 * p), flags.addr(n + 1), stride):
+                yield compute
+                store.addr = addr
+                yield store
             for m in range(2, n // p + 1):
                 flags.data[p * m] = False
 

@@ -10,8 +10,9 @@ from __future__ import annotations
 import random
 from typing import List
 
-from repro.bench.common import Benchmark, input_array, read_run
+from repro.bench.common import Benchmark, input_array
 from repro.bench.msort import sort_task
+from repro.hlpl.arrays import read_run
 from repro.sim.ops import ComputeOp
 
 
@@ -25,9 +26,9 @@ def suffix_array_task(ctx, chars, n: int):
     k = 1
     order = None
     while k < n:
-        # key[i] = (rank[i], rank[i+k], i): a [Load, Load, Compute, Store]
-        # gather for i < n-k; the tail has no i+k neighbour and keeps its
-        # original scalar [Load, Compute, Store] stream.
+        # key[i] = (rank[i], rank[i+k], i): [Load, Load, Compute, Store]
+        # per element for i < n-k; the tail has no i+k neighbour and runs
+        # tail_key's [Load, Compute] before its store instead.
         def tail_key(c, i):
             r1 = yield from rank.get(i)
             yield ComputeOp(1)
@@ -41,9 +42,9 @@ def suffix_array_task(ctx, chars, n: int):
         )
         order = yield from sort_task(ctx, keys, 0, n)
 
-        # Dense re-ranking: sequential scan over the sorted keys (one
-        # coalesced [Load, ComputeOp(1)]-per-key batch), then a parallel
-        # scatter of the new ranks through a write-phase.
+        # Dense re-ranking: sequential scan over the sorted keys (a
+        # [Load, ComputeOp(1)] pair per key), then a parallel scatter of
+        # the new ranks through a write-phase.
         keys_sorted = yield from read_run(order, 0, n, instrs=1)
         dense = []
         r = 0

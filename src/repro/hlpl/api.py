@@ -12,20 +12,20 @@ Everything here is "standard library" in the paper's sense (§4.2): the
 combinators use efficient in-place updates under the hood while guaranteeing
 the memory discipline (disentanglement, and WARD for construct outputs) by
 construction — the user never annotates anything.
+
+The array combinators (:meth:`TaskContext.tabulate_gather`,
+:meth:`~TaskContext.map_array`, :meth:`~TaskContext.reduce_array`,
+:meth:`~TaskContext.filter_array`) run each grain-sized leaf as one loop that
+yields every element's scalar ops in turn: the op stream of the per-element
+generator body their docstrings name, without a generator per element.
 """
 
 from __future__ import annotations
 
 from typing import Any, Callable
 
-from repro.hlpl.arrays import SimArray
-from repro.sim.ops import (
-    ComputeOp,
-    ForkOp,
-    GatherBatchOp,
-    LoadBatchOp,
-    StoreBatchOp,
-)
+from repro.hlpl.arrays import SimArray, read_run
+from repro.sim.ops import ComputeOp, ForkOp, LoadOp, StoreOp
 
 DEFAULT_GRAIN = 16
 
@@ -85,8 +85,8 @@ class TaskContext:
         """Like :meth:`parallel_for`, but each grain-sized leaf invokes
         ``chunk_body(ctx, leaf_lo, leaf_hi)`` once instead of ``body`` per
         index — the splitting (and therefore the fork tree) is identical,
-        so a chunk body that emits the per-index op stream in one batch is
-        stream-identical to the per-index loop."""
+        so a chunk body that loops over its indices yields the per-index
+        loop's op stream."""
         n = hi - lo
         if n <= 0:
             return
@@ -150,38 +150,6 @@ class TaskContext:
         self.rt.construct_end(region)
         return arr
 
-    def tabulate_batch(
-        self,
-        length: int,
-        fn: Callable[[int], Any],
-        grain: int = DEFAULT_GRAIN,
-        elem_size: int = 8,
-        name: str = "tab",
-        instrs: int = 0,
-    ):
-        """Coalesced :meth:`tabulate` for *host-computable* bodies.
-
-        ``fn(i)`` is a plain Python function (no simulated reads); each
-        element costs ``instrs`` compute followed by its store, emitted as
-        one fused batch op per leaf.  Stream-identical to ``tabulate`` with
-        ``body = lambda c, i: (yield ComputeOp(instrs)) or fn(i)`` (or
-        ``c.value(fn(i))`` when ``instrs`` is 0) at the same grain, but
-        with two generator resumes per leaf instead of two per element.
-        """
-        arr = yield from self.alloc_array(length, elem_size, name=name)
-        region = self.rt.construct_begin(arr)
-
-        def write_chunk(c, lo, hi):
-            yield StoreBatchOp(
-                arr.addr(lo), arr.elem_size, hi - lo, arr.elem_size,
-                heap=arr.heap, instrs=instrs, compute_first=True,
-            )
-            arr.data[lo:hi] = [fn(i) for i in range(lo, hi)]
-
-        yield from self.parallel_for_chunks(0, length, write_chunk, grain)
-        self.rt.construct_end(region)
-        return arr
-
     def tabulate_gather(
         self,
         length: int,
@@ -195,17 +163,19 @@ class TaskContext:
         dense_hi: int = None,
         edge_body: Callable = None,
     ):
-        """Coalesced :meth:`tabulate` for bodies that read other arrays.
+        """:meth:`tabulate` for bodies that only read other arrays element-wise.
 
         ``out[i] = fn(i, *(s.data[i + off] for (s, off) in srcs))``; per
         element the simulated op stream is the loads of each source (in
         ``srcs`` order), ``ComputeOp(instrs)`` if ``instrs``, then the
-        store — stream-identical to the equivalent per-element tabulate
-        body, retired as one :class:`GatherBatchOp` per leaf.  ``srcs``
-        entries are ``SimArray`` or ``(SimArray, offset)`` pairs.
+        store — the stream of the per-element tabulate body, yielded by one
+        loop per leaf.  ``srcs`` entries are ``SimArray`` or ``(SimArray,
+        offset)`` pairs; with no sources, ``fn(i)`` is a host-computable
+        body and each element is ``ComputeOp(instrs)`` (if any), then the
+        store.  The leaf's values land in ``out`` after its last store.
 
-        Indices outside ``[dense_lo, dense_hi)`` (where the gather pattern
-        would read out of bounds, e.g. a stencil's rim) instead run
+        Indices outside ``[dense_lo, dense_hi)`` (where the per-element
+        loads would read out of bounds, e.g. a stencil's rim) instead run
         ``edge_body(ctx, i)`` — the original generator body — followed by
         the element's store, preserving the boundary elements' exact ops.
         """
@@ -214,14 +184,15 @@ class TaskContext:
         if dense_hi is None:
             dense_hi = length
         pairs = [s if isinstance(s, tuple) else (s, 0) for s in srcs]
-        pattern = [
-            (0, s.addr(0) + off * s.elem_size, s.elem_size, s.elem_size, s.heap)
+        # One op instance per stream position, shared by every leaf: the
+        # engine consumes an op before its producer resumes.
+        loads = [
+            (LoadOp(0, s.elem_size, heap=s.heap), s.addr(off), s.elem_size)
             for s, off in pairs
         ]
-        if instrs:
-            pattern.append((2, instrs, 0, 0, None))
-        pattern.append((1, arr.addr(0), arr.elem_size, arr.elem_size, arr.heap))
-        pattern = tuple(pattern)
+        compute = ComputeOp(instrs) if instrs else None
+        store = StoreOp(0, arr.elem_size, heap=arr.heap)
+        out_base, out_size = arr.base, arr.elem_size
 
         def chunk(c, lo, hi):
             for i in range(lo, min(hi, dense_lo)):
@@ -229,12 +200,18 @@ class TaskContext:
                 yield from arr.set(i, value)
             dlo = max(lo, dense_lo)
             dhi = min(hi, dense_hi)
-            if dhi > dlo:
-                yield GatherBatchOp(dlo, dhi - dlo, pattern)
-                arr.data[dlo:dhi] = [
-                    fn(i, *(s.data[i + off] for s, off in pairs))
-                    for i in range(dlo, dhi)
-                ]
+            for i in range(dlo, dhi):
+                for op, base, size in loads:
+                    op.addr = base + i * size
+                    yield op
+                if compute is not None:
+                    yield compute
+                store.addr = out_base + i * out_size
+                yield store
+            arr.data[dlo:dhi] = [
+                fn(i, *(s.data[i + off] for s, off in pairs))
+                for i in range(dlo, dhi)
+            ]
             for i in range(max(lo, dense_hi), hi):
                 value = yield from edge_body(c, i)
                 yield from arr.set(i, value)
@@ -253,8 +230,8 @@ class TaskContext:
     ):
         """``out[i] = fn(src[i])`` with ``cost`` compute instrs per element.
 
-        Stream-identical to a :meth:`tabulate` whose body loads ``src[i]``,
-        computes ``cost`` instrs, and returns ``fn(value)`` — coalesced via
+        The op stream of a :meth:`tabulate` whose body loads ``src[i]``,
+        computes ``cost`` instrs, and returns ``fn(value)``, yielded by
         :meth:`tabulate_gather`.
         """
         out = yield from self.tabulate_gather(
@@ -302,12 +279,12 @@ class TaskContext:
         combine: Callable[[Any, Any], Any],
         grain: int = DEFAULT_GRAIN,
     ):
-        """Coalesced :meth:`reduce` over the elements of ``arr``.
+        """:meth:`reduce` over the elements of ``arr``.
 
-        Stream-identical to ``reduce(lo, hi, lambda c, i: arr.get(i),
-        combine, grain)``: leaves load their first element, then retire the
-        remaining ``[Load, ComputeOp(1)]`` pairs as one fused batch and
-        fold host-side; the fork tree and internal combine ops match
+        The op stream of ``reduce(lo, hi, lambda c, i: arr.get(i), combine,
+        grain)``: leaves load their first element, then the remaining
+        ``[Load, ComputeOp(1)]`` pairs through one :func:`read_run` loop,
+        and fold host-side; the fork tree and internal combine ops match
         :meth:`reduce` exactly.
         """
         n = hi - lo
@@ -315,13 +292,9 @@ class TaskContext:
             raise ValueError("reduce needs a non-empty range")
         if n <= grain:
             acc = yield from arr.get(lo)
-            if n > 1:
-                yield LoadBatchOp(
-                    arr.addr(lo + 1), arr.elem_size, n - 1, arr.elem_size,
-                    heap=arr.heap, instrs=1,
-                )
-                for value in arr.data[lo + 1:hi]:
-                    acc = combine(acc, value)
+            rest = yield from read_run(arr, lo + 1, hi, instrs=1)
+            for value in rest:
+                acc = combine(acc, value)
             return acc
         mid = lo + n // 2
         left, right = yield from self.par(
@@ -342,7 +315,9 @@ class TaskContext:
 
         Two phases: per-chunk counts (parallel), exclusive scan over chunk
         sums (sequential — the chunk count is tiny), then a parallel
-        write-out into a fresh WARD output array.
+        write-out into a fresh WARD output array.  A count leaf's stream is
+        ``for i: src.get(i); yield ComputeOp(1)``, yielded by one
+        :func:`read_run` loop.
         """
         n = len(src)
         if n == 0:
@@ -353,16 +328,12 @@ class TaskContext:
         counts_region = self.rt.construct_begin(counts)
 
         def count_chunk(c, ci):
-            # Coalesced: the dense [Load, ComputeOp(1)]-per-element loop
-            # retires as one fused batch (stream-identical), with the
-            # predicate evaluated host-side.
+            # A [Load, ComputeOp(1)] pair per element through one read_run
+            # loop, with the predicate evaluated host-side.
             lo = ci * grain
             hi = min(lo + grain, n)
-            yield LoadBatchOp(
-                src.addr(lo), src.elem_size, hi - lo, src.elem_size,
-                heap=src.heap, instrs=1,
-            )
-            kept = sum(1 for value in src.data[lo:hi] if pred(value))
+            values = yield from read_run(src, lo, hi, instrs=1)
+            kept = sum(1 for value in values if pred(value))
             yield from counts.set(ci, kept)
 
         yield from self.parallel_for(0, nchunks, count_chunk, grain=1)

@@ -5,13 +5,18 @@ Python backing list for functional values.  Its accessors are generators:
 they yield one timing operation (charged by the engine on the issuing
 hardware thread) and perform the value effect in Python, so benchmarks stay
 data-dependent while the cache model sees a faithful address stream.
+
+:func:`read_run` and :func:`write_run` are the dense loops over a run of
+elements: one generator yields every element's scalar op in turn, the
+stream of the per-element ``get``/``set`` loop without a generator per
+element.
 """
 
 from __future__ import annotations
 
 from typing import Any, List
 
-from repro.sim.ops import LoadOp, RmwOp, StoreOp
+from repro.sim.ops import ComputeOp, LoadOp, RmwOp, StoreOp
 
 
 class SimArray:
@@ -128,3 +133,53 @@ class SimArray:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         label = self.name or "SimArray"
         return f"{label}(base={self.base:#x}, len={self.length})"
+
+
+def _check_run(arr: SimArray, lo: int, hi: int) -> None:
+    if not 0 <= lo <= hi <= arr.length:
+        raise IndexError(
+            f"run [{lo}, {hi}) out of range for {arr.name or 'array'}"
+            f"[{arr.length}]"
+        )
+
+
+def read_run(arr: SimArray, lo: int, hi: int, instrs: int = 0):
+    """Load ``arr[lo:hi)`` one element at a time; return the values.
+
+    Each load is followed by ``ComputeOp(instrs)`` when ``instrs`` is set —
+    the stream of ``for i: arr.get(i); yield ComputeOp(instrs)``.  The
+    values are read after the last load.  Generator — use via
+    ``yield from``.
+    """
+    _check_run(arr, lo, hi)
+    size = arr.elem_size
+    op = LoadOp(0, size, heap=arr.heap)
+    compute = ComputeOp(instrs) if instrs else None
+    for addr in range(arr.addr(lo), arr.addr(hi), size):
+        op.addr = addr
+        yield op
+        if compute is not None:
+            yield compute
+    return arr.data[lo:hi]
+
+
+def write_run(arr: SimArray, lo: int, values, instrs: int = 0):
+    """Store ``values`` into ``arr[lo:lo+len(values))``, one element at a time.
+
+    Each store is *preceded* by ``ComputeOp(instrs)`` when ``instrs`` is set
+    — the tabulate write pattern ``yield ComputeOp(instrs); arr.set(i, v)``.
+    The values land in ``arr.data`` after the last store.  Generator — use
+    via ``yield from``.
+    """
+    values = list(values)
+    hi = lo + len(values)
+    _check_run(arr, lo, hi)
+    size = arr.elem_size
+    op = StoreOp(0, size, heap=arr.heap)
+    compute = ComputeOp(instrs) if instrs else None
+    for addr in range(arr.addr(lo), arr.addr(hi), size):
+        if compute is not None:
+            yield compute
+        op.addr = addr
+        yield op
+    arr.data[lo:hi] = values

@@ -365,10 +365,5 @@ class Runtime:
             # forks with no happens-before edge, so only program (heap)
             # accesses feed the detector.
             self.race_detector.on_access(
-                task,
-                worker.thread,
-                op.addr,
-                op.size,
-                atype,
-                self.machine.cores[worker.thread].clock,
+                task, worker.thread, op.addr, op.size, atype
             )

@@ -35,7 +35,7 @@ class WorkStealingScheduler:
     """Implements the engine's scheduler interface (§2.1's "standard
     work-stealing scheduler")."""
 
-    def __init__(self, rt, model_traffic: bool = True, seed: int = 0) -> None:
+    def __init__(self, rt, seed: int = 0) -> None:
         self.rt = rt
         machine = rt.machine
         nthreads = machine.config.num_threads
@@ -43,9 +43,6 @@ class WorkStealingScheduler:
         self.deques: List[deque] = [deque() for _ in range(nthreads)]
         self.total_ready = 0
         self.finished = False
-        #: when False, deque/steal operations cost fixed cycles instead of
-        #: simulated memory traffic (diagnostic / ablation knob)
-        self.model_traffic = model_traffic
         self.bottom_addr = [machine.sbrk(bs, bs) for _ in range(nthreads)]
         self.top_addr = [machine.sbrk(bs, bs) for _ in range(nthreads)]
         self.flag_addr = [machine.sbrk(bs, bs) for _ in range(nthreads)]
@@ -54,12 +51,11 @@ class WorkStealingScheduler:
             machine.place(self.top_addr[t], bs, t)
             machine.place(self.flag_addr[t], bs, t)
         self._backoff = [BACKOFF_MIN] * nthreads
-        #: mirror the engine's epoch knob: scheduler deque/spin accesses are
-        #: overwhelmingly private hits, so route them through the epoch fast
-        #: path (identical statistical effects; see try_fast_access) unless
-        #: a per-op machine (``record_per_op``) asks for the pure reference
-        #: access path
-        self._fast_touch = getattr(rt.engine, "epoch_batch", False)
+        #: scheduler deque/spin accesses are overwhelmingly private hits, so
+        #: route them through the epoch fast path (identical statistical
+        #: effects; see try_fast_access) unless a per-op machine
+        #: (``record_per_op``) asks for the pure reference access path
+        self._fast_touch = not machine.record_per_op
         # hoisted hot-path handles (all stable for the machine's lifetime;
         # on_idle dominates simulated idle time, so attribute chains matter)
         self._machine = machine
@@ -109,11 +105,7 @@ class WorkStealingScheduler:
         return local
 
     def _touch(self, thread: int, addr: int, atype, spin: bool = False) -> int:
-        """One deque or flag access; returns its memory latency (0 when
-        traffic is not modelled)."""
-        if not self.model_traffic:
-            self._cores[thread].advance(4)
-            return 0
+        """One deque or flag access; returns its memory latency."""
         # Deque words and spin flags are overwhelmingly private hits, so
         # take the epoch fast path (identical statistical effects) when the
         # tracer doesn't need per-access events; atomics always fall
@@ -195,8 +187,8 @@ class WorkStealingScheduler:
         backoff = self._backoff
         core.advance(backoff[thread])
         backoff[thread] = min(backoff[thread] * 2, BACKOFF_MAX)
-        # Two L1 hits cost exactly _spin_latency; a miss, an L2 hit or
-        # unmodelled traffic (latency 0) cannot.
+        # Two L1 hits cost exactly _spin_latency; a miss or an L2 hit
+        # cannot.
         return (
             latency == self._spin_latency
             and self._can_park

@@ -23,7 +23,6 @@ from repro.obs.collect import (
     RingBufferSink,
 )
 from repro.obs.export import (
-    append_manifest,
     chrome_trace,
     chrome_trace_events,
     flame_summary,
@@ -69,7 +68,6 @@ __all__ = [
     "StrandEvent",
     "Tracer",
     "TransitionEvent",
-    "append_manifest",
     "chrome_trace",
     "chrome_trace_events",
     "flame_summary",

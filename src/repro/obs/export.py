@@ -275,11 +275,6 @@ def manifest_json(manifest: dict) -> str:
     return json.dumps(manifest, sort_keys=True, default=str)
 
 
-def append_manifest(path, manifest: dict) -> None:
-    with open(path, "a", encoding="utf-8") as fh:
-        fh.write(manifest_json(manifest) + "\n")
-
-
 # ----------------------------------------------------------------------
 # Flame-style text summary
 # ----------------------------------------------------------------------

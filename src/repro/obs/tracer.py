@@ -191,27 +191,6 @@ class ReplayEvent:
     detail: str = ""
 
 
-@dataclass(slots=True)
-class RaceEvent:
-    """A happens-before detector finding (see :mod:`repro.verify.race`).
-
-    ``action`` is ``race`` (true race), ``benign-waw`` (condition-2 pair
-    inside a shared region epoch), or ``atomic`` (RMW/RMW).  ``race_kind``
-    refines races into ``raw``/``war``/``waw``.  ``task_a``/``task_b`` are
-    spawn-tree paths of the two concurrent tasks; ``region_ids`` the
-    comma-joined logical region ids shared by the pair (empty outside).
-    """
-
-    kind: ClassVar[str] = "race"
-    cycle: int
-    action: str
-    race_kind: str
-    addr: int
-    task_a: str
-    task_b: str
-    region_ids: str = ""
-
-
 EVENT_TYPES = (
     AccessEvent,
     TransitionEvent,
@@ -224,7 +203,6 @@ EVENT_TYPES = (
     StrandEvent,
     MatrixEvent,
     ReplayEvent,
-    RaceEvent,
 )
 
 

@@ -36,8 +36,9 @@ core's clock, private caches, and counters), so the batched schedule is the
 (asserted in ``tests/test_epoch.py``).  The first op that needs the slow
 path runs once in full, then the run ends and the worker re-enters the
 heap.  The fast path is bypassed entirely while a tracer sink is installed
-(per-op event visibility); access hooks are invoked per element inside the
-run, preserving checker semantics.
+(per-op event visibility); access hooks are invoked for every op inside the
+run, preserving checker semantics.  Every op is a scalar op, so ``steps``
+counts yielded ops on both paths.
 
 Parked spinners
 ---------------
@@ -60,11 +61,11 @@ keyed below that op, and the worker re-enters the heap at its next spin.
 The op's key is its clock from *before* the generator ``send``, since a
 generator body can charge cycles inside ``send`` before yielding the
 ``ForkOp``; the per-op engine runs spins keyed between the two clocks after
-the fork.  Parking needs the epoch fast path without a tracer, modelled
-scheduler traffic, and one thread per core (an SMT sibling shares the L1 and
-interleaves its own accesses with the spinner's LRU refreshes).  An empty
-heap with parked workers and no ``finished`` is the per-op engine's endless
-spin, reported as a deadlock.
+the fork.  Parking needs the epoch fast path without a tracer and one
+thread per core (an SMT sibling shares the L1 and interleaves its own
+accesses with the spinner's LRU refreshes).  An empty heap with parked
+workers and no ``finished`` is the per-op engine's endless spin, reported
+as a deadlock.
 """
 
 from __future__ import annotations
@@ -75,72 +76,17 @@ from typing import Callable, Optional
 from repro.common.errors import SimulationError
 from repro.common.types import AccessType
 from repro.sim.machine import Machine
-from repro.sim.ops import (
-    ComputeBatchOp,
-    ComputeOp,
-    ForkOp,
-    GatherBatchOp,
-    LoadBatchOp,
-    LoadOp,
-    RmwOp,
-    StoreBatchOp,
-    StoreOp,
-)
+from repro.sim.ops import ComputeOp, ForkOp, LoadOp, RmwOp, StoreOp
 
 _LOAD = AccessType.LOAD
 _STORE = AccessType.STORE
 _RMW = AccessType.RMW
 
-#: micro-op stages of one batch element (compute-before / access / compute-after)
-_STAGE_PRE = 0
-_STAGE_ACCESS = 1
-_STAGE_POST = 2
-
-
-class _BatchCursor:
-    """Progress through a partially-retired batch op.
-
-    The cursor snapshots the batch op's fields at install time (workloads
-    may therefore reuse batch-op instances across yields) and owns a scratch
-    scalar op handed to access hooks, so checkers see every element exactly
-    as if the batch had been yielded one scalar op at a time.
-    """
-
-    __slots__ = (
-        "op",
-        "atype",
-        "addr",
-        "stride",
-        "left",
-        "instrs",
-        "compute_first",
-        "stage",
-        "latency_sum",
-        # gather-pattern cursors (op is None, pattern is not)
-        "pattern",
-        "plen",
-        "pos",
-        "idx",
-        "scratch",
-    )
-
-    def __init__(self, op, atype, addr, stride, left, instrs, compute_first):
-        self.op = op
-        self.atype = atype
-        self.addr = addr
-        self.stride = stride
-        self.left = left
-        self.instrs = instrs
-        self.compute_first = compute_first
-        self.stage = _STAGE_PRE if (instrs and compute_first) else _STAGE_ACCESS
-        self.latency_sum = 0
-        self.pattern = None
-
 
 class Strand:
     """One runnable generator plus its (optional) spawn-tree task."""
 
-    __slots__ = ("gen", "task", "on_done", "resume_value", "ready_clock", "batch")
+    __slots__ = ("gen", "task", "on_done", "resume_value", "ready_clock")
 
     def __init__(self, gen, task=None, on_done: Optional[Callable] = None):
         self.gen = gen
@@ -149,8 +95,6 @@ class Strand:
         self.resume_value = None
         #: cycle at which this strand became runnable (steal causality)
         self.ready_clock = 0
-        #: in-flight :class:`_BatchCursor` (a batch op survives reschedules)
-        self.batch: Optional[_BatchCursor] = None
 
 
 class Worker:
@@ -181,11 +125,6 @@ class Engine:
         #: the worker currently being stepped (used by the runtime to charge
         #: internal work such as region instructions to the right thread)
         self.current_worker: Optional[Worker] = None
-        #: epoch-batched stepping, unless the machine demands pure per-op
-        #: stepping (``record_per_op``): the trace recorder needs every
-        #: access to flow through ``Machine.access`` so the
-        #: protocol-visible stream is complete.
-        self.epoch_batch = not getattr(machine, "record_per_op", False)
 
     # ------------------------------------------------------------------
     def pin(self, thread: int, gen, on_done: Optional[Callable] = None) -> Strand:
@@ -205,7 +144,9 @@ class Engine:
         step = self.step
         retire_run = self._retire_run
         tracer = self.machine.tracer
-        epoch_batch = self.epoch_batch
+        # The trace recorder's machine steps per op (``record_per_op``) so
+        # every access flows through ``Machine.access``.
+        per_op = self.machine.record_per_op
         # Lazily-repaired min-heap over worker clocks, replacing the
         # per-step O(num_threads) scan.  Only the worker being stepped can
         # advance its own clock, so entries are normally exact; the staleness
@@ -249,7 +190,7 @@ class Engine:
                     waiting.append(entry)
                     continue
                 spun = scheduler.on_idle(worker)
-                if epoch_batch and not tracer.enabled:
+                if not per_op and not tracer.enabled:
                     # Steal-phase epoch: while this worker stays strictly
                     # min-clock (same tie-break as the heap pop) and found
                     # no work, the per-op engine would pop it straight back
@@ -274,7 +215,7 @@ class Engine:
                     if spun:
                         parked.append(thread)
                         continue
-            elif epoch_batch and not tracer.enabled:
+            elif not per_op and not tracer.enabled:
                 if heap:
                     next_clock, next_thread = heap[0]
                 else:
@@ -313,172 +254,13 @@ class Engine:
             strand.on_done(getattr(stop, "value", None), worker)
 
     # ------------------------------------------------------------------
-    def _install_batch(self, strand: Strand, op, cls) -> _BatchCursor:
-        count = op.count
-        if count < 1:
-            raise SimulationError(f"batch op needs count >= 1, got {count}")
-        if cls is ComputeBatchOp:
-            cursor = _BatchCursor(None, None, 0, 0, count, op.instrs, False)
-        elif cls is GatherBatchOp:
-            cursor = _BatchCursor(None, None, 0, 0, count, 0, False)
-            cursor.pattern = op.pattern
-            cursor.plen = len(op.pattern)
-            cursor.pos = 0
-            cursor.idx = op.start
-            cursor.scratch = LoadOp(0)
-        elif cls is LoadBatchOp:
-            scratch = LoadOp(op.addr, op.size, heap=op.heap, spin=op.spin)
-            cursor = _BatchCursor(
-                scratch, _LOAD, op.addr, op.stride, count,
-                op.instrs, op.compute_first,
-            )
-        else:
-            scratch = StoreOp(op.addr, op.size, heap=op.heap)
-            cursor = _BatchCursor(
-                scratch, _STORE, op.addr, op.stride, count,
-                op.instrs, op.compute_first,
-            )
-        strand.batch = cursor
-        return cursor
-
-    def _advance_batch(self, strand: Strand, cursor: _BatchCursor) -> None:
-        """Finish one element: move to the next or resume the generator."""
-        cursor.left -= 1
-        if cursor.left == 0:
-            strand.resume_value = cursor.latency_sum
-            strand.batch = None
-            return
-        cursor.addr += cursor.stride
-        cursor.stage = (
-            _STAGE_PRE if (cursor.instrs and cursor.compute_first)
-            else _STAGE_ACCESS
-        )
-
-    def _batch_micro(
-        self, worker: Worker, strand: Strand, cursor: _BatchCursor, use_fast: bool
-    ) -> bool:
-        """Execute one micro-op of the active batch cursor.
-
-        Returns True when the micro-op was epoch-safe (local compute or a
-        private-cache hit) — the epoch loop may then keep running this
-        worker without re-touching the scheduler heap.
-        """
-        machine = self.machine
-        thread = worker.thread
-        op = cursor.op
-        if op is None:
-            if cursor.pattern is not None:
-                return self._gather_micro(worker, strand, cursor, use_fast)
-            # compute-only batch
-            machine.cores[thread].compute(cursor.instrs)
-            cursor.left -= 1
-            if cursor.left == 0:
-                strand.resume_value = None
-                strand.batch = None
-            return True
-        stage = cursor.stage
-        if stage != _STAGE_ACCESS:
-            machine.cores[thread].compute(cursor.instrs)
-            if stage == _STAGE_PRE:
-                cursor.stage = _STAGE_ACCESS
-            else:
-                self._advance_batch(strand, cursor)
-            return True
-        addr = cursor.addr
-        op.addr = addr
-        atype = cursor.atype
-        hook = self.access_hook
-        if hook is not None:
-            hook(worker, op, atype)
-        fast = False
-        if use_fast:
-            latency = machine.protocol.try_fast_access(
-                machine._core_of[thread], addr, op.size, atype
-            )
-            fast = latency is not None
-        if fast:
-            core = machine.cores[thread]
-            if atype is _LOAD:
-                core.load(latency, spin=op.spin)
-            else:
-                core.store(latency)
-        elif atype is _LOAD:
-            latency = machine.access(thread, addr, op.size, _LOAD, spin=op.spin)
-        else:
-            latency = machine.access(thread, addr, op.size, _STORE)
-        cursor.latency_sum += latency
-        if cursor.instrs and not cursor.compute_first:
-            cursor.stage = _STAGE_POST
-        else:
-            self._advance_batch(strand, cursor)
-        return fast
-
-    def _gather_micro(
-        self, worker: Worker, strand: Strand, cursor: _BatchCursor, use_fast: bool
-    ) -> bool:
-        """One micro-op of a :class:`GatherBatchOp` pattern cursor."""
-        machine = self.machine
-        thread = worker.thread
-        micro = cursor.pattern[cursor.pos]
-        kind = micro[0]
-        fast = True
-        if kind == 2:  # compute
-            machine.cores[thread].compute(micro[1])
-        else:
-            addr = micro[1] + cursor.idx * micro[2]
-            size = micro[3]
-            atype = _LOAD if kind == 0 else _STORE
-            hook = self.access_hook
-            if hook is not None:
-                scratch = cursor.scratch
-                scratch.addr = addr
-                scratch.size = size
-                scratch.heap = micro[4]
-                hook(worker, scratch, atype)
-            latency = None
-            if use_fast:
-                latency = machine.protocol.try_fast_access(
-                    machine._core_of[thread], addr, size, atype
-                )
-            if latency is None:
-                fast = False
-                latency = machine.access(thread, addr, size, atype)
-            else:
-                core = machine.cores[thread]
-                if kind == 0:
-                    core.load(latency)
-                else:
-                    core.store(latency)
-            cursor.latency_sum += latency
-        pos = cursor.pos + 1
-        if pos != cursor.plen:
-            cursor.pos = pos
-        else:
-            cursor.pos = 0
-            cursor.idx += 1
-            cursor.left -= 1
-            if cursor.left == 0:
-                strand.resume_value = cursor.latency_sum
-                strand.batch = None
-        return fast
-
-    # ------------------------------------------------------------------
     def step(self, worker: Worker) -> None:
-        """Execute one operation element of the worker's current strand.
-
-        Batch ops retire one micro-op per call — the engine's semantics are
-        identical whether a workload yields N scalar ops or one batch of N,
-        so ``steps`` uniformly counts retired (micro-)ops.
-        """
+        """Execute one operation of the worker's current strand."""
         strand = worker.strand
         self.steps += 1
         if self.max_steps is not None and self.steps > self.max_steps:
             raise SimulationError(f"engine exceeded max_steps={self.max_steps}")
         self.current_worker = worker
-        cursor = strand.batch
-        if cursor is not None:
-            self._batch_micro(worker, strand, cursor, False)
-            return
         try:
             op = strand.gen.send(strand.resume_value)
         except StopIteration as stop:
@@ -509,15 +291,6 @@ class Engine:
                 access_hook(worker, op, _RMW)
             strand.resume_value = machine.access(
                 thread, op.addr, op.size, _RMW
-            )
-        elif (
-            cls is ComputeBatchOp
-            or cls is LoadBatchOp
-            or cls is StoreBatchOp
-            or cls is GatherBatchOp
-        ):
-            self._batch_micro(
-                worker, strand, self._install_batch(strand, op, cls), False
             )
         elif cls is ForkOp:
             if self.fork_handler is None:
@@ -560,68 +333,54 @@ class Engine:
             self.steps += 1
             if max_steps is not None and self.steps > max_steps:
                 raise SimulationError(f"engine exceeded max_steps={max_steps}")
-            cursor = strand.batch
-            if cursor is not None:
-                if not self._batch_micro(worker, strand, cursor, True):
-                    return
-            else:
-                op_clock = core.clock
-                try:
-                    op = strand.gen.send(strand.resume_value)
-                except StopIteration as stop:
-                    self._finish_strand(worker, strand, stop)
-                    return op_clock
-                strand.resume_value = None
-                cls = op.__class__
-                if cls is ComputeOp:
-                    core.compute(op.instrs)
-                elif cls is LoadOp:
-                    if access_hook is not None:
-                        access_hook(worker, op, _LOAD)
-                    latency = try_fast(pcore, op.addr, op.size, _LOAD)
-                    if latency is None:
-                        strand.resume_value = machine.access(
-                            thread, op.addr, op.size, _LOAD, spin=op.spin
-                        )
-                        return
-                    core.load(latency, spin=op.spin)
-                    strand.resume_value = latency
-                elif cls is StoreOp:
-                    if access_hook is not None:
-                        access_hook(worker, op, _STORE)
-                    latency = try_fast(pcore, op.addr, op.size, _STORE)
-                    if latency is None:
-                        strand.resume_value = machine.access(
-                            thread, op.addr, op.size, _STORE
-                        )
-                        return
-                    core.store(latency)
-                    strand.resume_value = latency
-                elif (
-                    cls is ComputeBatchOp
-                    or cls is LoadBatchOp
-                    or cls is StoreBatchOp
-                    or cls is GatherBatchOp
-                ):
-                    cursor = self._install_batch(strand, op, cls)
-                    if not self._batch_micro(worker, strand, cursor, True):
-                        return
-                elif cls is RmwOp:
-                    if access_hook is not None:
-                        access_hook(worker, op, _RMW)
+            op_clock = core.clock
+            try:
+                op = strand.gen.send(strand.resume_value)
+            except StopIteration as stop:
+                self._finish_strand(worker, strand, stop)
+                return op_clock
+            strand.resume_value = None
+            cls = op.__class__
+            if cls is ComputeOp:
+                core.compute(op.instrs)
+            elif cls is LoadOp:
+                if access_hook is not None:
+                    access_hook(worker, op, _LOAD)
+                latency = try_fast(pcore, op.addr, op.size, _LOAD)
+                if latency is None:
                     strand.resume_value = machine.access(
-                        thread, op.addr, op.size, _RMW
+                        thread, op.addr, op.size, _LOAD, spin=op.spin
                     )
                     return
-                elif cls is ForkOp:
-                    if self.fork_handler is None:
-                        raise SimulationError(
-                            "ForkOp yielded but no fork handler installed"
-                        )
-                    self.fork_handler(worker, op)
-                    return op_clock
-                else:
-                    raise SimulationError(f"unknown operation {op!r}")
+                core.load(latency, spin=op.spin)
+                strand.resume_value = latency
+            elif cls is StoreOp:
+                if access_hook is not None:
+                    access_hook(worker, op, _STORE)
+                latency = try_fast(pcore, op.addr, op.size, _STORE)
+                if latency is None:
+                    strand.resume_value = machine.access(
+                        thread, op.addr, op.size, _STORE
+                    )
+                    return
+                core.store(latency)
+                strand.resume_value = latency
+            elif cls is RmwOp:
+                if access_hook is not None:
+                    access_hook(worker, op, _RMW)
+                strand.resume_value = machine.access(
+                    thread, op.addr, op.size, _RMW
+                )
+                return
+            elif cls is ForkOp:
+                if self.fork_handler is None:
+                    raise SimulationError(
+                        "ForkOp yielded but no fork handler installed"
+                    )
+                self.fork_handler(worker, op)
+                return op_clock
+            else:
+                raise SimulationError(f"unknown operation {op!r}")
             if next_clock is not None:
                 c = core.clock
                 if c > next_clock or (c == next_clock and thread > next_thread):

@@ -19,6 +19,10 @@ ADDRESS_SPACE_BASE = 0x1_0000
 class Machine:
     """Cores, caches, directory, and a bump allocator for simulated memory."""
 
+    #: step every op through :meth:`access` (no epoch fast path, no parked
+    #: spinners); the trace recorder's machine sets it
+    record_per_op = False
+
     def __init__(
         self,
         config: MachineConfig,
@@ -97,35 +101,6 @@ class Machine:
             cm.rmw(latency)
         if tracer.enabled:
             tracer.access(start, thread, atype.value, addr, size, latency)
-        return latency
-
-    def fast_access(
-        self,
-        thread: int,
-        addr: int,
-        size: int,
-        atype: AccessType,
-        spin: bool = False,
-    ) -> Optional[int]:
-        """Epoch fast path: resolve a private-cache hit and charge the core.
-
-        Returns the latency, or None when the full :meth:`access`
-        transaction is required (the core is then left untouched).  Emits
-        no tracer events — callers must only take this path while the
-        tracer is disabled (the epoch engine falls back to per-op stepping
-        whenever a sink is installed).
-        """
-        latency = self.protocol.try_fast_access(
-            self._core_of[thread], addr, size, atype
-        )
-        if latency is None:
-            return None
-        cm = self.cores[thread]
-        if atype is AccessType.LOAD:
-            cm.load(latency, spin=spin)
-        else:
-            # try_fast_access never resolves RMWs, so this is a store.
-            cm.store(latency)
         return latency
 
     def compute(self, thread: int, instrs: int) -> None:

@@ -5,6 +5,12 @@ these operations to the engine, which charges latency on the issuing
 hardware thread and performs the coherence transaction.  Functional effects
 (actual values) happen inside the generators themselves — the ops carry only
 what the timing model needs.
+
+There is one op per simulated instruction stream element: a dense loop over
+an array yields one scalar load or store (and its compute charge) per
+element, and the engine retires each yielded op as one step.  A producer may
+reuse one op instance across its yields, since the engine consumes each op
+before the producer resumes.
 """
 
 from __future__ import annotations
@@ -53,108 +59,6 @@ class ComputeOp:
 
     def __init__(self, instrs: int):
         self.instrs = instrs
-
-
-class ComputeBatchOp:
-    """``count`` back-to-back :class:`ComputeOp`-equivalents of ``instrs``.
-
-    Semantically identical to yielding ``count`` separate ComputeOps — the
-    engine retires one element per step — but costs one allocation and one
-    generator resume for the whole run.
-    """
-
-    __slots__ = ("instrs", "count")
-
-    def __init__(self, instrs: int, count: int):
-        self.instrs = instrs
-        self.count = count
-
-
-class LoadBatchOp:
-    """``count`` strided loads: ``addr, addr+stride, ...`` of ``size`` bytes.
-
-    With ``instrs`` each element also performs that much local compute —
-    after the load by default, before it when ``compute_first`` is set — so
-    the common ``[LoadOp, ComputeOp]`` / ``[ComputeOp, LoadOp]`` per-element
-    loops coalesce without changing the op stream the machine observes.
-    The engine expands the batch one micro-op per step (access hooks and the
-    tracer see every element individually); the generator is resumed once,
-    with the summed latency.
-    """
-
-    __slots__ = ("addr", "stride", "count", "size", "heap", "spin",
-                 "instrs", "compute_first")
-
-    def __init__(
-        self,
-        addr: int,
-        stride: int,
-        count: int,
-        size: int = 8,
-        heap=None,
-        spin: bool = False,
-        instrs: int = 0,
-        compute_first: bool = False,
-    ):
-        self.addr = addr
-        self.stride = stride
-        self.count = count
-        self.size = size
-        self.heap = heap
-        self.spin = spin
-        self.instrs = instrs
-        self.compute_first = compute_first
-
-
-class StoreBatchOp:
-    """``count`` strided stores; see :class:`LoadBatchOp` for the contract."""
-
-    __slots__ = ("addr", "stride", "count", "size", "heap",
-                 "instrs", "compute_first")
-
-    def __init__(
-        self,
-        addr: int,
-        stride: int,
-        count: int,
-        size: int = 8,
-        heap=None,
-        instrs: int = 0,
-        compute_first: bool = False,
-    ):
-        self.addr = addr
-        self.stride = stride
-        self.count = count
-        self.size = size
-        self.heap = heap
-        self.instrs = instrs
-        self.compute_first = compute_first
-
-
-class GatherBatchOp:
-    """``count`` elements, each retiring the micro-op ``pattern`` in order.
-
-    Generalizes :class:`LoadBatchOp`/:class:`StoreBatchOp` to per-element
-    bodies that touch several arrays — the dense ``[Load, ..., Compute,
-    Store]`` loops of tabulate-style combinators.  ``pattern`` is a tuple of
-    micro-op descriptors, applied to element indices ``start, start+1, ...``:
-
-    * ``(0, base, stride, size, heap)`` — load of ``size`` bytes at
-      ``base + i * stride`` for element ``i``,
-    * ``(1, base, stride, size, heap)`` — store, same addressing,
-    * ``(2, instrs, 0, 0, None)`` — local compute.
-
-    The engine retires one micro-op per step (hooks and step counting see
-    every element exactly as if the loop had yielded scalar ops); the
-    generator resumes once with the summed access latency.
-    """
-
-    __slots__ = ("start", "count", "pattern")
-
-    def __init__(self, start: int, count: int, pattern):
-        self.start = start
-        self.count = count
-        self.pattern = pattern
 
 
 class ForkOp:

@@ -47,7 +47,7 @@ threads, and the region ids involved.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.common.errors import RaceError
 from repro.common.types import AccessType
@@ -100,17 +100,13 @@ class AccessInfo:
 class RaceFinding:
     """One classified concurrent pair (race or benign WAW)."""
 
-    kind: str  #: ``raw`` | ``war`` | ``waw`` | ``benign-waw`` | ``atomic``
+    kind: str  #: ``raw`` | ``war`` | ``waw`` | ``benign-waw``
     addr: int
     prior: AccessInfo
     current: AccessInfo
     #: region epochs covering BOTH accesses (the WARD pairing, if any)
     region_ids: Tuple[int, ...]
     benchmark: str = ""
-
-    @property
-    def is_race(self) -> bool:
-        return self.kind in ("raw", "war", "waw")
 
     def describe(self) -> str:
         where = (
@@ -175,21 +171,17 @@ class RaceDetector:
     region epoch (see :class:`RegionLog`) for value-level oracle replay
     through :class:`~repro.verify.coherence_checker.WardMemoryModel`; logs
     longer than ``max_region_log`` entries are truncated and flagged.
-    ``sink`` mirrors every finding to an obs-bus sink as
-    :class:`repro.obs.tracer.RaceEvent`.
     """
 
     def __init__(
         self,
         benchmark: str = "",
         raise_on_race: bool = True,
-        sink=None,
         record_regions: bool = False,
         max_region_log: int = 200_000,
     ) -> None:
         self.benchmark = benchmark
         self.raise_on_race = raise_on_race
-        self.sink = sink
         self.record_regions = record_regions
         self.max_region_log = max_region_log
         #: logical (software-side) region table — unbounded on purpose
@@ -277,7 +269,6 @@ class RaceDetector:
         addr: int,
         size: int,
         atype: AccessType,
-        clock: int = 0,
     ) -> None:
         st = self._tasks.get(task.task_id)
         if st is None:  # task finished its join already (cannot happen live)
@@ -305,7 +296,7 @@ class RaceDetector:
             if write is not None:
                 wclock, wtid, wacc = write
                 if wtid != own_id and wclock > vc.get(wtid, 0):
-                    self._report("raw", addr, wacc, acc, active, clock)
+                    self._report("raw", addr, wacc, acc, active)
             reads = self._reads.get(addr)
             if reads is None:
                 reads = self._reads[addr] = {}
@@ -320,24 +311,17 @@ class RaceDetector:
                 shared = tuple(r for r in wacc.region_ids if r in active)
                 if atype is AccessType.RMW and wacc.atype == "RMW":
                     self.atomic_updates += 1
-                    self._record(
-                        RaceFinding("atomic", addr, wacc, acc, shared,
-                                    self.benchmark),
-                        clock,
-                    )
                 elif shared:
-                    finding = RaceFinding(
+                    self.benign_waws.append(RaceFinding(
                         "benign-waw", addr, wacc, acc, shared, self.benchmark
-                    )
-                    self.benign_waws.append(finding)
-                    self._emit(finding, clock)
+                    ))
                 else:
-                    self._report("waw", addr, wacc, acc, active, clock)
+                    self._report("waw", addr, wacc, acc, active)
         reads = self._reads.get(addr)
         if reads:
             for rtid, (rclock, racc) in reads.items():
                 if rtid != own_id and rclock > vc.get(rtid, 0):
-                    self._report("war", addr, racc, acc, active, clock)
+                    self._report("war", addr, racc, acc, active)
             self._reads[addr] = {}
         self._writes[addr] = (vc[own_id], own_id, acc)
 
@@ -349,34 +333,12 @@ class RaceDetector:
         prior: AccessInfo,
         current: AccessInfo,
         active: Tuple[int, ...],
-        clock: int,
     ) -> None:
         shared = tuple(r for r in prior.region_ids if r in active)
         finding = RaceFinding(kind, addr, prior, current, shared, self.benchmark)
         self.races.append(finding)
-        self._emit(finding, clock)
         if self.raise_on_race:
             raise RaceError(f"race detected: {finding.describe()}", finding)
-
-    def _record(self, finding: RaceFinding, clock: int) -> None:
-        self._emit(finding, clock)
-
-    def _emit(self, finding: RaceFinding, clock: int) -> None:
-        if self.sink is None:
-            return
-        from repro.obs.tracer import RaceEvent
-
-        self.sink.emit(
-            RaceEvent(
-                cycle=clock,
-                action="race" if finding.is_race else finding.kind,
-                race_kind=finding.kind,
-                addr=finding.addr,
-                task_a=finding.prior.task_path,
-                task_b=finding.current.task_path,
-                region_ids=",".join(map(str, finding.region_ids)),
-            )
-        )
 
     # ------------------------------------------------------------------
     @property

@@ -42,7 +42,6 @@ from repro.analysis.run import (
 )
 from repro.common.errors import PoolError, TaskTimeoutError
 from repro.obs.export import run_manifest
-from repro.obs.tracer import ListSink, MatrixEvent
 from tests.conftest import tiny_config
 
 #: a generous per-task ceiling — the injected hang sleeps far longer, and a
@@ -254,15 +253,6 @@ class TestWorkerFailureRetry:
         arm("worker.fail@1x99")
         with pytest.raises(PoolError, match="failed after 2 attempt"):
             run_matrix(tasks, jobs=2, retries=1)
-
-    def test_report_events_mirror_into_obs_sink(self):
-        tasks = small_matrix()[:2]
-        sink = ListSink()
-        report = MatrixReport(sink=sink)
-        arm("worker.fail@1")
-        run_matrix(tasks, jobs=2, report=report, retries=1)
-        assert [type(e) for e in sink.events] == [MatrixEvent]
-        assert sink.events[0].action == "retry"
 
 
 class TestCacheChaos:

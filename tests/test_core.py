@@ -4,10 +4,6 @@ import pytest
 
 from repro.common.config import dual_socket
 from repro.sim.core import CoreModel
-from repro.sim.engine import Engine
-from repro.sim.machine import Machine
-from repro.sim.ops import StoreBatchOp, StoreOp
-from tests.conftest import tiny_config
 
 
 @pytest.fixture
@@ -106,37 +102,6 @@ class TestStoreBufferAccounting:
         # draining removes a prefix, never a middle entry
         core._drain_store_buffer()
         assert list(core._store_buffer) == completions[1:]
-
-    def test_batched_stores_charge_same_stalls_as_scalar(self):
-        """StoreBatchOp retirement must hit the same store()/compute()
-        sequence — and therefore the same fill stalls — as per-op stepping."""
-        count = 2 * dual_socket().store_buffer_entries + 8
-
-        def run(batched):
-            machine = Machine(tiny_config(), "mesi")
-            engine = Engine(machine)
-            base = machine.sbrk(64 * count)
-
-            def kern():
-                if batched:
-                    yield StoreBatchOp(base, 64, count, 8)
-                else:
-                    for i in range(count):
-                        yield StoreOp(base + 64 * i, 8)
-
-            engine.pin(0, kern())
-            engine.run()
-            return machine.cores[0]
-
-        scalar = run(batched=False)
-        fused = run(batched=True)
-        assert scalar.stats.store_buffer_stall_cycles > 0
-        assert (
-            fused.stats.store_buffer_stall_cycles
-            == scalar.stats.store_buffer_stall_cycles
-        )
-        assert fused.clock == scalar.clock
-        assert fused.stats.stores == scalar.stats.stores
 
 
 class TestRmw:

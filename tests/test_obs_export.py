@@ -15,7 +15,6 @@ from repro.obs.collect import (
 from repro.obs.export import (
     MANIFEST_SCHEMA,
     PID_COHERENCE,
-    append_manifest,
     chrome_trace_events,
     flame_summary,
     manifest_json,
@@ -151,15 +150,6 @@ class TestManifests:
         from repro.common.stats import RunStats
         restored = RunStats.from_dict(back["stats"])
         assert restored.to_dict() == result.stats.to_dict()
-
-    def test_append_manifest_is_jsonl(self, tmp_path):
-        path = tmp_path / "runs.jsonl"
-        manifest = run_manifest(self._result())
-        append_manifest(path, manifest)
-        append_manifest(path, manifest)
-        lines = path.read_text().splitlines()
-        assert len(lines) == 2
-        assert json.loads(lines[0]) == json.loads(lines[1])
 
     def test_version_metadata_keys(self):
         meta = version_metadata()

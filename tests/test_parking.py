@@ -22,16 +22,13 @@ from repro.sim.ops import ComputeOp, ForkOp
 from tests.conftest import tiny_config
 
 
-def _runtime(
-    config, protocol="mesi", sink=None, model_traffic=True, per_op=False,
-):
+def _runtime(config, protocol="mesi", sink=None, per_op=False):
     machine = Machine(config, protocol)
-    # the engine reads this when it is built: per-op stepping, no parking
+    # per-op stepping and no parking; the scheduler reads it when it is built
     machine.record_per_op = per_op
     if sink is not None:
         machine.tracer.install(sink)
     rt = Runtime(machine, seed=42)
-    rt.scheduler.model_traffic = model_traffic
     calls = {"on_idle": 0, "skip_spins": 0}
     for name in calls:
         method = getattr(rt.scheduler, name)
@@ -185,9 +182,8 @@ def test_parking_is_on_by_default():
     [
         (validation_machine(same_core=True), {}),
         (tiny_config(), {"sink": RingBufferSink()}),
-        (tiny_config(), {"model_traffic": False}),
     ],
-    ids=["smt", "tracer", "no-traffic"],
+    ids=["smt", "tracer"],
 )
 def test_parking_stays_off(config, kwargs):
     batched, reference = _fib(config, **kwargs)

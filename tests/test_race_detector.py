@@ -13,7 +13,6 @@ from repro.common.errors import RaceError
 from repro.common.types import AccessType
 from repro.hlpl.runtime import Runtime
 from repro.hlpl.task import TaskNode
-from repro.obs.tracer import ListSink, RaceEvent
 from repro.sim.machine import Machine
 from repro.sim.ops import ComputeOp
 from repro.verify.race import RaceDetector, happens_before, vc_join
@@ -162,20 +161,6 @@ class TestClassification:
         assert "root.0" in str(info.value) and "root.1" in str(info.value)
         assert "unit" in str(info.value)
 
-    def test_findings_mirror_to_obs_sink(self):
-        sink = ListSink()
-        det = RaceDetector(raise_on_race=False, sink=sink)
-        _, (c1, c2) = _tree(det)
-        det.region_begin(0, 256)
-        det.on_access(c1, 0, 64, 8, STORE)
-        det.on_access(c2, 1, 64, 8, STORE)  # benign
-        det.on_access(c2, 1, 72, 8, STORE)
-        det.on_access(c1, 0, 72, 8, LOAD)  # race
-        kinds = [(e.action, e.race_kind) for e in sink.events
-                 if isinstance(e, RaceEvent)]
-        assert ("benign-waw", "benign-waw") in kinds
-        assert ("race", "raw") in kinds
-
     def test_region_logs_record_in_region_accesses(self):
         det = RaceDetector(raise_on_race=False, record_regions=True)
         _, (c1, _) = _tree(det)
@@ -252,13 +237,11 @@ class TestInjectedRaceAcceptance:
         assert detector.races[0].region_ids  # logical region, even on MESI
 
     def test_recording_mode_collects_structured_finding(self):
-        sink = ListSink()
-        detector = RaceDetector(raise_on_race=False, sink=sink)
+        detector = RaceDetector(raise_on_race=False)
         result, _ = _run("warden", detector)
         assert result == [0, 7]  # reader observed the racy write
         (finding,) = detector.races
         assert finding.addr and finding.prior.op_index > 0
-        assert any(isinstance(e, RaceEvent) for e in sink.events)
 
 
 class TestCleanPrograms:

@@ -88,13 +88,6 @@ class TestVictimSelection:
         local = sum(1 for v in picks if v < per_socket)
         assert local > len(picks) * 0.6  # ~75% expected
 
-    def test_traffic_toggle(self, rt):
-        sched = rt.scheduler
-        sched.model_traffic = False
-        worker = rt.engine.workers[1]
-        sched.on_idle(worker)
-        assert rt.machine.cores[1].stats.loads == 0  # fixed-cost mode
-
 
 class TestTermination:
     def test_finished_stops_idle_offering(self, rt):
