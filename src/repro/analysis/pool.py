@@ -720,23 +720,7 @@ def _replay_members(trace, configs):
     return replay_group(trace, configs)
 
 
-def _replay_task(blob: bytes, configs):
-    """Replay one serialized trace under one memory-key group of configs
-    (pool worker entry).
-
-    Takes the trace as bytes so the pool ships one compact blob per task
-    instead of a pickled object graph; module-level for picklability."""
-    from repro.replay import Trace
-
-    return _replay_members(Trace.from_bytes(blob), configs)
-
-
-def replay_matrix(
-    base: RunTask,
-    variants,
-    jobs: int = 1,
-    trace_store=None,
-):
+def replay_matrix(base: RunTask, variants, trace_store=None):
     """Record ``base`` once, then replay its trace under each variant config.
 
     This is the sweep-amplification primitive: an N-point memory-hierarchy
@@ -759,9 +743,9 @@ def replay_matrix(
 
     The trace comes from ``trace_store`` (default: the shared
     ``.warden-cache/traces`` store) when a fingerprint-valid recording
-    exists, and is recorded (and persisted) otherwise.  Results come back
-    in variant order, each with its own objects; with ``jobs > 1`` the
-    groups fan out over a process pool, one task per group.
+    exists, and is recorded (and persisted) otherwise.  Groups replay in
+    this process, one after another; results come back in variant order,
+    each with its own objects.
     """
     from repro.replay import TraceStore, record_benchmark
     from repro.replay.kernel import memory_groups
@@ -782,21 +766,9 @@ def replay_matrix(
         store.store(key, trace)
     variants = list(variants)
     groups = memory_groups(variants)
-    members = [[variants[i] for i in group] for group in groups]
-    if jobs <= 1 or len(groups) <= 1:
-        grouped = [_replay_members(trace, configs) for configs in members]
-    else:
-        blob = trace.to_bytes()
-        pool = ProcessPoolExecutor(max_workers=min(jobs, len(groups)))
-        try:
-            futures = [
-                pool.submit(_replay_task, blob, configs) for configs in members
-            ]
-            grouped = [future.result() for future in futures]
-        finally:
-            pool.shutdown()
     results = [None] * len(variants)
-    for group, replays in zip(groups, grouped):
+    for group in groups:
+        replays = _replay_members(trace, [variants[i] for i in group])
         for i, result in zip(group, replays):
             results[i] = result
     return results

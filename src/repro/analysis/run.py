@@ -62,10 +62,6 @@ def set_disk_cache(cache: Optional[DiskCache]) -> Optional[DiskCache]:
     return previous
 
 
-def get_disk_cache() -> Optional[DiskCache]:
-    return _DISK_CACHE
-
-
 def _protocol_key(protocol) -> str:
     """Stable cache-key spelling for a protocol name or class."""
     if isinstance(protocol, str):

@@ -35,20 +35,6 @@ def _seq_sort(ctx, src, lo, hi):
     return out
 
 
-def _binary_search(ctx, arr, value):
-    """Smallest index with arr[idx] >= value (simulated loads)."""
-    lo, hi = 0, len(arr)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        probe = yield from arr.get(mid)
-        yield ComputeOp(1)
-        if probe < value:
-            lo = mid + 1
-        else:
-            hi = mid
-    return lo
-
-
 def _merge_range(ctx, left, llo, lhi, right, rlo, rhi, out, olo):
     """Parallel merge of left[llo:lhi) and right[rlo:rhi) into out[olo:)."""
     ln, rn = lhi - llo, rhi - rlo

@@ -64,19 +64,16 @@ from repro.coherence.registry import available_protocols, protocol_class
 from repro.common.config import disaggregated, dual_socket, single_socket
 from repro.common.errors import ConfigError, ReproError
 from repro.energy.cacti import region_cam_area_overhead, sectoring_area_overhead
-from repro.obs.collect import (
-    LatencyHistogram,
-    MultiSink,
-    PhaseHistogram,
-    RegionProfile,
-    RingBufferSink,
-)
 from repro.obs.export import (
     flame_summary,
+    latency_summary,
     manifest_json,
+    phase_summary,
+    region_summary,
     run_manifest,
     write_chrome_trace,
 )
+from repro.obs.tracer import RingBufferSink
 
 #: machine presets selectable from the command line
 MACHINES = {
@@ -284,28 +281,29 @@ def cmd_trace(args) -> int:
 def cmd_profile(args) -> int:
     config = _machine_config(args)
     ring = RingBufferSink(capacity=args.capacity)
-    latencies = LatencyHistogram()
-    phases = PhaseHistogram(bin_cycles=args.bin_cycles)
-    regions = RegionProfile()
-    result = _simulate(
-        args, args.benchmark, config,
-        MultiSink(ring, latencies, phases, regions),
-    )
+    result = _simulate(args, args.benchmark, config, ring)
+    events = ring.events()
     s = result.stats
     print(f"profile: {result.benchmark} ({args.size}) on {result.protocol}, "
           f"{result.machine} — {s.cycles} cycles, {s.instructions} instrs")
+    if ring.dropped:
+        cycles = [ev.cycle for ev in events]
+        print(f"window: every section reads the last {len(events)} of "
+              f"{ring.seen} events (cycles {min(cycles)}-{max(cycles)}); the "
+              f"ring buffer dropped {ring.dropped} earlier ones (raise "
+              "--capacity to keep them)")
     print()
     print("== where the cycles went (flame-style, folded stacks) ==")
-    print(flame_summary(ring.events(), config))
+    print(flame_summary(events, config))
     print()
     print("== WARD region profile ==")
-    print(regions.render())
+    print(region_summary(events))
     print()
     print("== access latencies ==")
-    print(latencies.render())
+    print(latency_summary(events))
     print()
     print(f"== coherence events per {args.bin_cycles}-cycle phase ==")
-    print(phases.render())
+    print(phase_summary(events, args.bin_cycles))
     return 0
 
 
@@ -674,11 +672,11 @@ def _commands() -> dict:
                  help="keep every N-th event (default: record everything)"),
         ]),
         "profile": (cmd_profile,
-                    "run with collectors and print a profile summary",
+                    "run with a ring-buffer sink and print a profile summary",
                     ("workload", *bench), [
             _arg("--capacity", type=_positive_int, default=1_000_000,
-                 help="flame-summary ring-buffer capacity "
-                      "(default: %(default)s)"),
+                 help="ring-buffer capacity in events; every section reads "
+                      "the events it keeps (default: %(default)s)"),
             _arg("--bin-cycles", type=_positive_int, default=100_000,
                  help="phase-histogram bin width in cycles "
                       "(default: %(default)s)"),

@@ -639,8 +639,8 @@ class MESIProtocol:
     def add_region(self, start: int, end: int):
         return None
 
-    def remove_region(self, region) -> int:
-        return 0
+    def remove_region(self, region) -> None:
+        pass
 
     def check_invariants(self) -> None:
         """Cross-check directory vs private caches (test/debug helper)."""

@@ -13,7 +13,7 @@ this module never creates a cycle with them.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Type
+from typing import Dict, List, Type
 
 from repro.coherence.spec import ProtocolSpec, install_spec
 from repro.common.errors import UnknownProtocolError
@@ -60,12 +60,3 @@ def protocol_map() -> Dict[str, type]:
     """Key -> class mapping (a copy; mutating it registers nothing)."""
     _ensure_loaded()
     return dict(_REGISTRY)
-
-
-def protocol_key_of(cls_or_name) -> Optional[str]:
-    """Reverse lookup: registry key for a class (or its ``name``)."""
-    _ensure_loaded()
-    for key, cls in _REGISTRY.items():
-        if cls is cls_or_name or cls.name == cls_or_name:
-            return key
-    return None

@@ -127,9 +127,6 @@ class SISDProtocol(MESIProtocol):
     ):
         super().__init__(config, stats, tracer=tracer)
         self.region_table = RegionTable(capacity=config.max_ward_regions)
-        #: total cycles spent self-invalidating at sync points (overlappable,
-        #: same accounting slot as WARDen's reconciliation)
-        self.sync_cycles = 0
 
     # ------------------------------------------------------------------
     # Region (synchronization) interface
@@ -161,11 +158,11 @@ class SISDProtocol(MESIProtocol):
             tracer.region("reject", -1, start, end)
         return region
 
-    def remove_region(self, region: Optional[WardRegion]) -> int:
+    def remove_region(self, region: Optional[WardRegion]) -> None:
         """Close a synchronization epoch: self-downgrade every dirty W copy
         in the region and self-invalidate all of them, on every core."""
         if region is None:
-            return 0
+            return
         self.region_table.remove(region)
         self.stats.ward_region_removes += 1
         self.stats.count_message(MessageType.REGION_REMOVE, "intra")
@@ -181,15 +178,12 @@ class SISDProtocol(MESIProtocol):
             for block in doomed:
                 self._self_invalidate(core, block)
                 invalidated += 1
-        cycles = invalidated * self.config.reconcile_cycles_per_block
-        self.sync_cycles += cycles
         tracer = self.tracer
         if tracer.enabled:
             tracer.region(
                 "remove", region.region_id, region.start, region.end,
-                blocks=invalidated, reconcile_cycles=cycles,
+                blocks=invalidated,
             )
-        return cycles
 
     # ------------------------------------------------------------------
     # SI and SD primitives (purely local: no remote cache is touched)

@@ -25,7 +25,7 @@ from typing import Optional
 from repro.common.config import MachineConfig
 from repro.common.errors import ProtocolError
 from repro.common.stats import CoherenceStats
-from repro.common.types import AccessType, CoherenceState, MessageType, block_range
+from repro.common.types import AccessType, CoherenceState, MessageType
 from repro.coherence.directory import DirEntry
 from repro.coherence.mesi import _MESI_HANDLERS, MESIProtocol
 from repro.coherence.regions import RegionTable, WardRegion
@@ -212,8 +212,6 @@ class WARDenProtocol(MESIProtocol):
     ):
         super().__init__(config, stats, tracer=tracer)
         self.region_table = RegionTable(capacity=config.max_ward_regions)
-        #: total cycles spent by directories reconciling blocks (overlappable)
-        self.reconcile_cycles = 0
 
     # ------------------------------------------------------------------
     # Region management ("Add/Remove Region" instructions, §6.1)
@@ -232,14 +230,14 @@ class WARDenProtocol(MESIProtocol):
             tracer.region("reject", -1, start, end)
         return region
 
-    def remove_region(self, region: Optional[WardRegion]) -> int:
+    def remove_region(self, region: Optional[WardRegion]) -> None:
         """Deactivate a region and reconcile its W blocks (§5.2).
 
-        Returns the directory cycles consumed — the caller may overlap them
-        with execution (§6.1 finds ~1 block per 50k cycles in practice).
+        The directory overlaps reconciliation with execution (§6.1 finds
+        ~1 block per 50k cycles in practice), so it costs no cycles here.
         """
         if region is None:
-            return 0
+            return
         self.region_table.remove(region)
         self.stats.ward_region_removes += 1
         self.stats.count_message(MessageType.REGION_REMOVE, "intra")
@@ -252,15 +250,12 @@ class WARDenProtocol(MESIProtocol):
                 continue  # still covered by an overlapping active region
             self._reconcile_block(entry, region.region_id)
             reconciled += 1
-        cycles = reconciled * self.config.reconcile_cycles_per_block
-        self.reconcile_cycles += cycles
         tracer = self.tracer
         if tracer.enabled:
             tracer.region(
                 "remove", region.region_id, region.start, region.end,
-                blocks=reconciled, reconcile_cycles=cycles,
+                blocks=reconciled,
             )
-        return cycles
 
     # ------------------------------------------------------------------
     # Reconciliation (§5.2): no sharing / false sharing / true sharing
@@ -418,8 +413,3 @@ class WARDenProtocol(MESIProtocol):
                         )
         if len(self.region_table) > self.region_table.capacity:
             raise ProtocolError("region table exceeded its CAM capacity")
-
-
-def blocks_in_region(start: int, end: int, block_size: int):
-    """Convenience: every block base overlapped by region ``[start, end)``."""
-    return block_range(start, end - start, block_size)

@@ -107,9 +107,6 @@ class MachineConfig:
     disaggregated: bool = False
 
     store_buffer_entries: int = 56
-    #: Cycles the directory spends reconciling one WARD block (§6.1 finds the
-    #: cost trivial: ~1 block per 50k cycles reconciled in practice).
-    reconcile_cycles_per_block: int = 4
     #: Maximum simultaneous WARD regions tracked by the region CAM (§6.1).
     max_ward_regions: int = 1024
 

@@ -117,11 +117,6 @@ class TaskContext:
             addr, length, elem_size, heap=self.task.heap, fill=fill, name=name
         )
 
-    def alloc_ref(self, value: Any = None, name: str = "ref"):
-        """Allocate a one-element cell."""
-        ref = yield from self.alloc_array(1, fill=value, name=name)
-        return ref
-
     # ------------------------------------------------------------------
     # Data-parallel constructs (WARD-by-construction on their outputs)
     # ------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Observability: event tracing, collectors, and exporters.
+"""Observability: event tracing, one ring-buffer sink, and exporters.
 
 ``repro.obs`` is the event-level counterpart of :mod:`repro.common.stats`:
 where the stats are end-of-run aggregates (what the paper's figures plot),
@@ -13,20 +13,19 @@ Typical use::
     machine.tracer.install(sink)
     ... run ...
     write_chrome_trace("trace.json", sink.events(), machine.config)
+
+The text summaries (:func:`flame_summary`, :func:`region_summary`,
+:func:`latency_summary`, :func:`phase_summary`) read the same event list.
 """
 
-from repro.obs.collect import (
-    LatencyHistogram,
-    MultiSink,
-    PhaseHistogram,
-    RegionProfile,
-    RingBufferSink,
-)
 from repro.obs.export import (
     chrome_trace,
     chrome_trace_events,
     flame_summary,
+    latency_summary,
     manifest_json,
+    phase_summary,
+    region_summary,
     run_manifest,
     version_metadata,
     write_chrome_trace,
@@ -34,13 +33,11 @@ from repro.obs.export import (
 from repro.obs.tracer import (
     AccessEvent,
     EvictionEvent,
-    EVENT_TYPES,
-    ListSink,
     MatrixEvent,
     MessageEvent,
-    NullSink,
     ReconcileEvent,
     RegionEvent,
+    RingBufferSink,
     StealEvent,
     StoreBufferEvent,
     StrandEvent,
@@ -50,18 +47,11 @@ from repro.obs.tracer import (
 
 __all__ = [
     "AccessEvent",
-    "EVENT_TYPES",
     "EvictionEvent",
-    "LatencyHistogram",
-    "ListSink",
     "MatrixEvent",
     "MessageEvent",
-    "MultiSink",
-    "NullSink",
-    "PhaseHistogram",
     "ReconcileEvent",
     "RegionEvent",
-    "RegionProfile",
     "RingBufferSink",
     "StealEvent",
     "StoreBufferEvent",
@@ -71,7 +61,10 @@ __all__ = [
     "chrome_trace",
     "chrome_trace_events",
     "flame_summary",
+    "latency_summary",
     "manifest_json",
+    "phase_summary",
+    "region_summary",
     "run_manifest",
     "version_metadata",
     "write_chrome_trace",

@@ -1,4 +1,4 @@
-"""Exporters: Chrome trace-event JSON, JSONL run manifests, flame summary.
+"""Exporters: Chrome trace-event JSON, JSONL run manifests, text summaries.
 
 * :func:`chrome_trace` converts a recorded event list into the Chrome
   trace-event format (the ``{"traceEvents": [...]}`` flavour), loadable in
@@ -13,8 +13,10 @@
   machine config + full ``RunStats.to_dict()`` + version metadata.  One
   manifest is one JSON object on one line (append-friendly).
 
-* :func:`flame_summary` renders a folded-stack ("flame-style") text view of
-  where simulated cycles went, from the recorded access events.
+* :func:`flame_summary`, :func:`region_summary`, :func:`latency_summary`
+  and :func:`phase_summary` render the four text sections of ``profile``,
+  each from the same recorded event list, so every section describes the
+  same window of the run.
 """
 
 from __future__ import annotations
@@ -119,7 +121,6 @@ def chrome_trace_events(
                     "args": {
                         "start": hex(ev.start), "end": hex(ev.end),
                         "blocks_reconciled": ev.blocks,
-                        "reconcile_cycles": ev.reconcile_cycles,
                     },
                 })
             else:  # reject
@@ -276,7 +277,7 @@ def manifest_json(manifest: dict) -> str:
 
 
 # ----------------------------------------------------------------------
-# Flame-style text summary
+# Text summaries (the sections of ``profile``)
 # ----------------------------------------------------------------------
 
 def _latency_class(latency: int, config: Optional[MachineConfig]) -> str:
@@ -295,7 +296,6 @@ def _latency_class(latency: int, config: Optional[MachineConfig]) -> str:
 
 def flame_summary(
     events: Iterable, config: Optional[MachineConfig] = None,
-    width: int = 60,
 ) -> str:
     """Folded-stack summary of where simulated cycles went.
 
@@ -331,8 +331,112 @@ def flame_summary(
     stack_w = max(len(s) for s in ordered)
     for stack in ordered:
         cyc = cycles.get(stack, 0)
-        bar = "#" * max(1, round(cyc / total * width)) if cyc else ""
+        bar = "#" * max(1, round(cyc / total * 60)) if cyc else ""
         lines.append(
             f"{stack.ljust(stack_w)}  {cyc:>12} cyc  {counts[stack]:>10} ev  {bar}"
         )
+    return "\n".join(lines)
+
+
+def region_summary(events: Iterable) -> str:
+    """Per-WARD-region lifetimes and the §5.2 reconciliation split.
+
+    A region's lifetime runs from its ``add`` to its ``remove``; a remove
+    whose add is not in ``events`` is left out.  Every reconciled block
+    counts, split by whether it had more than one copy and whether the
+    sharing was true sharing.
+    """
+    opened = closed = rejected = covered = 0
+    reconciled = shared = true_sharing = 0
+    added: dict = {}
+    lifetimes: List[int] = []
+    for ev in events:
+        cls = type(ev)
+        if cls is RegionEvent:
+            if ev.action == "add":
+                opened += 1
+                added[ev.region_id] = ev.cycle
+            elif ev.action == "remove":
+                add_cycle = added.pop(ev.region_id, None)
+                if add_cycle is None:
+                    continue
+                closed += 1
+                lifetime = max(ev.cycle - add_cycle, 0)
+                covered += lifetime
+                lifetimes.append(lifetime)
+            else:  # "reject": the region CAM was full
+                rejected += 1
+        elif cls is ReconcileEvent:
+            reconciled += 1
+            shared += ev.copies > 1
+            true_sharing += bool(ev.true_sharing)
+    ratio = true_sharing / reconciled if reconciled else 0.0
+    lines = [
+        f"regions opened/closed/rejected : {opened}/{closed}/{rejected}",
+        f"cycles WARD-covered (sum)      : {covered}",
+        f"blocks reconciled              : {reconciled}",
+        f"  with >1 sharer               : {shared}",
+        f"  with true sharing            : {true_sharing} (ratio {ratio:.2%})",
+    ]
+    if lifetimes:
+        lifetimes.sort()
+        lines.append(
+            f"region lifetime (cycles)       : "
+            f"median {lifetimes[len(lifetimes) // 2]}, max {lifetimes[-1]}"
+        )
+    return "\n".join(lines)
+
+
+def latency_summary(events: Iterable) -> str:
+    """Log2-bucketed access latencies per access type.
+
+    Bucket ``b`` covers ``[2^(b-1), 2^b)`` cycles (bucket 0 is latency 0).
+    """
+    buckets: Counter = Counter()
+    total_cycles: Counter = Counter()
+    total_count: Counter = Counter()
+    for ev in events:
+        if type(ev) is AccessEvent:
+            buckets[(ev.atype, ev.latency.bit_length())] += 1
+            total_cycles[ev.atype] += ev.latency
+            total_count[ev.atype] += 1
+    if not total_count:
+        return "latency histogram: no accesses"
+    lines = []
+    for atype in sorted(total_count):
+        n = total_count[atype]
+        cyc = total_cycles[atype]
+        lines.append(f"{atype}: {n} accesses, {cyc} cycles (avg {cyc / n:.1f})")
+        for (a, bucket), count in sorted(buckets.items()):
+            if a != atype:
+                continue
+            lo = 0 if bucket == 0 else 1 << (bucket - 1)
+            hi = (1 << bucket) - 1
+            bar = "#" * max(1, round(count / n * 40))
+            lines.append(f"  {lo:>6}-{hi:<6} {count:>8}  {bar}")
+    return "\n".join(lines)
+
+
+def phase_summary(events: Iterable, bin_cycles: int) -> str:
+    """Event counts by kind inside fixed-width cycle windows ("phases").
+
+    Phase ``k`` is ``[k * bin_cycles, (k+1) * bin_cycles)`` of simulated
+    time: the table shows *when* invalidations and reconciliations cluster.
+    """
+    if bin_cycles <= 0:
+        raise ValueError("bin_cycles must be positive")
+    bins: dict = {}
+    for ev in events:
+        phase = ev.cycle // bin_cycles
+        counter = bins.get(phase)
+        if counter is None:
+            counter = bins[phase] = Counter()
+        counter[ev.kind] += 1
+    if not bins:
+        return "phase histogram: no events"
+    kinds = sorted(set().union(*bins.values()))
+    lines = ["  ".join(h.rjust(12) for h in ["phase (cycles)"] + kinds)]
+    for phase in sorted(bins):
+        row = [f"{phase * bin_cycles}+"] + [str(bins[phase][k]) for k in kinds]
+        lines.append("  ".join(c.rjust(12) for c in row))
     return "\n".join(lines)

@@ -4,8 +4,9 @@ The simulator's hot paths (every memory access, every coherence message)
 carry a :class:`Tracer` reference.  With no sink installed the tracer is
 *disabled* and every instrumentation site pays exactly one attribute check
 (``if tracer.enabled:``) — no event objects are built, no calls are made.
-Installing a sink (see :mod:`repro.obs.collect`) flips ``enabled`` and every
-site starts emitting typed event objects into it.
+Installing a sink (anything with an ``emit(event)`` method, usually a
+:class:`RingBufferSink`) flips ``enabled`` and every site starts emitting
+typed event objects into it.
 
 Event taxonomy (mirroring what the paper measures):
 
@@ -31,6 +32,7 @@ region instruction, so protocol-internal sites need no clock plumbing.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from typing import ClassVar
 
@@ -99,8 +101,6 @@ class RegionEvent:
     end: int
     #: blocks reconciled (``remove`` only)
     blocks: int = 0
-    #: directory cycles spent reconciling (``remove`` only)
-    reconcile_cycles: int = 0
 
 
 @dataclass(slots=True)
@@ -191,46 +191,43 @@ class ReplayEvent:
     detail: str = ""
 
 
-EVENT_TYPES = (
-    AccessEvent,
-    TransitionEvent,
-    MessageEvent,
-    EvictionEvent,
-    RegionEvent,
-    ReconcileEvent,
-    StoreBufferEvent,
-    StealEvent,
-    StrandEvent,
-    MatrixEvent,
-    ReplayEvent,
-)
-
-
 # ----------------------------------------------------------------------
-# Sinks
+# The sink
 # ----------------------------------------------------------------------
 
-class NullSink:
-    """Discards everything (the default; never actually called because
-    instrumentation sites check ``tracer.enabled`` first)."""
+class RingBufferSink:
+    """Keep the most recent ``capacity`` events, optionally sampled 1-in-N.
 
-    def emit(self, event) -> None:  # pragma: no cover - by-construction dead
-        pass
+    ``sample_every=1`` records everything; ``sample_every=n`` keeps every
+    n-th event (deterministic, no RNG, so traces are reproducible).
+    ``dropped`` counts events evicted by the capacity bound; ``seen`` counts
+    everything offered (pre-sampling).
+    """
 
+    def __init__(self, capacity: int = 1_000_000, sample_every: int = 1) -> None:
+        if capacity <= 0:
+            raise ValueError("ring buffer capacity must be positive")
+        if sample_every < 1:
+            raise ValueError("sample_every must be >= 1")
+        self.capacity = capacity
+        self.sample_every = sample_every
+        self.buffer: deque = deque(maxlen=capacity)
+        self.seen = 0
+        self.dropped = 0
 
-NULL_SINK = NullSink()
+    def emit(self, event) -> None:
+        self.seen += 1
+        if self.sample_every > 1 and self.seen % self.sample_every:
+            return
+        if len(self.buffer) == self.capacity:
+            self.dropped += 1
+        self.buffer.append(event)
 
-
-class ListSink:
-    """Unbounded in-memory sink (tests / tiny runs).  For real runs prefer
-    :class:`repro.obs.collect.RingBufferSink`."""
-
-    def __init__(self) -> None:
-        self.events: list = []
-        self.emit = self.events.append  # bound-method fast path
+    def events(self) -> list:
+        return list(self.buffer)
 
     def __len__(self) -> int:
-        return len(self.events)
+        return len(self.buffer)
 
 
 # ----------------------------------------------------------------------
@@ -250,7 +247,8 @@ class Tracer:
 
     def __init__(self) -> None:
         self.enabled = False
-        self.sink = NULL_SINK
+        #: None while disabled: every emission site checks ``enabled`` first
+        self.sink = None
         self.cycle = 0
         self.thread = 0
 
@@ -259,10 +257,6 @@ class Tracer:
         """Attach a sink and enable every instrumentation site."""
         self.sink = sink
         self.enabled = True
-
-    def uninstall(self) -> None:
-        self.sink = NULL_SINK
-        self.enabled = False
 
     # -- emission helpers (call only behind an ``enabled`` check) -------
     def access(
@@ -282,11 +276,10 @@ class Tracer:
 
     def region(
         self, action: str, region_id: int, start: int, end: int,
-        blocks: int = 0, reconcile_cycles: int = 0,
+        blocks: int = 0,
     ) -> None:
         self.sink.emit(RegionEvent(
-            self.cycle, self.thread, action, region_id, start, end,
-            blocks, reconcile_cycles,
+            self.cycle, self.thread, action, region_id, start, end, blocks,
         ))
 
     def reconcile(

@@ -33,7 +33,7 @@ the offending line instead of a traceback.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.common.errors import ReproError
 
@@ -293,9 +293,3 @@ def load_trace_file(path: str) -> MemTrace:
         ) from None
     trace = parse_trace_text(text, source=str(path))
     return trace
-
-
-def iter_lines(ops: Iterable[Tuple[int, int, int, int]]) -> Iterable[str]:
-    """Render op rows as canonical text lines (no header) — test helper."""
-    for thread, kind, addr, size in ops:
-        yield f"{thread} {_KIND_NAMES[kind]} {addr:#x} {size}"

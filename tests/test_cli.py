@@ -8,6 +8,7 @@ import repro.cli as cli
 from repro.analysis.metrics import ComparisonMetrics
 from repro.analysis.run import set_disk_cache
 from repro.cli import build_parser, main
+from repro.obs.tracer import AccessEvent
 
 
 @pytest.fixture(autouse=True)
@@ -117,6 +118,33 @@ class TestTraceAndProfile:
         assert "WARD region profile" in out
         assert "access latencies" in out
         assert "cycle phase" in out
+        assert "window:" not in out  # nothing dropped, so no window line
+
+    def test_profile_sections_share_the_ring_window(self, capsys, monkeypatch):
+        rings = []
+
+        class SpyRing(cli.RingBufferSink):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                rings.append(self)
+
+        monkeypatch.setattr(cli, "RingBufferSink", SpyRing)
+        assert main(["profile", "fib", "--size", "test",
+                     "--capacity", "500"]) == 0
+        out = capsys.readouterr().out
+        (ring,) = rings
+        assert ring.dropped > 0
+        window = [line for line in out.splitlines() if line.startswith("window:")]
+        assert len(window) == 1
+        assert f"the last 500 of {ring.seen} events" in window[0]
+        latencies = out.split("== access latencies ==")[1].split("==")[0]
+        printed = sum(
+            int(line.split(" accesses")[0].rsplit(" ", 1)[1])
+            for line in latencies.splitlines()
+            if " accesses, " in line
+        )
+        kept = sum(type(ev) is AccessEvent for ev in ring.events())
+        assert printed == kept > 0
 
 
 class TestFigureJson:

@@ -1,23 +1,19 @@
-"""Collector and exporter tests on synthetic event streams."""
+"""Summary and exporter tests on synthetic event streams."""
 
 import json
 
 import pytest
 
 from repro.common.config import dual_socket
-from repro.obs.collect import (
-    LatencyHistogram,
-    MultiSink,
-    PhaseHistogram,
-    RegionProfile,
-    RingBufferSink,
-)
 from repro.obs.export import (
     MANIFEST_SCHEMA,
     PID_COHERENCE,
     chrome_trace_events,
     flame_summary,
+    latency_summary,
     manifest_json,
+    phase_summary,
+    region_summary,
     run_manifest,
     version_metadata,
 )
@@ -40,77 +36,90 @@ def synthetic_region_stream():
         ReconcileEvent(cycle=490, addr=0x1040, region_id=7,
                        copies=2, true_sharing=True, writebacks=1),
         RegionEvent(cycle=500, thread=0, action="remove", region_id=7,
-                    start=0x1000, end=0x2000, blocks=2, reconcile_cycles=40),
+                    start=0x1000, end=0x2000, blocks=2),
     ]
 
 
-class TestMultiSink:
-    def test_fans_out_in_order(self):
-        a, b = RingBufferSink(capacity=10), RingBufferSink(capacity=10)
-        multi = MultiSink(a, b)
-        ev = AccessEvent(cycle=1, thread=0, atype="load",
-                         addr=0, size=8, latency=6)
-        multi.emit(ev)
-        assert a.events() == [ev] and b.events() == [ev]
+def region_lines(text):
+    """``region_summary`` output as {label: value}."""
+    return dict(
+        (part.strip() for part in line.split(" : ", 1))
+        for line in text.splitlines()
+    )
+
+
+class TestOneEventList:
+    def test_every_section_reads_the_same_events(self):
+        events = [AccessEvent(cycle=1, thread=0, atype="load",
+                              addr=0, size=8, latency=6)]
+        assert "access;load;lat<8" in flame_summary(events)
+        assert latency_summary(events).startswith("load: 1 accesses, 6 cycles")
+        assert phase_summary(events, 100).splitlines()[1].split() == ["0+", "1"]
+        assert region_lines(region_summary(events))[
+            "regions opened/closed/rejected"] == "0/0/0"
 
 
 class TestPhaseHistogram:
     def test_bins_by_cycle_window(self):
-        hist = PhaseHistogram(bin_cycles=100)
-        hist.emit(AccessEvent(cycle=5, thread=0, atype="load",
-                              addr=0, size=8, latency=6))
-        hist.emit(AccessEvent(cycle=99, thread=1, atype="store",
-                              addr=64, size=8, latency=6))
-        hist.emit(MessageEvent(cycle=250, mtype="GetS", link="intra", count=1))
-        d = hist.to_dict()
-        assert d["phases"]["0"] == {"access": 2}
-        assert d["phases"]["2"] == {"message": 1}
-        assert hist.kinds() == ["access", "message"]
-        assert "phase (cycles)" in hist.render()
+        events = [
+            AccessEvent(cycle=5, thread=0, atype="load",
+                        addr=0, size=8, latency=6),
+            AccessEvent(cycle=99, thread=1, atype="store",
+                        addr=64, size=8, latency=6),
+            MessageEvent(cycle=250, mtype="GetS", link="intra", count=1),
+        ]
+        header, *rows = phase_summary(events, 100).splitlines()
+        assert header.split() == ["phase", "(cycles)", "access", "message"]
+        assert [row.split() for row in rows] == [
+            ["0+", "2", "0"],
+            ["200+", "0", "1"],
+        ]
 
     def test_rejects_bad_bin(self):
         with pytest.raises(ValueError):
-            PhaseHistogram(bin_cycles=0)
+            phase_summary([], 0)
 
 
 class TestLatencyHistogram:
     def test_log2_buckets_and_totals(self):
-        hist = LatencyHistogram()
-        for lat in (6, 7, 100):
-            hist.emit(AccessEvent(cycle=0, thread=0, atype="load",
-                                  addr=0, size=8, latency=lat))
+        events = [
+            AccessEvent(cycle=0, thread=0, atype="load",
+                        addr=0, size=8, latency=lat)
+            for lat in (6, 7, 100)
+        ]
         # non-access events are ignored
-        hist.emit(StealEvent(cycle=0, thief=0, victim=1, success=True))
-        d = hist.to_dict()
-        assert d["total_count"] == {"load": 3}
-        assert d["total_cycles"] == {"load": 113}
-        assert d["buckets"]["load|<8"] == 2       # 6 and 7 share bucket 3
-        assert d["buckets"]["load|<128"] == 1     # 100 lands in bucket 7
-        assert "avg 37.7" in hist.render()
+        events.append(StealEvent(cycle=0, thief=0, victim=1, success=True))
+        total, *buckets = latency_summary(events).splitlines()
+        assert total == "load: 3 accesses, 113 cycles (avg 37.7)"
+        assert [line.split()[:2] for line in buckets] == [
+            ["4-7", "2"],       # 6 and 7 share bucket 3
+            ["64-127", "1"],    # 100 lands in bucket 7
+        ]
 
 
 class TestRegionProfile:
     def test_lifetime_and_reconcile_attribution(self):
-        profile = RegionProfile()
-        for ev in synthetic_region_stream():
-            profile.emit(ev)
-        assert profile.regions_opened == 1
-        assert profile.regions_closed == 1
-        assert profile.covered_cycles == 400
-        assert profile.blocks_reconciled == 2
-        assert profile.shared_blocks == 2
-        assert profile.true_sharing_blocks == 1
-        assert profile.true_sharing_ratio == 0.5
-        record = profile.closed[0]
-        assert record.lifetime == 400
-        assert record.reconciled == 2 and record.writebacks == 3
-        assert "median 400" in profile.render()
+        lines = region_lines(region_summary(synthetic_region_stream()))
+        assert lines["regions opened/closed/rejected"] == "1/1/0"
+        assert lines["cycles WARD-covered (sum)"] == "400"
+        assert lines["blocks reconciled"] == "2"
+        assert lines["with >1 sharer"] == "2"
+        assert lines["with true sharing"] == "1 (ratio 50.00%)"
+        assert lines["region lifetime (cycles)"] == "median 400, max 400"
 
     def test_reject_counted_not_opened(self):
-        profile = RegionProfile()
-        profile.emit(RegionEvent(cycle=1, thread=0, action="reject",
-                                 region_id=-1, start=0, end=64))
-        assert profile.rejected == 1 and profile.regions_opened == 0
+        text = region_summary([RegionEvent(cycle=1, thread=0, action="reject",
+                                           region_id=-1, start=0, end=64)])
+        assert region_lines(text)["regions opened/closed/rejected"] == "0/0/1"
+
+    def test_remove_without_its_add_is_left_out(self):
+        # A window that starts after the add: the region's blocks still
+        # count, but it has no lifetime to report.
+        lines = region_lines(region_summary(synthetic_region_stream()[1:]))
+        assert lines["regions opened/closed/rejected"] == "0/0/0"
+        assert lines["cycles WARD-covered (sum)"] == "0"
+        assert lines["blocks reconciled"] == "2"
+        assert "region lifetime (cycles)" not in lines
 
 
 class TestChromeTraceSynthetic:

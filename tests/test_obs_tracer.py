@@ -8,9 +8,8 @@ from repro.common.stats import CoherenceStats
 from repro.common.types import CoherenceState, MessageType
 from repro.mem.cache import SetAssocCache
 from repro.mem.interconnect import Interconnect, LinkClass
-from repro.obs.collect import RingBufferSink
 from repro.obs.export import chrome_trace
-from repro.obs.tracer import ListSink, NULL_SINK, Tracer
+from repro.obs.tracer import RingBufferSink, Tracer
 from repro.sim.machine import Machine
 
 
@@ -25,7 +24,7 @@ class RecordingSink:
 class TestDisabledTracer:
     def test_machine_tracer_disabled_by_default(self, mesi):
         assert mesi.tracer.enabled is False
-        assert mesi.tracer.sink is NULL_SINK
+        assert mesi.tracer.sink is None
 
     def test_disabled_sites_emit_nothing(self, config):
         """With no sink installed, instrumented layers never emit — even if
@@ -59,21 +58,20 @@ class TestDisabledTracer:
             return stats
 
         plain = run(None)
-        traced = run(ListSink())
+        traced = run(RingBufferSink())
         assert plain.cycles == traced.cycles
         assert plain.instructions == traced.instructions
         assert plain.coherence.invalidations == traced.coherence.invalidations
         assert plain.coherence.to_dict() == traced.coherence.to_dict()
 
-    def test_install_uninstall_flips_enabled(self):
+    def test_install_flips_enabled(self):
         tracer = Tracer()
-        sink = ListSink()
+        assert not tracer.enabled and tracer.sink is None
+        sink = RingBufferSink()
         tracer.install(sink)
         assert tracer.enabled and tracer.sink is sink
         tracer.message("GetS", "intra")
         assert len(sink) == 1
-        tracer.uninstall()
-        assert not tracer.enabled and tracer.sink is NULL_SINK
 
 
 class TestRingBufferSink:
@@ -150,12 +148,12 @@ class TestInstrumentationCoverage:
         from repro.bench import BENCHMARKS
 
         machine = Machine(config, "warden")
-        sink = ListSink()
+        sink = RingBufferSink()
         machine.tracer.install(sink)
         bench = BENCHMARKS["fib"]
         Runtime(machine, seed=42).run(
             bench.root_task, bench.workload(size="test", seed=42)
         )
-        kinds = {type(ev).kind for ev in sink.events}
+        kinds = {type(ev).kind for ev in sink.events()}
         assert {"access", "message", "transition", "region",
                 "reconcile", "steal", "strand"} <= kinds

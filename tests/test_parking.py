@@ -16,7 +16,7 @@ from repro.common.config import validation_machine
 from repro.common.errors import SimulationError
 from repro.hlpl.runtime import Runtime
 from repro.hlpl.scheduler import BACKOFF_MAX, BACKOFF_MIN
-from repro.obs.collect import RingBufferSink
+from repro.obs.tracer import RingBufferSink
 from repro.sim.machine import Machine
 from repro.sim.ops import ComputeOp, ForkOp
 from tests.conftest import tiny_config

@@ -129,20 +129,6 @@ def test_matrix_keeps_duplicate_and_interleaved_order(tmp_path):
     assert results[2].stats.to_dict() == results[5].stats.to_dict()
 
 
-def test_matrix_pool_fans_out_per_group(tmp_path):
-    r = dataclasses.replace
-    variants = [
-        BASE.replace(socket_link_latency=link, l2=r(BASE.l2, size_bytes=kb * 1024))
-        for kb in (128, 256) for link in (60, 1000)
-    ]
-    store = TraceStore(tmp_path)
-    serial = replay_matrix(_task(), variants, trace_store=store)
-    pooled = replay_matrix(_task(), variants, jobs=2, trace_store=store)
-    assert [p.stats.to_dict() for p in pooled] == [
-        s.stats.to_dict() for s in serial
-    ]
-
-
 def test_results_own_their_stats(tmp_path):
     variants = [BASE, BASE.replace(name="twin"), BASE.replace(name="slow", dram_latency=900)]
     results = replay_matrix(
@@ -172,7 +158,7 @@ def test_results_own_their_stats(tmp_path):
     ),
     lambda c: c.replace(cores_per_socket=6),
     lambda c: c.replace(max_ward_regions=16),
-    lambda c: c.replace(reconcile_cycles_per_block=9),
+    lambda c: c.replace(threads_per_core=2),
 ], ids=["l2-size", "l3-size", "assoc", "block-size", "cores-per-socket",
         "max-ward-regions", "other-field"])
 def test_non_timing_fields_split_groups(change):

@@ -126,16 +126,6 @@ class TestSyncPoint:
         m.remove_ward_region(0, wide)
         assert priv(m, 0, a) is None
 
-    def test_sync_cycles_accounted(self, m):
-        a = m.sbrk(64, 64)
-        region = m.add_ward_region(0, a, a + 64)
-        m.access(0, a, 8, STORE)
-        m.remove_ward_region(0, region)
-        assert (
-            m.protocol.sync_cycles
-            == m.config.reconcile_cycles_per_block
-        )
-
 
 class TestAtomics:
     def test_rmw_executes_at_home_and_caches_nothing(self, m):

@@ -183,14 +183,6 @@ class TestReconciliation:
     def test_remove_none_region_is_noop(self, m):
         m.remove_ward_region(0, None)
 
-    def test_reconcile_cycles_accounted(self, m):
-        a, region = ward_block(m, 256)
-        for i in range(4):
-            m.access(0, a + 64 * i, 8, STORE)
-        m.remove_ward_region(0, region)
-        expected = 4 * m.config.reconcile_cycles_per_block
-        assert m.protocol.reconcile_cycles == expected
-
 
 class TestEvictionDuringRegion:
     def test_ward_eviction_flushes_early(self, m):
