@@ -16,6 +16,7 @@ core model, not here).
 
 from __future__ import annotations
 
+import weakref
 from typing import List, Optional
 
 from repro.common.config import CacheConfig, MachineConfig
@@ -259,8 +260,14 @@ class MESIProtocol:
     # Private-cache eviction (PutM/PutS), keeps the directory exact
     # ------------------------------------------------------------------
     def _make_evict_hook(self, core: int):
+        # The L2 holds its hook for life; a weak reference back to the
+        # protocol keeps the protocol <-> cache pair acyclic, so a finished
+        # run's machine is freed by reference counting (DESIGN.md, "Run
+        # lifetime").
+        protocol = weakref.ref(self)
+
         def hook(block: CacheBlock) -> None:
-            self._evict_private(core, block)
+            protocol()._evict_private(core, block)
 
         return hook
 

@@ -81,7 +81,7 @@ class Runtime:
         self.engine.fork_handler = self._on_fork
         if max_steps is not None:
             self.engine.max_steps = max_steps
-        self.scheduler = WorkStealingScheduler(self, seed=seed)
+        self.scheduler = WorkStealingScheduler(machine, seed=seed)
         self.engine.scheduler = self.scheduler
         if (
             check_disentanglement
@@ -92,6 +92,9 @@ class Runtime:
         self._counter_pool: dict = {}
         self._root_value: Any = None
         self._root_clock = 0
+        #: the hardware thread that finished the root strand; its clock is
+        #: the makespan (the trace recorder stores it)
+        self.root_thread = 0
         self._marking_on = policy.marks_pages and machine.supports_ward
 
     # ------------------------------------------------------------------
@@ -116,12 +119,21 @@ class Runtime:
             on_done=self._on_root_done,
         )
         self.scheduler.push(0, strand)
-        self.engine.run()
+        try:
+            self.engine.run()
+        finally:
+            # The engine holds the runtime through these bound methods;
+            # dropping them when the run ends leaves no cycle, so the
+            # machine is freed with the last reference to the runtime.  A
+            # runtime runs once: ``scheduler.finished`` stays set.
+            self.engine.fork_handler = None
+            self.engine.access_hook = None
         stats = self.machine.finalize(self._root_clock)
         return self._root_value, stats
 
     def _on_root_done(self, value, worker) -> None:
         self._root_value = value
+        self.root_thread = worker.thread
         self._root_clock = self.machine.cores[worker.thread].clock
         self.scheduler.finished = True
 

@@ -35,9 +35,7 @@ class WorkStealingScheduler:
     """Implements the engine's scheduler interface (§2.1's "standard
     work-stealing scheduler")."""
 
-    def __init__(self, rt, seed: int = 0) -> None:
-        self.rt = rt
-        machine = rt.machine
+    def __init__(self, machine, seed: int = 0) -> None:
         nthreads = machine.config.num_threads
         bs = machine.config.block_size
         self.deques: List[deque] = [deque() for _ in range(nthreads)]
@@ -234,9 +232,6 @@ class WorkStealingScheduler:
 
     # ------------------------------------------------------------------
     def _assign(self, worker, strand) -> None:
-        core = self._cores[worker.thread]
-        if strand.ready_clock > core.clock:
-            # Causality: a strand cannot run before it was made ready.
-            core.clock = strand.ready_clock
+        self._cores[worker.thread].wait_until(strand.ready_clock)
         self._backoff[worker.thread] = BACKOFF_MIN
         worker.strand = strand

@@ -113,7 +113,11 @@ def chrome_trace_events(
                 region_opened[ev.region_id] = ev.cycle
                 continue
             if ev.action == "remove":
-                start_ts = region_opened.pop(ev.region_id, ev.cycle)
+                start_ts = region_opened.pop(ev.region_id, None)
+                if start_ts is None:
+                    # its add fell out of the window: no slice to draw, as
+                    # region_summary leaves it out too
+                    continue
                 out.append({
                     "name": f"WARD region {ev.region_id}", "ph": "X",
                     "ts": start_ts, "dur": max(ev.cycle - start_ts, 1),
@@ -417,23 +421,33 @@ def latency_summary(events: Iterable) -> str:
     return "\n".join(lines)
 
 
+#: the event kinds :func:`phase_summary` counts: coherence activity only
+COHERENCE_KINDS = frozenset(
+    ("transition", "message", "evict", "region", "reconcile")
+)
+
+
 def phase_summary(events: Iterable, bin_cycles: int) -> str:
-    """Event counts by kind inside fixed-width cycle windows ("phases").
+    """Coherence event counts by kind inside fixed-width cycle windows.
 
     Phase ``k`` is ``[k * bin_cycles, (k+1) * bin_cycles)`` of simulated
     time: the table shows *when* invalidations and reconciliations cluster.
+    Only :data:`COHERENCE_KINDS` count; accesses, steals, strands and
+    store-buffer stalls have their own sections or none.
     """
     if bin_cycles <= 0:
         raise ValueError("bin_cycles must be positive")
     bins: dict = {}
     for ev in events:
+        if ev.kind not in COHERENCE_KINDS:
+            continue
         phase = ev.cycle // bin_cycles
         counter = bins.get(phase)
         if counter is None:
             counter = bins[phase] = Counter()
         counter[ev.kind] += 1
     if not bins:
-        return "phase histogram: no events"
+        return "phase histogram: no coherence events"
     kinds = sorted(set().union(*bins.values()))
     lines = ["  ".join(h.rjust(12) for h in ["phase (cycles)"] + kinds)]
     for phase in sorted(bins):

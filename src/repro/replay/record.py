@@ -11,13 +11,14 @@ core clocks immediately, so the recorded ``RunStats`` (and hence the
 reference-checked result) are exactly what :func:`repro.analysis.run.
 run_benchmark` would produce.
 
-Two engine behaviours are captured by instance patches on the runtime:
-
-* ``scheduler._assign`` clamps a worker's clock forward to a stolen
-  strand's ready time — the only non-additive clock write in the machine.
-  Recorded as ``K_SYNC`` (only when the clamp actually moves the clock).
-* ``runtime._on_root_done`` identifies which thread finished the root
-  strand; its clock is the makespan, so the trace must know the thread.
+The scheduler clamps a worker's clock forward to a stolen strand's ready
+time through :meth:`CoreModel.wait_until` — the only non-additive clock
+write in the machine — and :class:`RecordingCore` records it as ``K_SYNC``
+(only when the clamp actually moves the clock).  The runtime's
+``root_thread`` names the thread that finished the root strand; its clock
+is the makespan, so the trace must know the thread.  Nothing is patched
+onto the runtime or scheduler, so a recording's machine is freed when
+:func:`record_benchmark` returns, like any run's.
 
 The ``record_per_op`` class attribute opts the machine out of the epoch
 batching fast path (the engine checks it), guaranteeing every access flows
@@ -58,7 +59,7 @@ _AT_CODE = {AccessType.LOAD: 0, AccessType.STORE: 1, AccessType.RMW: 2}
 class TraceRecorder:
     """Accumulates the event columns plus per-thread pending charges."""
 
-    __slots__ = ("trace", "pend_i", "pend_c", "final_thread")
+    __slots__ = ("trace", "pend_i", "pend_c")
 
     def __init__(self, num_threads: int) -> None:
         self.trace = Trace()
@@ -66,7 +67,6 @@ class TraceRecorder:
         #: its last protocol-visible event
         self.pend_i: List[int] = [0] * num_threads
         self.pend_c: List[int] = [0] * num_threads
-        self.final_thread = 0
 
     def emit(
         self, kind: int, thread: int, atype: int, size: int, spin: int,
@@ -108,6 +108,11 @@ class RecordingCore(CoreModel):
     def advance(self, cycles: int) -> None:
         self._recorder.pend_c[self.thread] += cycles
         self.clock += cycles
+
+    def wait_until(self, clock: int) -> None:
+        if clock > self.clock:
+            self._recorder.emit(K_SYNC, self.thread, 0, 0, 0, 0, clock)
+            self.clock = clock
 
 
 class RecordingMachine(Machine):
@@ -198,29 +203,6 @@ def record_benchmark(
     if obs_sink is not None:
         obs_sink.emit(ReplayEvent(0, "record-start", name, machine.protocol.name))
     rt = Runtime(machine, policy=policy, seed=seed)
-
-    # Capture the scheduler's ready-clock clamp (the one non-additive
-    # clock write) and the identity of the makespan thread.
-    sched = rt.scheduler
-    orig_assign = sched._assign
-    cores = machine.cores
-
-    def _assign_hook(worker, strand):
-        if strand.ready_clock > cores[worker.thread].clock:
-            recorder.emit(
-                K_SYNC, worker.thread, 0, 0, 0, 0, strand.ready_clock
-            )
-        orig_assign(worker, strand)
-
-    sched._assign = _assign_hook
-    orig_root_done = rt._on_root_done
-
-    def _root_done_hook(value, worker):
-        recorder.final_thread = worker.thread
-        orig_root_done(value, worker)
-
-    rt._on_root_done = _root_done_hook
-
     result, stats = rt.run(bench.root_task, workload)
     stats.benchmark = name
     EnergyModel(config).compute(stats)
@@ -256,7 +238,7 @@ def record_benchmark(
         "policy": policy.value,
         "machine": config.name,
         "config": dataclasses.asdict(config),
-        "final_thread": recorder.final_thread,
+        "final_thread": rt.root_thread,
         "events": len(trace),
         "cycles": stats.cycles,
         "instructions": stats.instructions,

@@ -98,3 +98,10 @@ class CoreModel:
     def advance(self, cycles: int) -> None:
         """Advance time without retiring instructions (backoff, overhead)."""
         self.clock += cycles
+
+    def wait_until(self, clock: int) -> None:
+        """Move the clock forward to ``clock`` if it is behind: a strand
+        cannot run before it was made ready (the only non-additive clock
+        write in the machine)."""
+        if clock > self.clock:
+            self.clock = clock

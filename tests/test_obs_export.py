@@ -6,6 +6,7 @@ import pytest
 
 from repro.common.config import dual_socket
 from repro.obs.export import (
+    COHERENCE_KINDS,
     MANIFEST_SCHEMA,
     PID_COHERENCE,
     chrome_trace_events,
@@ -19,10 +20,14 @@ from repro.obs.export import (
 )
 from repro.obs.tracer import (
     AccessEvent,
+    EvictionEvent,
     MessageEvent,
     ReconcileEvent,
     RegionEvent,
     StealEvent,
+    StoreBufferEvent,
+    StrandEvent,
+    TransitionEvent,
 )
 
 
@@ -54,7 +59,8 @@ class TestOneEventList:
                               addr=0, size=8, latency=6)]
         assert "access;load;lat<8" in flame_summary(events)
         assert latency_summary(events).startswith("load: 1 accesses, 6 cycles")
-        assert phase_summary(events, 100).splitlines()[1].split() == ["0+", "1"]
+        assert phase_summary(events, 100) == (
+            "phase histogram: no coherence events")
         assert region_lines(region_summary(events))[
             "regions opened/closed/rejected"] == "0/0/0"
 
@@ -68,12 +74,34 @@ class TestPhaseHistogram:
                         addr=64, size=8, latency=6),
             MessageEvent(cycle=250, mtype="GetS", link="intra", count=1),
         ]
+        events.append(ReconcileEvent(cycle=30, addr=0, region_id=1,
+                                     copies=2, true_sharing=False,
+                                     writebacks=1))
         header, *rows = phase_summary(events, 100).splitlines()
-        assert header.split() == ["phase", "(cycles)", "access", "message"]
+        assert header.split() == ["phase", "(cycles)", "message", "reconcile"]
         assert [row.split() for row in rows] == [
-            ["0+", "2", "0"],
-            ["200+", "0", "1"],
+            ["0+", "0", "1"],
+            ["200+", "1", "0"],
         ]
+
+    def test_counts_only_coherence_kinds(self):
+        # the table is titled "coherence events": accesses, steals and
+        # strands have their own sections or none
+        events = [
+            AccessEvent(cycle=1, thread=0, atype="load",
+                        addr=0, size=8, latency=6),
+            StealEvent(cycle=2, thief=0, victim=1, success=True),
+            StrandEvent(cycle=3, thread=0, action="finish", task_id=1),
+            StoreBufferEvent(cycle=4, thread=0, cause="full",
+                             stall_cycles=3, occupancy=8),
+            TransitionEvent(cycle=5, site="dir", addr=0, old="I", new="E"),
+            EvictionEvent(cycle=6, cache="L2-0", addr=0, state="M"),
+            MessageEvent(cycle=7, mtype="GetS", link="intra", count=1),
+            *synthetic_region_stream(),
+        ]
+        header, *rows = phase_summary(events, 1000).splitlines()
+        assert header.split()[2:] == sorted(COHERENCE_KINDS)
+        assert rows[0].split() == ["0+", "1", "1", "2", "2", "1"]
 
     def test_rejects_bad_bin(self):
         with pytest.raises(ValueError):
@@ -131,6 +159,13 @@ class TestChromeTraceSynthetic:
         assert sl["ph"] == "X" and sl["ts"] == 100 and sl["dur"] == 400
         assert sl["pid"] == PID_COHERENCE
         assert sl["args"]["blocks_reconciled"] == 2
+
+    def test_remove_without_its_add_is_left_out(self):
+        # the ring kept the remove but not its add: region_summary leaves
+        # the region out, so the trace draws no 1-cycle slice for it
+        events = chrome_trace_events(synthetic_region_stream()[1:])
+        assert not [e for e in events if e["name"].startswith("WARD region")]
+        assert [e["name"] for e in events].count("reconcile") == 2
 
     def test_unpaired_add_becomes_open_instant(self):
         events = chrome_trace_events([

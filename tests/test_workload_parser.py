@@ -7,6 +7,7 @@ bit-identity on ingested traces under all four registered protocols.
 """
 
 import random
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -18,11 +19,13 @@ from repro.coherence.registry import available_protocols
 from repro.common.config import dual_socket
 from repro.replay import record_benchmark, replay_trace
 from repro.workloads import (
+    TRACE_ADDR_BASE,
     MemTrace,
     TraceFormatError,
     load_trace_file,
     parse_trace_text,
 )
+from repro.workloads.adapter import _thread_body
 from repro.workloads.memtrace import (
     K_LOAD,
     K_RMW,
@@ -92,6 +95,15 @@ def test_thread_grouping_preserves_program_order():
     assert trace.threads() == [0, 1]
     assert trace.by_thread()[0] == [(K_LOAD, 0x0, 8), (K_STORE, 0x80, 8)]
     assert trace.by_thread()[1] == [(K_STORE, 0x40, 8), (K_LOAD, 0x40, 8)]
+
+
+def test_append_after_thread_checksum_changes_the_checksum():
+    trace = parse_trace_text("0 R 0x0\n1 W 0x40\n")
+    before = trace.thread_checksum(0), trace.checksum()
+    trace.append(0, K_STORE, 0x80, 8)
+    assert trace.thread_checksum(0) != before[0]
+    assert trace.checksum() != before[1]
+    assert trace.checksum() == parse_trace_text(trace.to_text()).checksum()
 
 
 def test_checksum_is_thread_order_independent():
@@ -204,6 +216,39 @@ c3 A 0xc0
 3 ld 0x100 64
 0 wr 0x100 8
 """
+
+
+#: the adapter's op stream for INGEST_TEXT at 64-byte blocks: thread ->
+#: (op type, trace address, size).  ``0 R 0x3c 16`` crosses a block
+#: boundary and splits in two; ``3 ld 0x100 64`` fills one block exactly.
+INGEST_OPS = {
+    0: [("LoadOp", 0x0, 8), ("LoadOp", 0x3c, 4), ("LoadOp", 0x40, 12),
+        ("StoreOp", 0x100, 8)],
+    1: [("StoreOp", 0x0, 4), ("RmwOp", 0x80, 8)],
+    2: [("StoreOp", 0xc0, 8), ("LoadOp", 0x0, 8)],
+    3: [("RmwOp", 0xc0, 8), ("LoadOp", 0x100, 64)],
+}
+
+
+def test_adapter_op_stream_is_pinned():
+    # The engine-vs-replay test below cannot see a changed split: both
+    # sides read the same stream.  Read it here, op by op, as the engine
+    # does (the adapter reuses its op objects between yields).
+    trace = parse_trace_text(INGEST_TEXT)
+    machine = SimpleNamespace(config=dual_socket())
+    ctx = SimpleNamespace(rt=SimpleNamespace(machine=machine))
+    for thread, expected in INGEST_OPS.items():
+        body = _thread_body(trace, thread)(ctx)
+        stream = []
+        with pytest.raises(StopIteration) as done:
+            while True:
+                op = next(body)
+                assert op.heap is None
+                stream.append(
+                    (type(op).__name__, op.addr - TRACE_ADDR_BASE, op.size)
+                )
+        assert stream == expected
+        assert done.value.value == trace.thread_checksum(thread)
 
 
 @pytest.fixture(scope="module")
