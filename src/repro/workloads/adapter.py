@@ -15,15 +15,10 @@ golden corpus — accepts it unchanged:
 * accesses that span cache blocks are split at block boundaries (the
   engine contract is one block per scalar op), preserving the byte
   footprint exactly;
-* each task yields one reused op object per access kind, rewriting its
-  ``addr``/``size`` before every yield (``repro.sim.ops`` allows this:
-  the engine consumes an op before its producer resumes), so replaying
-  a thread allocates no op per access;
-* the run "result" is the trace checksum, read per thread inside the
-  simulated tasks and combined order-independently, so engine and
+* the run "result" is the trace checksum, recomputed per-thread inside
+  the simulated tasks and combined order-independently, so engine and
   replay paths agree bit-for-bit and ``reference`` is trivially the
-  host-side checksum.  :meth:`MemTrace.thread_checksum` is memoized on
-  the trace, so every run of one workload hashes each thread once.
+  host-side checksum.
 """
 
 from __future__ import annotations
@@ -47,17 +42,21 @@ def _thread_body(trace: MemTrace, thread: int):
 
     def body(ctx):
         block_size = ctx.rt.machine.config.block_size
-        load, store, rmw = LoadOp(0), StoreOp(0), RmwOp(0)
         for kind, addr, size in ops:
-            op = load if kind == K_LOAD else store if kind == K_STORE else rmw
-            at = TRACE_ADDR_BASE + addr
-            end = at + max(size, 1)
-            while at < end:
-                chunk = min(end - at, block_size - at % block_size)
-                op.addr = at
-                op.size = chunk
-                yield op
-                at += chunk
+            base = TRACE_ADDR_BASE + addr
+            remaining = max(size, 1)
+            offset = 0
+            while remaining > 0:
+                at = base + offset
+                chunk = min(remaining, block_size - at % block_size)
+                if kind == K_LOAD:
+                    yield LoadOp(at, chunk, heap=None)
+                elif kind == K_STORE:
+                    yield StoreOp(at, chunk, heap=None)
+                else:
+                    yield RmwOp(at, chunk, heap=None)
+                offset += chunk
+                remaining -= chunk
         return trace.thread_checksum(thread)
         yield  # pragma: no cover - keeps zero-op bodies generators
 

@@ -81,7 +81,7 @@ class MemTrace:
     label (source filename or generator id), not part of the workload.
     """
 
-    __slots__ = ("ops", "name", "_by_thread", "_checksums", "__weakref__")
+    __slots__ = ("ops", "name", "_by_thread")
 
     def __init__(
         self,
@@ -91,14 +91,11 @@ class MemTrace:
         self.ops: List[Tuple[int, int, int, int]] = ops if ops is not None else []
         self.name = name
         self._by_thread: Optional[Dict[int, List[Tuple[int, int, int]]]] = None
-        #: thread -> memoized :meth:`thread_checksum`
-        self._checksums: Dict[int, int] = {}
 
     # ------------------------------------------------------------------
     def append(self, thread: int, kind: int, addr: int, size: int = 8) -> None:
         self.ops.append((thread, kind, addr, size))
         self._by_thread = None
-        self._checksums.clear()
 
     def __len__(self) -> int:
         return len(self.ops)
@@ -154,20 +151,11 @@ class MemTrace:
 
     # ------------------------------------------------------------------
     def thread_checksum(self, thread: int) -> int:
-        """Order-sensitive FNV-1a over one thread's op stream.
-
-        Computed once per thread and trace (every run of a workload and
-        its host-side reference read the same value); :meth:`append`
-        forgets it.
-        """
-        h = self._checksums.get(thread)
-        if h is not None:
-            return h
+        """Order-sensitive FNV-1a over one thread's op stream."""
         h = 0xCBF29CE484222325
         for kind, addr, size in self.by_thread().get(thread, ()):
             for word in (kind, addr, size):
                 h = ((h ^ (word & _MASK64)) * 0x100000001B3) & _MASK64
-        self._checksums[thread] = h
         return h
 
     def checksum(self) -> int:

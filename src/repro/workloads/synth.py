@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import bisect
 import random
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List
 
 from repro.bench.common import Benchmark
 from repro.common.errors import ConfigError
@@ -222,37 +222,15 @@ def make_trace(
         ) from None
 
 
-#: the most recently built registered synthetic trace,
-#: ``((kind, scale, seed), MemTrace)``; one entry, so one trace stays alive
-_last_synth: Optional[Tuple[Tuple[str, int, int], MemTrace]] = None
+def _synth_benchmark(kind: str, description: str, **knobs) -> Benchmark:
+    generator = GENERATORS[kind]
 
+    def build(rng: random.Random, scale: int) -> MemTrace:
+        return generator(rng, scale, **knobs)
 
-def synth_trace(kind: str, scale: int, seed: int) -> MemTrace:
-    """The ``synth-<kind>`` workload: ``make_trace(kind, seed, scale)``.
-
-    Every run of one workload (a protocol matrix, a verify sweep) reads
-    the same trace, so the most recent one is kept and is built, grouped
-    by thread and hashed once.  Callers must not append to it.
-    """
-    global _last_synth
-    key = (kind, scale, seed)
-    if _last_synth is None or _last_synth[0] != key:
-        _last_synth = None  # free the old trace before building the new one
-        _last_synth = (key, make_trace(kind, seed, scale))
-    return _last_synth[1]
-
-
-class _SynthBenchmark(Benchmark):
-    """A registered synthetic workload, built through :func:`synth_trace`."""
-
-    def workload(self, size: str = "default", seed: int = 42) -> MemTrace:
-        return synth_trace(self.name[len("synth-"):], self.scale(size), seed)
-
-
-def _synth_benchmark(kind: str, description: str) -> Benchmark:
-    return _SynthBenchmark(
+    return Benchmark(
         name=f"synth-{kind}",
-        build=GENERATORS[kind],
+        build=build,
         root_task=trace_root_task,
         reference=lambda workload: workload.checksum(),
         scales=dict(SCALES),

@@ -6,8 +6,6 @@ skew and rw-mix knobs move the sharing/invalidation counters
 monotonically in the expected direction.
 """
 
-import weakref
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,7 +17,6 @@ from repro.common.config import dual_socket
 from repro.common.errors import ConfigError
 from repro.replay import record_benchmark, replay_trace
 from repro.workloads import GOLDEN_SYNTH, SYNTH_WORKLOADS, make_trace
-from repro.workloads.synth import synth_trace
 
 CONFIG = dual_socket()
 
@@ -52,21 +49,6 @@ def test_synth_workloads_are_registered_benchmarks():
         assert set(bench.scales) == {"test", "small", "default"}
         # sized well beyond the test inputs
         assert bench.scales["default"] >= 100 * bench.scales["test"]
-
-
-def test_synth_trace_keeps_the_latest_trace_only():
-    bench = get_benchmark("synth-ring")
-    first = bench.workload("test", seed=1234)
-    # same (kind, scale, seed): the same object, built and hashed once
-    assert bench.workload("test", seed=1234) is first
-    assert synth_trace("ring", bench.scale("test"), 1234) is first
-    old = weakref.ref(first)
-    del first
-    fresh = bench.workload("test", seed=1235)
-    assert fresh == make_trace("ring", seed=1235,
-                               ops_per_thread=bench.scale("test"))
-    # one entry: the previous trace is no longer referenced
-    assert old() is None
 
 
 def test_unknown_workload_name_is_config_error():
