@@ -1,14 +1,15 @@
 """Experiment drivers: run benchmarks, compute the paper's metrics, render
 tables for every figure.  The run matrix (:func:`run_matrix`) is
 fault-tolerant — see :mod:`repro.analysis.pool` for timeouts, retries,
-pool re-spawn, serial fallback and checkpoint/resume, and
+pool re-spawn and serial fallback, and
 :mod:`repro.analysis.faults` for the deterministic fault injection that
-tests it."""
+tests it.  The persistent result cache is its checkpoint: re-running an
+interrupted matrix with the same cache directory runs only the unfinished
+tasks."""
 
 from repro.analysis.metrics import ComparisonMetrics, compare
 from repro.analysis.pool import (
     DiskCache,
-    MatrixJournal,
     MatrixReport,
     RunTask,
     run_matrix,
@@ -19,7 +20,6 @@ __all__ = [
     "BenchResult",
     "ComparisonMetrics",
     "DiskCache",
-    "MatrixJournal",
     "MatrixReport",
     "RunTask",
     "compare",

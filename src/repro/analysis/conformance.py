@@ -409,7 +409,6 @@ def run_verify(
     *,
     timeout: Optional[float] = None,
     retries: int = 0,
-    resume: bool = False,
     report=None,
 ) -> ConformanceReport:
     """Verify every benchmark in ``names``; returns a full report.
@@ -436,7 +435,6 @@ def run_verify(
         jobs=jobs,
         timeout=timeout,
         retries=retries,
-        resume=resume,
         report=report,
     )
     out = ConformanceReport(size=size, machine=config.name, seed=seed)

@@ -1,12 +1,13 @@
 """Deterministic fault injection for the run pipeline.
 
 The robustness layer in :mod:`repro.analysis.pool` (timeouts, retries,
-pool re-spawn, serial fallback, checkpoint/resume) is only trustworthy if
-it can be *proven* to work — so this module provides seeded, deterministic
-fault points threaded through the pool workers and :class:`DiskCache` in
-the zero-overhead-when-off style of :mod:`repro.obs`: every injection site
-pays exactly one module-attribute check (``if faults.ACTIVE:``) until a
-plan is installed.
+pool re-spawn, serial fallback, and the result cache from which a re-run
+with the same cache directory finishes an interrupted matrix) is only
+trustworthy if it can be *proven* to work — so this module provides
+seeded, deterministic fault points threaded through the pool workers and
+:class:`DiskCache` in the zero-overhead-when-off style of :mod:`repro.obs`:
+every injection site pays exactly one module-attribute check
+(``if faults.ACTIVE:``) until a plan is installed.
 
 Fault sites
 -----------

@@ -19,11 +19,7 @@ fault-tolerant layer:
   the same amount every time it is replayed;
 * **``BrokenProcessPool`` recovery** — a crashed worker triggers a pool
   re-spawn; past :data:`MAX_RESPAWNS` the matrix degrades to in-process
-  serial execution;
-* **checkpoint/resume** — with ``resume`` completed tasks are journaled to
-  ``<cache_dir>/journal-<matrix-fingerprint>.jsonl`` as they finish, so an
-  interrupted matrix resumes from the journal with bit-identical merged
-  results.
+  serial execution.
 
 Every call resolves the fault plan (:mod:`repro.analysis.faults`, the
 installed plan or ``REPRO_FAULTS``) and records it, with every recovery
@@ -35,7 +31,12 @@ live in ``.warden-cache/`` keyed by a content hash of the *full*
 :class:`~repro.common.config.MachineConfig`, the benchmark coordinates
 (name/size/seed/policy/check_ward), and a fingerprint of the simulator
 source itself — editing any file under ``repro/`` invalidates every entry,
-so a stale cache can never masquerade as a fresh simulation.
+so a stale cache can never masquerade as a fresh simulation.  It is also
+the matrix's only checkpoint: each task is stored the moment it finishes,
+in whichever process ran it, so re-running an interrupted matrix with the
+same ``cache_dir`` runs only the unfinished tasks, with bit-identical
+results.  With the disk cache off nothing persists and a re-run starts
+over.
 """
 
 from __future__ import annotations
@@ -174,18 +175,8 @@ def task_fingerprint(task: RunTask, code: Optional[str] = None) -> str:
     return _sha256(payload.encode("utf-8"))
 
 
-def matrix_fingerprint(keys: Iterable[str]) -> str:
-    """Identity of a whole run matrix (orders the journal's filename).
-
-    Hashes the ordered task fingerprints, so the same sweep — same tasks,
-    same configs, same simulator source — maps to the same journal file
-    across interrupted and resumed invocations.
-    """
-    return _sha256("\n".join(keys).encode("utf-8"))[:16]
-
-
 # ----------------------------------------------------------------------
-# Result payload (de)serialization, shared by the cache and the journal
+# Result payload (de)serialization: the disk cache's entry format
 # ----------------------------------------------------------------------
 
 
@@ -226,6 +217,34 @@ def decode_result(payload: dict):
 # ----------------------------------------------------------------------
 # Persistent result cache
 # ----------------------------------------------------------------------
+
+
+def atomic_write(path: Path, data: bytes) -> bool:
+    """Write ``data`` to ``path`` through a temp file beside it.
+
+    The file appears whole or not at all (``mkstemp`` + ``os.replace``).
+    Best-effort: returns False on an ``OSError``.  Any other exception,
+    ``KeyboardInterrupt`` and ``SystemExit`` included, propagates once the
+    temp file is removed, so an interrupted write leaves nothing behind.
+    """
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+    except OSError:
+        return False
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    except BaseException as exc:
+        try:
+            os.unlink(tmp)
+        except OSError:
+            pass
+        if isinstance(exc, OSError):
+            return False
+        raise
+    return True
 
 
 class DiskCache:
@@ -283,34 +302,16 @@ class DiskCache:
         try:
             if faults.ACTIVE:
                 faults.cache_store_fault()
-            self.root.mkdir(parents=True, exist_ok=True)
-            fd, tmp = tempfile.mkstemp(dir=self.root, suffix=".tmp")
+            stored = atomic_write(
+                self.path_for(fingerprint), payload.encode("utf-8")
+            )
         except OSError:
+            stored = False
+        if not stored:
             self.store_errors += 1
             return False
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                fh.write(payload)
-            os.replace(tmp, self.path_for(fingerprint))
-        except (KeyboardInterrupt, SystemExit):
-            self._discard_tmp(tmp)
-            raise
-        except OSError:
-            self._discard_tmp(tmp)
-            self.store_errors += 1
-            return False
-        except BaseException:
-            self._discard_tmp(tmp)
-            raise
         self.stores += 1
         return True
-
-    @staticmethod
-    def _discard_tmp(tmp: str) -> None:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:
@@ -329,64 +330,6 @@ class DiskCache:
                 except OSError:
                     pass
         return removed
-
-
-# ----------------------------------------------------------------------
-# Checkpoint journal
-# ----------------------------------------------------------------------
-
-
-class MatrixJournal:
-    """Append-only JSONL checkpoint of a run matrix's completed tasks.
-
-    One line per completed task (the same payload layout as the disk
-    cache), keyed by *task* fingerprint — so a resumed matrix recognizes
-    completed work even if the pending subset differs between runs.  The
-    filename carries the matrix fingerprint:
-    ``<dir>/journal-<matrix-fingerprint>.jsonl``.
-    """
-
-    def __init__(self, directory: os.PathLike, fingerprint: str) -> None:
-        self.fingerprint = fingerprint
-        self.path = Path(directory) / f"journal-{fingerprint}.jsonl"
-
-    def load(self) -> Dict[str, object]:
-        """Task fingerprint -> BenchResult for every intact journal line.
-
-        Torn tail lines (the process died mid-append) and stale-schema
-        entries are skipped, not fatal — the matrix just re-runs them.
-        """
-        out: Dict[str, object] = {}
-        try:
-            lines = self.path.read_text(encoding="utf-8").splitlines()
-        except OSError:
-            return out
-        for line in lines:
-            try:
-                payload = json.loads(line)
-                out[payload["fingerprint"]] = decode_result(payload)
-            except Exception:
-                continue
-        return out
-
-    def append(self, fingerprint: str, result) -> bool:
-        """Checkpoint one completed task; best-effort (False on OSError)."""
-        try:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            with open(self.path, "a", encoding="utf-8") as fh:
-                fh.write(
-                    json.dumps(encode_result(fingerprint, result), sort_keys=True)
-                    + "\n"
-                )
-        except OSError:
-            return False
-        return True
-
-    def remove(self) -> None:
-        try:
-            self.path.unlink()
-        except OSError:
-            pass
 
 
 # ----------------------------------------------------------------------
@@ -415,10 +358,8 @@ class MatrixReport:
 
     def __init__(self) -> None:
         self.events: List[MatrixEvent] = []
-        self.resumed = 0
         self.completed = 0
         self.faults: Optional[str] = None
-        self.fingerprints: List[str] = []
 
     def record(
         self, action: str, task_index: int = -1, attempt: int = 0,
@@ -437,15 +378,13 @@ class MatrixReport:
 
     def to_dict(self) -> dict:
         return {
-            "schema": "warden-repro/matrix-report/v1",
+            "schema": "warden-repro/matrix-report/v2",
             "retries": self.retries,
             "timeouts": self.timeouts,
             "respawns": self.respawns,
             "fallbacks": self.fallbacks,
-            "resumed": self.resumed,
             "completed": self.completed,
             "faults": self.faults,
-            "fingerprints": list(self.fingerprints),
             "events": [
                 {
                     "action": e.action,
@@ -537,7 +476,6 @@ def run_matrix(
     *,
     timeout: Optional[float] = None,
     retries: int = 0,
-    resume: bool = False,
     report: Optional[MatrixReport] = None,
 ) -> List:
     """Execute a run matrix, ``jobs`` processes wide, fault-tolerantly.
@@ -553,17 +491,14 @@ def run_matrix(
       through the disk cache installed with
       :func:`repro.analysis.run.set_disk_cache`; otherwise over a pool of
       up to ``jobs`` workers.
-    * ``cache_dir`` — the persistent cache each pool worker opens, and the
-      journal's directory (default ``.warden-cache``).
+    * ``cache_dir`` — the persistent cache each pool worker opens; a task
+      is stored there as soon as it finishes, so re-running an interrupted
+      matrix with the same ``cache_dir`` runs only the unfinished tasks.
     * ``timeout`` — per-task seconds; a task that blows it is retried in a
       fresh pool (the hung worker is killed).  It needs process isolation,
       so it selects the pool even for ``jobs=1``.
     * ``retries`` — failed/timed-out attempts tolerated per task, with
       exponential backoff and seeded jitter between attempts.
-    * ``resume`` — checkpoint completed tasks to
-      ``journal-<matrix-fingerprint>.jsonl``, reading back the ones an
-      interrupted run already checkpointed; the journal is removed once
-      the whole matrix completes.
     * ``report`` — the :class:`MatrixReport` that records the armed fault
       plan and every robustness event (a fresh one when omitted).
 
@@ -579,32 +514,12 @@ def run_matrix(
         report.faults = faults_spec
     if not tasks:
         return []
-    keys = [task_fingerprint(task) for task in tasks]
-    fingerprint = matrix_fingerprint(keys)
-    report.fingerprints.append(fingerprint)
-    journal = (
-        MatrixJournal(cache_dir or DEFAULT_CACHE_DIR, fingerprint)
-        if resume else None
-    )
     results: Dict[int, object] = {}
     attempts = [0] * len(tasks)
-
-    if journal is not None:
-        saved = journal.load()
-        results.update(
-            (i, saved[key]) for i, key in enumerate(keys) if key in saved
-        )
-        if results:
-            report.resumed += len(results)
-            report.record(
-                "resume", detail=f"{len(results)}/{len(tasks)} tasks from journal"
-            )
 
     def finish(i: int, result) -> None:
         results[i] = result
         report.completed += 1
-        if journal is not None and not journal.append(keys[i], result):
-            report.record("journal-error", i, attempts[i])
 
     def retry_or_raise(i: int, exc: Exception) -> None:
         """The one failure policy: back off before the next attempt, or
@@ -636,7 +551,7 @@ def run_matrix(
                 retry_or_raise(i, exc)
                 futures[i] = pool.submit(_execute_task, tasks[i], i, attempts[i])
 
-    pending = [i for i in range(len(tasks)) if i not in results]
+    pending = list(range(len(tasks)))
     previous_plan = faults.install(plan)
     try:
         respawns = 0
@@ -699,9 +614,6 @@ def run_matrix(
                     retry_or_raise(i, exc)
     finally:
         faults.install(previous_plan)
-
-    if journal is not None:
-        journal.remove()
     return [results[i] for i in range(len(tasks))]
 
 

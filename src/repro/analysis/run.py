@@ -69,6 +69,61 @@ def _protocol_key(protocol) -> str:
     return f"{protocol.__module__}.{protocol.__qualname__}"
 
 
+def _run_on(
+    machine: Machine,
+    name: str,
+    size: str,
+    seed: int,
+    policy: MarkingPolicy,
+    check_result: bool,
+    check_ward: bool = False,
+    race_detector=None,
+) -> Tuple[BenchResult, Runtime]:
+    """The one run body: simulate benchmark ``name`` on ``machine``, price
+    its energy and check its result against the reference.
+
+    Shared by :func:`run_benchmark` and
+    :func:`repro.replay.record_benchmark`, which differ only in the
+    machine they pass and in what they do around the run (caching and
+    tracing, or trace capture).  Returns the result and the finished
+    runtime.
+    """
+    bench = get_benchmark(name)
+    workload = bench.workload(size=size, seed=seed)
+    monitor: Optional[WardChecker] = None
+    if check_ward and machine.supports_ward:
+        monitor = WardChecker(region_table=machine.protocol.region_table)
+    rt = Runtime(
+        machine,
+        policy=policy,
+        access_monitor=monitor,
+        race_detector=race_detector,
+        seed=seed,
+    )
+    result, stats = rt.run(bench.root_task, workload)
+    stats.benchmark = name
+    EnergyModel(machine.config).compute(stats)
+
+    if check_result:
+        expected = bench.reference(workload)
+        if result != expected:
+            raise ResultMismatchError(
+                f"{name} on {machine.protocol.name}: result does not match "
+                f"the reference (got {str(result)[:80]}..., "
+                f"want {str(expected)[:80]}...)"
+            )
+    out = BenchResult(
+        benchmark=name,
+        protocol=machine.protocol.name,
+        machine=machine.config.name,
+        size=size,
+        stats=stats,
+        result=result,
+        ward_checked=monitor is not None,
+    )
+    return out, rt
+
+
 def run_benchmark(
     name: str,
     protocol: str,
@@ -117,40 +172,12 @@ def run_benchmark(
                 _CACHE[key] = hit
                 return hit
 
-    bench = get_benchmark(name)
-    workload = bench.workload(size=size, seed=seed)
     machine = Machine(config, protocol)
     if obs_sink is not None:
         machine.tracer.install(obs_sink)
-    monitor: Optional[WardChecker] = None
-    if check_ward and machine.supports_ward:
-        monitor = WardChecker(region_table=machine.protocol.region_table)
-    rt = Runtime(
-        machine,
-        policy=policy,
-        access_monitor=monitor,
-        race_detector=race_detector,
-        seed=seed,
-    )
-    result, stats = rt.run(bench.root_task, workload)
-    stats.benchmark = name
-    EnergyModel(config).compute(stats)
-
-    if check_result:
-        expected = bench.reference(workload)
-        if result != expected:
-            raise ResultMismatchError(
-                f"{name} on {protocol}: result does not match the reference "
-                f"(got {str(result)[:80]}..., want {str(expected)[:80]}...)"
-            )
-    out = BenchResult(
-        benchmark=name,
-        protocol=machine.protocol.name,
-        machine=config.name,
-        size=size,
-        stats=stats,
-        result=result,
-        ward_checked=monitor is not None,
+    out, _ = _run_on(
+        machine, name, size, seed, policy, check_result,
+        check_ward=check_ward, race_detector=race_detector,
     )
     if use_cache:
         _CACHE[key] = out
@@ -240,7 +267,6 @@ def prefetch(
     *,
     timeout: Optional[float] = None,
     retries: int = 0,
-    resume: bool = False,
     report=None,
 ) -> List[str]:
     """Warm the in-process cache for ``tasks`` through the run matrix.
@@ -260,7 +286,6 @@ def prefetch(
         cache_dir=cache_dir,
         timeout=timeout,
         retries=retries,
-        resume=resume,
         report=report,
     )
     for i, result in zip(todo, results):
@@ -283,7 +308,6 @@ def run_pairs(
     *,
     timeout: Optional[float] = None,
     retries: int = 0,
-    resume: bool = False,
     report=None,
 ) -> List[Tuple[BenchResult, ...]]:
     """Run protocol tuples across several seeds (for figure harnesses).
@@ -292,8 +316,8 @@ def run_pairs(
     for ``jobs=1``, over a process pool otherwise (see
     :mod:`repro.analysis.pool`).  Either way results are bit-identical,
     land in the in-process cache, and flow through the persistent disk
-    cache when one is installed.  ``timeout``/``retries``/``resume``/
-    ``report`` feed the pool's robustness layer.
+    cache when one is installed.  ``timeout``/``retries``/``report`` feed
+    the pool's robustness layer.
     """
     tasks = [
         RunTask(
@@ -309,6 +333,6 @@ def run_pairs(
     ]
     keys = iter(prefetch(
         tasks, jobs,
-        timeout=timeout, retries=retries, resume=resume, report=report,
+        timeout=timeout, retries=retries, report=report,
     ))
     return [tuple(_CACHE[next(keys)] for _ in protocols) for _ in seeds]

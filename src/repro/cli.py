@@ -96,7 +96,7 @@ def _matrix_options(args, report: MatrixReport) -> dict:
     """The run-matrix keywords ``figure`` and ``verify`` pass through."""
     return dict(
         jobs=args.jobs, timeout=args.timeout, retries=args.retries,
-        resume=args.resume, report=report,
+        report=report,
     )
 
 
@@ -114,8 +114,7 @@ def _print_report(args, payload: dict, text: str, report: MatrixReport) -> None:
         print(
             f"robustness: {report.retries} retries, {report.timeouts} "
             f"timeouts, {report.respawns} pool respawns, {report.fallbacks} "
-            f"serial fallbacks, {report.resumed} tasks resumed from "
-            f"journal{faults}",
+            f"serial fallbacks{faults}",
             file=sys.stderr,
         )
 
@@ -618,7 +617,9 @@ def _argument_groups() -> dict:
             _arg("--no-disk-cache", action="store_true",
                  help="do not read or write the persistent result cache"),
             _arg("--cache-dir", default=DEFAULT_CACHE_DIR,
-                 help="persistent cache directory (default: %(default)s)"),
+                 help="persistent cache directory; re-running an "
+                      "interrupted matrix with the same one runs only its "
+                      "unfinished tasks (default: %(default)s)"),
         ],
         # The run matrix and its robustness layer (see analysis/pool.py).
         "matrix": [
@@ -631,9 +632,6 @@ def _argument_groups() -> dict:
             _arg("--retries", type=_nonnegative_int, default=0, metavar="N",
                  help="retry a failed or timed-out task up to N times "
                       "(exponential backoff, seeded jitter)"),
-            _arg("--resume", action="store_true",
-                 help="checkpoint completed tasks to a journal under the "
-                      "cache dir and resume an interrupted run from it"),
         ],
     }
 

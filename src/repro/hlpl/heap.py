@@ -9,6 +9,7 @@ unmarks them at forks and at joins.
 
 from __future__ import annotations
 
+import weakref
 from typing import List, Optional
 
 PAGE_SIZE = 4096
@@ -46,12 +47,18 @@ class Page:
 
 
 class Heap:
-    """One heap of the hierarchy, owned by a task until merged upward."""
+    """One heap of the hierarchy, owned by a task until merged upward.
 
-    __slots__ = ("owner_task", "pages", "_bump_page", "_bump_off", "merged_into")
+    The owner is held weakly: its task holds the heap, so a strong
+    back-reference would leave every finished run's spawn tree (tasks,
+    heaps, pages) as cyclic garbage.  An unmerged heap's task is always
+    alive — running, suspended at a fork, or waiting in its join record.
+    """
+
+    __slots__ = ("_owner", "pages", "_bump_page", "_bump_off", "merged_into")
 
     def __init__(self, owner_task) -> None:
-        self.owner_task = owner_task
+        self._owner = weakref.ref(owner_task)
         self.pages: List[Page] = []
         self._bump_page: Optional[Page] = None
         self._bump_off = 0
@@ -73,7 +80,7 @@ class Heap:
 
     @property
     def live_owner(self):
-        return self.find().owner_task
+        return self.find()._owner()
 
     # ------------------------------------------------------------------
     def alloc(self, nbytes: int, sbrk, align: int = 8):

@@ -34,7 +34,9 @@ class TaskNode:
     fork and a leaf again when its children join.
     """
 
-    __slots__ = ("task_id", "parent", "depth", "heap", "join", "completed")
+    __slots__ = (
+        "task_id", "parent", "depth", "heap", "join", "completed", "__weakref__"
+    )
 
     def __init__(self, parent: Optional["TaskNode"]) -> None:
         self.task_id = next(_task_ids)

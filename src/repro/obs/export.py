@@ -256,7 +256,7 @@ def run_manifest(
 
     ``robustness`` (typically ``MatrixReport.to_dict()``) records what the
     fault-tolerant run matrix had to survive to produce the result —
-    retries, timeouts, pool respawns, serial fallback, resumed tasks.
+    retries, timeouts, pool respawns, serial fallback.
     """
     manifest = {
         "schema": MANIFEST_SCHEMA,

@@ -155,8 +155,8 @@ class StrandEvent:
 class MatrixEvent:
     """A run-matrix robustness event (host-side, not simulated time).
 
-    ``action`` is one of ``retry``, ``timeout``, ``respawn``, ``fallback``,
-    ``resume``, or ``fault``; ``task_index`` is the position in the matrix
+    ``action`` is one of ``retry``, ``timeout``, ``respawn`` or
+    ``fallback``; ``task_index`` is the position in the matrix
     (-1 for matrix-wide events) and ``attempt`` the 0-based attempt number.
     ``cycle`` is always 0 — these events happen in wall-clock, outside any
     machine's simulated clock — but the field keeps the event shape uniform

@@ -31,12 +31,9 @@ import dataclasses
 from typing import List, Optional, Tuple
 
 from repro.analysis.pool import RunTask, code_fingerprint, task_fingerprint
-from repro.bench import get_benchmark
 from repro.common.config import MachineConfig
 from repro.common.types import AccessType
-from repro.energy.model import EnergyModel
 from repro.hlpl.policy import MarkingPolicy
-from repro.hlpl.runtime import Runtime
 from repro.obs.tracer import ReplayEvent
 from repro.sim.core import CoreModel
 from repro.sim.machine import Machine
@@ -190,29 +187,14 @@ def record_benchmark(
     functional result and the task/code fingerprints that key the store.
     """
     # Imported here: analysis.run's replay entry point imports this module.
-    from repro.analysis.run import (
-        BenchResult,
-        ResultMismatchError,
-        _protocol_key,
-    )
+    from repro.analysis.run import _protocol_key, _run_on
 
-    bench = get_benchmark(name)
-    workload = bench.workload(size=size, seed=seed)
     machine = RecordingMachine(config, protocol)
     recorder = machine.recorder
     if obs_sink is not None:
         obs_sink.emit(ReplayEvent(0, "record-start", name, machine.protocol.name))
-    rt = Runtime(machine, policy=policy, seed=seed)
-    result, stats = rt.run(bench.root_task, workload)
-    stats.benchmark = name
-    EnergyModel(config).compute(stats)
-    if check_result:
-        expected = bench.reference(workload)
-        if result != expected:
-            raise ResultMismatchError(
-                f"{name} on {protocol}: recorded result does not match the "
-                f"reference (got {str(result)[:80]}...)"
-            )
+    out, rt = _run_on(machine, name, size, seed, policy, check_result)
+    stats = out.stats
     recorder.finish()
 
     trace = recorder.trace
@@ -248,17 +230,8 @@ def record_benchmark(
             [cm.stats.steal_attempts, cm.stats.successful_steals]
             for cm in machine.cores
         ],
-        "result": encode_result(result),
+        "result": encode_result(out.result),
     }
-    out = BenchResult(
-        benchmark=name,
-        protocol=machine.protocol.name,
-        machine=config.name,
-        size=size,
-        stats=stats,
-        result=result,
-        ward_checked=False,
-    )
     if obs_sink is not None:
         obs_sink.emit(ReplayEvent(
             0, "record-done", name, machine.protocol.name, events=len(trace)

@@ -46,14 +46,17 @@ from __future__ import annotations
 
 import base64
 import json
-import os
 import pickle
 import zlib
 from array import array
 from pathlib import Path
 from typing import Optional
 
-from repro.analysis.pool import DEFAULT_CACHE_DIR, code_fingerprint
+from repro.analysis.pool import (
+    DEFAULT_CACHE_DIR,
+    atomic_write,
+    code_fingerprint,
+)
 from repro.common.config import CacheConfig, EnergyConfig, MachineConfig
 
 TRACE_MAGIC = b"WARDTRACE1\n"
@@ -225,17 +228,9 @@ class TraceStore:
         return trace
 
     def store(self, fingerprint: str, trace: Trace) -> Optional[Path]:
-        """Atomically persist; best-effort (a read-only FS is not an error)."""
+        """Atomically persist with the result cache's writer; best-effort
+        (a read-only FS is not an error, an interrupt is re-raised)."""
         path = self.path_for(fingerprint)
-        tmp = path.with_suffix(f".tmp.{os.getpid()}")
-        try:
-            self.root.mkdir(parents=True, exist_ok=True)
-            tmp.write_bytes(trace.to_bytes())
-            os.replace(tmp, path)
-        except OSError:
-            try:
-                tmp.unlink()
-            except OSError:
-                pass
+        if not atomic_write(path, trace.to_bytes()):
             return None
         return path

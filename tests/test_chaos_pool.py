@@ -27,12 +27,9 @@ from repro.analysis import pool as pool_mod
 from repro.analysis.faults import FaultSyntaxError, parse_plan
 from repro.analysis.pool import (
     DiskCache,
-    MatrixJournal,
     MatrixReport,
     RunTask,
-    matrix_fingerprint,
     run_matrix,
-    task_fingerprint,
 )
 from repro.analysis.run import (
     clear_cache,
@@ -311,61 +308,40 @@ class TestCacheChaos:
         assert not report.clean
 
 
-class TestJournalResume:
-    def test_interrupted_matrix_resumes_only_unfinished_tasks(self, tmp_path):
+class TestCacheCheckpoint:
+    def test_rerun_with_same_cache_dir_runs_only_unfinished_tasks(
+        self, tmp_path
+    ):
+        # The disk cache is the matrix's only checkpoint: every task is
+        # stored as soon as it finishes, so an interrupted matrix re-run
+        # with the same cache_dir runs only what the interruption lost.
         tasks = small_matrix()
         serial = stats_of(run_matrix(tasks))
-        cache_dir = str(tmp_path / "cache")
+        clear_cache()  # forked workers must simulate, not read this cache
+        cache_dir = tmp_path / "cache"
 
-        report = MatrixReport()
         arm("worker.fail@2x99")
         with pytest.raises(PoolError):
-            run_matrix(
-                tasks, jobs=2, cache_dir=cache_dir, report=report,
-                resume=True,
-            )
+            run_matrix(tasks, jobs=2, cache_dir=str(cache_dir))
         faults.uninstall()
-        journals = list(Path(cache_dir).glob("journal-*.jsonl"))
-        assert len(journals) == 1
-        checkpointed = sum(1 for _ in journals[0].open(encoding="utf-8"))
-        assert 0 < checkpointed < len(tasks)
+        stored = {
+            path.name: (path.stat().st_ino, path.stat().st_mtime_ns)
+            for path in cache_dir.glob("*.json")
+        }
+        assert 0 < len(stored) < len(tasks)
 
-        resumed = MatrixReport()
+        report = MatrixReport()
         results = run_matrix(
-            tasks, jobs=2, cache_dir=cache_dir, report=resumed, resume=True
+            tasks, jobs=2, cache_dir=str(cache_dir), report=report
         )
         assert stats_of(results) == serial
-        assert resumed.resumed == checkpointed
-        # only the unfinished tasks were executed on the resume run
-        assert resumed.completed == len(tasks) - checkpointed
-        assert "resume" in resumed.actions()
-        # a completed matrix cleans up its journal
-        assert not list(Path(cache_dir).glob("journal-*.jsonl"))
+        # the entries stored before the interruption were read, not rewritten
+        for name, identity in stored.items():
+            path = cache_dir / name
+            assert (path.stat().st_ino, path.stat().st_mtime_ns) == identity
+        assert len(DiskCache(cache_dir)) == len(tasks)
         export_artifact(
-            "journal-resume",
+            "cache-checkpoint",
             run_manifest(results[0], tasks[0].config,
-                         robustness=resumed.to_dict()),
+                         robustness=report.to_dict()),
         )
-
-    def test_journal_results_are_bit_identical(self, tmp_path):
-        tasks = small_matrix()[:2]
-        serial = run_matrix(tasks)
-        journal = MatrixJournal(
-            tmp_path, matrix_fingerprint([task_fingerprint(t) for t in tasks])
-        )
-        for task, result in zip(tasks, serial):
-            assert journal.append(task_fingerprint(task), result)
-        loaded = journal.load()
-        for task, original in zip(tasks, serial):
-            restored = loaded[task_fingerprint(task)]
-            assert restored.stats.to_dict() == original.stats.to_dict()
-            assert restored.result == original.result
-
-    def test_torn_tail_line_is_skipped(self, tmp_path):
-        tasks = small_matrix()[:1]
-        result = run_matrix(tasks)[0]
-        journal = MatrixJournal(tmp_path, "torntest")
-        journal.append(task_fingerprint(tasks[0]), result)
-        with journal.path.open("a", encoding="utf-8") as fh:
-            fh.write('{"schema": 1, "fingerprint": "xyz", "trunc')
-        assert len(journal.load()) == 1

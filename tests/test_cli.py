@@ -179,11 +179,11 @@ class TestRobustnessFlags:
 
     def test_flags_parse_on_figure(self):
         args = build_parser().parse_args(
-            ["figure", "fig9", "--timeout", "5", "--retries", "2", "--resume"]
+            ["figure", "fig9", "--timeout", "5", "--retries", "2"]
         )
-        assert (args.timeout, args.retries, args.resume) == (5.0, 2, True)
+        assert (args.timeout, args.retries) == (5.0, 2)
         args = build_parser().parse_args(["figure", "fig8", "--retries", "1"])
-        assert args.retries == 1 and args.timeout is None and not args.resume
+        assert args.retries == 1 and args.timeout is None
 
     def test_negative_retries_rejected(self):
         with pytest.raises(SystemExit):
@@ -401,6 +401,10 @@ def _exit_code(argv) -> int:
          "verify: error: unknown fault site 'bogus'"),
         (["figure", "fig7", "--size", "test"], "cache.store.oserror@0",
          "figure: error: fault 'cache.store.oserror@0' never fires"),
+        # the result cache is the checkpoint: re-run with the same
+        # --cache-dir instead
+        (["figure", "fig9", "--resume"], None,
+         "unrecognized arguments: --resume"),
     ],
     ids=[
         "synth-unwritable-out", "trace-unwritable-out",
@@ -408,7 +412,7 @@ def _exit_code(argv) -> int:
         "table1-negative-iterations", "figure-negative-timeout",
         "verify-negative-timeout", "figure-serial-bogus-faults",
         "figure-pool-bogus-faults", "verify-serial-bogus-faults",
-        "figure-zero-hit-fault",
+        "figure-zero-hit-fault", "figure-resume-removed",
     ],
 )
 def test_bad_input_exits_2(argv, env, message, tmp_path, capsys, monkeypatch):

@@ -6,7 +6,8 @@ engine, scheduler) sits in a reference cycle, it survives the run as
 cyclic garbage and memory grows with the number of cells until a full
 collection.  Each case below runs with the cycle collector off and checks
 that, once the call has returned, every machine it built (and that
-machine's protocol) is already gone.
+machine's protocol) is already gone, and that the run's spawn tree
+(tasks, their heaps and pages) is not left behind as cyclic garbage.
 """
 
 import gc
@@ -17,6 +18,8 @@ import pytest
 from repro.analysis.run import replay_benchmark, run_benchmark
 from repro.coherence.registry import available_protocols
 from repro.common.config import dual_socket
+from repro.hlpl.heap import Heap, Page
+from repro.hlpl.task import TaskNode
 from repro.replay import TraceStore, record_benchmark
 from repro.sim.machine import Machine
 from repro.verify.race import RaceDetector
@@ -96,5 +99,28 @@ def test_machine_freed_when_the_call_returns(case, protocol, machines, tmp_path)
             assert machine() is None, f"{case}: machine left alive"
             assert proto() is None, f"{case}: protocol left alive"
     finally:
+        if was_enabled:
+            gc.enable()
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_spawn_tree_is_not_cyclic_garbage(case, tmp_path):
+    gc.collect()
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        assert CASES[case]("warden", tmp_path) is not None
+        # Everything still unreachable here waits for the cycle collector;
+        # DEBUG_SAVEALL keeps it in gc.garbage so it can be inspected.
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        gc.collect()
+        left = sorted({
+            type(obj).__name__ for obj in gc.garbage
+            if isinstance(obj, (TaskNode, Heap, Page))
+        })
+        assert left == [], f"{case}: {left} left as cyclic garbage"
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
         if was_enabled:
             gc.enable()

@@ -22,7 +22,6 @@ from repro.analysis.pool import (
     config_fingerprint,
     decode_result,
     encode_result,
-    matrix_fingerprint,
     run_matrix,
     task_fingerprint,
 )
@@ -32,6 +31,7 @@ from repro.analysis.run import (
     run_pairs,
     set_disk_cache,
 )
+from repro.replay import TraceStore, record_benchmark
 from tests.conftest import tiny_config
 
 
@@ -246,6 +246,22 @@ class TestDiskCache:
         assert list((tmp_path / "cache").glob("*.tmp")) == []
         assert len(cache) == 0 and cache.stores == 0
 
+    def test_trace_store_reraises_keyboard_interrupt_after_cleanup(
+        self, tmp_path, monkeypatch
+    ):
+        # The trace store writes through the result cache's atomic writer,
+        # so an interrupted write leaves no temp file in the trace directory.
+        trace, _ = record_benchmark("fib", "mesi", tiny_config(), size="test")
+        store = TraceStore(tmp_path / "traces")
+
+        def interrupted(src, dst):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(os, "replace", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            store.store("f" * 64, trace)
+        assert list((tmp_path / "traces").iterdir()) == []
+
     def test_store_reraises_system_exit_after_cleanup(
         self, tmp_path, monkeypatch
     ):
@@ -288,7 +304,7 @@ class TestDiskCache:
 
 
 # ----------------------------------------------------------------------
-# Result payload round-trips and matrix identity
+# Result payload round-trips
 # ----------------------------------------------------------------------
 
 
@@ -311,12 +327,6 @@ class TestResultSerialization:
         payload["schema"] = -1
         with pytest.raises(ValueError):
             decode_result(payload)
-
-    def test_matrix_fingerprint_depends_on_task_order_and_content(self):
-        a = matrix_fingerprint(["k1", "k2"])
-        assert a == matrix_fingerprint(["k1", "k2"])
-        assert a != matrix_fingerprint(["k2", "k1"])
-        assert a != matrix_fingerprint(["k1", "k3"])
 
 
 class TestMatrixReport:
