@@ -2,11 +2,14 @@
 """CI gate: every execution path of one cell must give the same RunStats.
 
 Runs one cell (by default primes/warden at the small input on the
-dual-socket machine) three ways and diffs the full ``RunStats.to_dict()``
+dual-socket machine) four ways and diffs the full ``RunStats.to_dict()``
 — cycles, per-core counters and the coherence message matrix — plus the
 benchmark's result value:
 
 * the epoch-batched engine (``run_benchmark``, the default path);
+* the same engine with a ``RingBufferSink`` installed, as ``trace`` and
+  ``profile`` run it: tracing must leave the batched, parked path as it
+  is;
 * per-op stepping: the trace recorder's machine sets ``record_per_op``,
   so ``record_benchmark``'s recorded result is the per-op reference;
 * the replay kernel on that recording, after a ``to_bytes``/``from_bytes``
@@ -99,6 +102,7 @@ def main(argv) -> int:
     from repro.analysis.pool import RunTask, task_fingerprint
     from repro.analysis.run import run_benchmark
     from repro.common.config import dual_socket
+    from repro.obs import RingBufferSink
     from repro.replay import Trace, record_benchmark, replay_trace
 
     task = RunTask(
@@ -108,6 +112,9 @@ def main(argv) -> int:
         name, protocol, task.config, size=size,
         use_cache=False, use_disk_cache=False,
     )
+    traced = run_benchmark(
+        name, protocol, task.config, size=size, obs_sink=RingBufferSink(),
+    )
     trace, per_op = record_benchmark(
         name, protocol, task.config, size=size,
         fingerprint=task_fingerprint(task),
@@ -116,6 +123,7 @@ def main(argv) -> int:
 
     failed = False
     for label, result in (("epoch-batched engine", batched),
+                          ("traced engine", traced),
                           ("replay kernel", replayed)):
         diffs = diff_results(result, per_op)
         if diffs:

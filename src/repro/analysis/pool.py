@@ -23,8 +23,9 @@ fault-tolerant layer:
 
 Every call resolves the fault plan (:mod:`repro.analysis.faults`, the
 installed plan or ``REPRO_FAULTS``) and records it, with every recovery
-event, in a :class:`MatrixReport` of typed
-:class:`~repro.obs.tracer.MatrixEvent` objects, surfaced in run manifests.
+event (a :class:`MatrixEvent`) and the count of tasks simulated and read
+from the disk cache, in a :class:`MatrixReport`, surfaced in run
+manifests.
 
 :class:`DiskCache` makes the sweep incremental across invocations: results
 live in ``.warden-cache/`` keyed by a content hash of the *full*
@@ -63,7 +64,6 @@ from repro.common.config import MachineConfig
 from repro.common.errors import PoolError, TaskTimeoutError
 from repro.common.stats import RunStats
 from repro.hlpl.policy import MarkingPolicy
-from repro.obs.tracer import MatrixEvent
 from repro.workloads import TRACE_PREFIX, trace_file_digest
 
 #: default location of the persistent result cache (relative to the cwd)
@@ -337,6 +337,21 @@ class DiskCache:
 # ----------------------------------------------------------------------
 
 
+@dataclass(frozen=True)
+class MatrixEvent:
+    """One robustness event of a matrix run (host-side, wall-clock).
+
+    ``action`` is one of ``retry``, ``timeout``, ``respawn`` or
+    ``fallback``; ``task_index`` is the position in the matrix (-1 for
+    matrix-wide events) and ``attempt`` the 0-based attempt number.
+    """
+
+    action: str
+    task_index: int = -1
+    attempt: int = 0
+    detail: str = ""
+
+
 def _counted(action: str) -> property:
     """A :class:`MatrixReport` counter, derived from its event list."""
     return property(lambda self: self.actions().count(action))
@@ -347,8 +362,9 @@ class MatrixReport:
 
     Accumulates across :func:`run_matrix` invocations (one figure sweeps
     several benchmarks) and serializes into run manifests via
-    :meth:`to_dict`.  A report is clean only when no event happened *and*
-    no fault plan was armed.
+    :meth:`to_dict`.  ``completed`` counts the tasks the matrix simulated,
+    ``cached`` those the disk cache served.  A report is clean only when
+    no event happened *and* no fault plan was armed.
     """
 
     retries = _counted("retry")
@@ -359,13 +375,14 @@ class MatrixReport:
     def __init__(self) -> None:
         self.events: List[MatrixEvent] = []
         self.completed = 0
+        self.cached = 0
         self.faults: Optional[str] = None
 
     def record(
         self, action: str, task_index: int = -1, attempt: int = 0,
         detail: str = "",
     ) -> MatrixEvent:
-        event = MatrixEvent(0, action, task_index, attempt, detail)
+        event = MatrixEvent(action, task_index, attempt, detail)
         self.events.append(event)
         return event
 
@@ -378,22 +395,15 @@ class MatrixReport:
 
     def to_dict(self) -> dict:
         return {
-            "schema": "warden-repro/matrix-report/v2",
+            "schema": "warden-repro/matrix-report/v3",
             "retries": self.retries,
             "timeouts": self.timeouts,
             "respawns": self.respawns,
             "fallbacks": self.fallbacks,
             "completed": self.completed,
+            "cached": self.cached,
             "faults": self.faults,
-            "events": [
-                {
-                    "action": e.action,
-                    "task_index": e.task_index,
-                    "attempt": e.attempt,
-                    "detail": e.detail,
-                }
-                for e in self.events
-            ],
+            "events": [dataclasses.asdict(e) for e in self.events],
         }
 
 
@@ -428,13 +438,18 @@ def _pool_worker_init(
 
 
 def _execute_task(task: RunTask, index: int, attempt: int):
-    """Run one task in this process (serial path and pool worker entry);
-    results flow through whichever disk cache the process has installed."""
+    """Run one task in this process (serial path and pool worker entry).
+
+    Results flow through whichever disk cache the process has installed;
+    returns the result and whether that cache served it.
+    """
     from repro.analysis import run as run_mod
 
     if faults.ACTIVE:
         faults.worker_faults(index, attempt)
-    return run_mod.run_benchmark(
+    disk = run_mod._DISK_CACHE
+    hits = disk.hits if disk is not None else 0
+    result = run_mod.run_benchmark(
         task.benchmark,
         task.protocol,
         task.config,
@@ -443,6 +458,7 @@ def _execute_task(task: RunTask, index: int, attempt: int):
         policy=task.policy,
         check_ward=task.check_ward,
     )
+    return result, disk is not None and disk.hits > hits
 
 
 def _kill_pool(pool: ProcessPoolExecutor) -> None:
@@ -517,9 +533,13 @@ def run_matrix(
     results: Dict[int, object] = {}
     attempts = [0] * len(tasks)
 
-    def finish(i: int, result) -> None:
-        results[i] = result
-        report.completed += 1
+    def finish(i: int, outcome) -> None:
+        """Keep task ``i``'s ``(result, cached)`` from :func:`_execute_task`."""
+        results[i], cached = outcome
+        if cached:
+            report.cached += 1
+        else:
+            report.completed += 1
 
     def retry_or_raise(i: int, exc: Exception) -> None:
         """The one failure policy: back off before the next attempt, or

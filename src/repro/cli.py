@@ -73,7 +73,7 @@ from repro.obs.export import (
     run_manifest,
     write_chrome_trace,
 )
-from repro.obs.tracer import RingBufferSink
+from repro.obs.tracer import HitCountEvent, RingBufferSink
 
 #: machine presets selectable from the command line
 MACHINES = {
@@ -254,6 +254,9 @@ def cmd_trace(args) -> int:
     config = _machine_config(args)
     sink = RingBufferSink(capacity=args.capacity, sample_every=args.sample)
     result = _simulate(args, args.benchmark, config, sink)
+    # --sample thins the per-key hit counts like any other event
+    aggregates = [ev for ev in sink.events() if type(ev) is HitCountEvent]
+    counted = sum(ev.count for ev in aggregates)
     with _writing(args.out):
         written = write_chrome_trace(
             args.out,
@@ -267,11 +270,15 @@ def cmd_trace(args) -> int:
                 "events_seen": sink.seen,
                 "events_recorded": len(sink),
                 "events_dropped": sink.dropped,
+                "hits_counted": counted,
             },
         )
     print(f"benchmark : {result.benchmark} ({args.size}) on {result.protocol}")
     print(f"events    : {sink.seen} seen, {len(sink)} recorded, "
           f"{sink.dropped} dropped by the ring buffer")
+    print(f"hits      : {counted} private-cache hits in the "
+          f"{len(aggregates)} recorded hit counts, not drawn (profile adds "
+          "them to its access sections)")
     print(f"trace     : {args.out} ({written} trace events; open in Perfetto "
           "or chrome://tracing)")
     return 0
@@ -286,11 +293,12 @@ def cmd_profile(args) -> int:
     print(f"profile: {result.benchmark} ({args.size}) on {result.protocol}, "
           f"{result.machine} — {s.cycles} cycles, {s.instructions} instrs")
     if ring.dropped:
-        cycles = [ev.cycle for ev in events]
+        cycles = [ev.cycle for ev in events if type(ev) is not HitCountEvent]
         print(f"window: every section reads the last {len(events)} of "
               f"{ring.seen} events (cycles {min(cycles)}-{max(cycles)}); the "
               f"ring buffer dropped {ring.dropped} earlier ones (raise "
-              "--capacity to keep them)")
+              "--capacity to keep them); counted private-cache hits cover "
+              "the whole run")
     print()
     print("== where the cycles went (flame-style, folded stacks) ==")
     print(flame_summary(events, config))

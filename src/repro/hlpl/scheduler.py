@@ -59,11 +59,13 @@ class WorkStealingScheduler:
         self._machine = machine
         self._cores = machine.cores
         self._core_of = machine._core_of
-        self._try_fast = machine.protocol.try_fast_access
+        #: thread -> its ``Machine.fast_path`` (a traced one counts hits)
+        self._fast = [machine.fast_path(t) for t in range(nthreads)]
         self._tracer = machine.tracer
         self._nthreads = nthreads
         config = machine.config
         self._pstats = machine.protocol.stats
+        self._l1_latency = config.l1.latency
         self._spin_latency = 2 * config.l1.latency
         #: spins may be parked only on the epoch fast path and without SMT:
         #: an SMT sibling shares the L1 and interleaves its own accesses
@@ -105,11 +107,10 @@ class WorkStealingScheduler:
     def _touch(self, thread: int, addr: int, atype, spin: bool = False) -> int:
         """One deque or flag access; returns its memory latency."""
         # Deque words and spin flags are overwhelmingly private hits, so
-        # take the epoch fast path (identical statistical effects) when the
-        # tracer doesn't need per-access events; atomics always fall
-        # through (try_fast_access declines RMWs).
-        if self._fast_touch and not self._tracer.enabled:
-            latency = self._try_fast(self._core_of[thread], addr, 8, atype)
+        # take the epoch fast path (identical statistical effects); atomics
+        # always fall through (try_fast_access declines RMWs).
+        if self._fast_touch:
+            latency = self._fast[thread](self._core_of[thread], addr, 8, atype)
             if latency is not None:
                 cm = self._cores[thread]
                 if atype is _LOAD:
@@ -190,7 +191,6 @@ class WorkStealingScheduler:
         return (
             latency == self._spin_latency
             and self._can_park
-            and not self._tracer.enabled
             and self._pstats.ward_accesses == ward_accesses
         )
 
@@ -229,6 +229,9 @@ class WorkStealingScheduler:
         stats.spin_loads += spins
         self._pstats.total_accesses += 2 * spins
         self._machine.protocol.l1[self._core_of[thread]].hits += 2 * spins
+        tracer = self._tracer
+        if tracer.enabled:
+            tracer.count_hits(_LOAD, self._l1_latency, 2 * spins)
 
     # ------------------------------------------------------------------
     def _assign(self, worker, strand) -> None:

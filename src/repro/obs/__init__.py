@@ -33,7 +33,7 @@ from repro.obs.export import (
 from repro.obs.tracer import (
     AccessEvent,
     EvictionEvent,
-    MatrixEvent,
+    HitCountEvent,
     MessageEvent,
     ReconcileEvent,
     RegionEvent,
@@ -48,7 +48,7 @@ from repro.obs.tracer import (
 __all__ = [
     "AccessEvent",
     "EvictionEvent",
-    "MatrixEvent",
+    "HitCountEvent",
     "MessageEvent",
     "ReconcileEvent",
     "RegionEvent",

@@ -8,6 +8,8 @@
   events (messages, transitions, reconciliations, WARD region slices).
   Timestamps are simulated cycles reported in the ``ts`` microsecond field
   (1 cycle == 1 "us"), which Perfetto renders fine for relative analysis.
+  Counted private hits (:class:`~repro.obs.tracer.HitCountEvent`) have no
+  time of their own and draw nothing.
 
 * :func:`run_manifest` builds the structured JSONL manifest for one run:
   machine config + full ``RunStats.to_dict()`` + version metadata.  One
@@ -16,7 +18,7 @@
 * :func:`flame_summary`, :func:`region_summary`, :func:`latency_summary`
   and :func:`phase_summary` render the four text sections of ``profile``,
   each from the same recorded event list, so every section describes the
-  same window of the run.
+  same window of the run.  Counted private hits cover the whole run.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ from repro.common.config import MachineConfig
 from repro.obs.tracer import (
     AccessEvent,
     EvictionEvent,
+    HitCountEvent,
     MessageEvent,
     ReconcileEvent,
     RegionEvent,
@@ -310,10 +313,10 @@ def flame_summary(
     counts: Counter = Counter()
     for ev in events:
         cls = type(ev)
-        if cls is AccessEvent:
+        if cls is AccessEvent or cls is HitCountEvent:
             stack = f"access;{ev.atype};{_latency_class(ev.latency, config)}"
-            cycles[stack] += ev.latency
-            counts[stack] += 1
+            cycles[stack] += ev.latency * ev.count
+            counts[stack] += ev.count
         elif cls is StoreBufferEvent:
             stack = f"store-buffer;{ev.cause}"
             cycles[stack] += ev.stall_cycles
@@ -392,7 +395,8 @@ def region_summary(events: Iterable) -> str:
 
 
 def latency_summary(events: Iterable) -> str:
-    """Log2-bucketed access latencies per access type.
+    """Log2-bucketed access latencies per access type, traced accesses and
+    counted hits together.
 
     Bucket ``b`` covers ``[2^(b-1), 2^b)`` cycles (bucket 0 is latency 0).
     """
@@ -400,10 +404,11 @@ def latency_summary(events: Iterable) -> str:
     total_cycles: Counter = Counter()
     total_count: Counter = Counter()
     for ev in events:
-        if type(ev) is AccessEvent:
-            buckets[(ev.atype, ev.latency.bit_length())] += 1
-            total_cycles[ev.atype] += ev.latency
-            total_count[ev.atype] += 1
+        cls = type(ev)
+        if cls is AccessEvent or cls is HitCountEvent:
+            buckets[(ev.atype, ev.latency.bit_length())] += ev.count
+            total_cycles[ev.atype] += ev.latency * ev.count
+            total_count[ev.atype] += ev.count
     if not total_count:
         return "latency histogram: no accesses"
     lines = []

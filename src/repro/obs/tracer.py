@@ -10,8 +10,14 @@ typed event objects into it.
 
 Event taxonomy (mirroring what the paper measures):
 
-* :class:`AccessEvent`        — one memory access with its latency
-  (per-thread timeline; the Fig. 11 IPC story).
+* :class:`AccessEvent`        — one memory access that took the full
+  coherence path (:meth:`~repro.sim.machine.Machine.access`) with its
+  latency (per-thread timeline; the Fig. 11 IPC story).
+* :class:`HitCountEvent`      — how many private-cache hits of one access
+  type and latency the epoch fast path and parked spinners retired over
+  the whole run; one per ``(atype, latency)``, emitted when the machine
+  finalizes its statistics.  These hits are counted, not traced one by
+  one, so a traced run executes exactly like an untraced one.
 * :class:`TransitionEvent`    — a cache/directory block state change
   (the Fig. 5 FSA in motion: Inv, downgrades, W entries).
 * :class:`MessageEvent`       — one coherence message by link class
@@ -26,8 +32,9 @@ Event taxonomy (mirroring what the paper measures):
 * :class:`StrandEvent`        — strand (task) completion on a worker.
 
 Timestamps are core-clock cycles of the *issuing* hardware thread.  The
-machine stamps the tracer's ``cycle``/``thread`` context at each access and
-region instruction, so protocol-internal sites need no clock plumbing.
+machine stamps the tracer's ``cycle``/``thread`` context at each access
+(fast path included) and region instruction, so protocol-internal sites
+need no clock plumbing.
 """
 
 from __future__ import annotations
@@ -46,12 +53,26 @@ class AccessEvent:
     """One load/store/RMW: start cycle, issuing thread, and latency."""
 
     kind: ClassVar[str] = "access"
+    #: accesses this event stands for (a :class:`HitCountEvent` holds many)
+    count: ClassVar[int] = 1
     cycle: int
     thread: int
     atype: str
     addr: int
     size: int
     latency: int
+
+
+@dataclass(slots=True)
+class HitCountEvent:
+    """``count`` private-cache hits of type ``atype`` and latency
+    ``latency``, summed over the whole run; ``cycle`` is the makespan."""
+
+    kind: ClassVar[str] = "hits"
+    cycle: int
+    atype: str
+    latency: int
+    count: int
 
 
 @dataclass(slots=True)
@@ -152,34 +173,14 @@ class StrandEvent:
 
 
 @dataclass(slots=True)
-class MatrixEvent:
-    """A run-matrix robustness event (host-side, not simulated time).
-
-    ``action`` is one of ``retry``, ``timeout``, ``respawn`` or
-    ``fallback``; ``task_index`` is the position in the matrix
-    (-1 for matrix-wide events) and ``attempt`` the 0-based attempt number.
-    ``cycle`` is always 0 — these events happen in wall-clock, outside any
-    machine's simulated clock — but the field keeps the event shape uniform
-    for collectors that bin by cycle.
-    """
-
-    kind: ClassVar[str] = "matrix"
-    cycle: int
-    action: str
-    task_index: int
-    attempt: int
-    detail: str = ""
-
-
-@dataclass(slots=True)
 class ReplayEvent:
     """A trace record/replay lifecycle event (see :mod:`repro.replay`).
 
     ``action`` is ``record-start``/``record-done``/``trace-hit``/
     ``replay-start``/``replay-done``; ``events`` is the trace length (0
-    while unknown).  ``cycle`` is always 0 — like :class:`MatrixEvent`,
-    these are host-side events outside any machine's simulated clock, and
-    the field only keeps the event shape uniform for collectors.
+    while unknown).  ``cycle`` is always 0 — these are host-side events
+    outside any machine's simulated clock, and the field only keeps the
+    event shape uniform for collectors.
     """
 
     kind: ClassVar[str] = "replay"
@@ -240,10 +241,12 @@ class Tracer:
     ``cycle`` and ``thread`` form the *emission context*: the machine sets
     them when it charges an access or region instruction to a thread, so
     deeper layers (protocol, directory, interconnect, caches) timestamp
-    events without holding clock references.
+    events without holding clock references.  ``hits`` counts the
+    private-cache hits retired without an :class:`AccessEvent`, keyed by
+    ``(AccessType, latency)``, until :meth:`flush_hits` emits them.
     """
 
-    __slots__ = ("enabled", "sink", "cycle", "thread")
+    __slots__ = ("enabled", "sink", "cycle", "thread", "hits")
 
     def __init__(self) -> None:
         self.enabled = False
@@ -251,6 +254,7 @@ class Tracer:
         self.sink = None
         self.cycle = 0
         self.thread = 0
+        self.hits: dict = {}
 
     # -- lifecycle ------------------------------------------------------
     def install(self, sink) -> None:
@@ -259,6 +263,21 @@ class Tracer:
         self.enabled = True
 
     # -- emission helpers (call only behind an ``enabled`` check) -------
+    def count_hits(self, atype, latency: int, count: int) -> None:
+        key = (atype, latency)
+        self.hits[key] = self.hits.get(key, 0) + count
+
+    def flush_hits(self, cycle: int) -> None:
+        """Emit one :class:`HitCountEvent` per counted ``(atype, latency)``
+        and reset the counts."""
+        hits = sorted(
+            (atype.value, latency, count)
+            for (atype, latency), count in self.hits.items()
+        )
+        self.hits.clear()
+        for atype, latency, count in hits:
+            self.sink.emit(HitCountEvent(cycle, atype, latency, count))
+
     def access(
         self, cycle: int, thread: int, atype: str, addr: int, size: int,
         latency: int,

@@ -35,10 +35,11 @@ core's clock, private caches, and counters), so the batched schedule is the
 *same* schedule the per-op engine produces and RunStats stay bit-identical
 (asserted in ``tests/test_epoch.py``).  The first op that needs the slow
 path runs once in full, then the run ends and the worker re-enters the
-heap.  The fast path is bypassed entirely while a tracer sink is installed
-(per-op event visibility); access hooks are invoked for every op inside the
-run, preserving checker semantics.  Every op is a scalar op, so ``steps``
-counts yielded ops on both paths.
+heap.  Each worker's fast path comes from :meth:`Machine.fast_path`, so a
+traced run batches exactly like an untraced one: the traced fast path
+only stamps the tracer and counts its hits.  Access hooks are invoked for
+every op inside the run, preserving checker semantics.  Every op is a
+scalar op, so ``steps`` counts yielded ops on both paths.
 
 Parked spinners
 ---------------
@@ -61,9 +62,10 @@ keyed below that op, and the worker re-enters the heap at its next spin.
 The op's key is its clock from *before* the generator ``send``, since a
 generator body can charge cycles inside ``send`` before yielding the
 ``ForkOp``; the per-op engine runs spins keyed between the two clocks after
-the fork.  Parking needs the epoch fast path without a tracer and one
-thread per core (an SMT sibling shares the L1 and interleaves its own
-accesses with the spinner's LRU refreshes).  An empty heap with parked
+the fork.  Parking needs the epoch fast path and one thread per core (an
+SMT sibling shares the L1 and interleaves its own accesses with the
+spinner's LRU refreshes); a tracer changes neither, and ``skip_spins``
+counts the skipped spins' hits for it.  An empty heap with parked
 workers and no ``finished`` is the per-op engine's endless spin, reported
 as a deadlock.
 """
@@ -125,6 +127,8 @@ class Engine:
         #: the worker currently being stepped (used by the runtime to charge
         #: internal work such as region instructions to the right thread)
         self.current_worker: Optional[Worker] = None
+        #: thread -> its ``Machine.fast_path``, fetched when a run starts
+        self._fast_paths: list = []
 
     # ------------------------------------------------------------------
     def pin(self, thread: int, gen, on_done: Optional[Callable] = None) -> Strand:
@@ -143,10 +147,10 @@ class Engine:
         scheduler = self.scheduler
         step = self.step
         retire_run = self._retire_run
-        tracer = self.machine.tracer
         # The trace recorder's machine steps per op (``record_per_op``) so
         # every access flows through ``Machine.access``.
         per_op = self.machine.record_per_op
+        self._fast_paths = [self.machine.fast_path(w.thread) for w in workers]
         # Lazily-repaired min-heap over worker clocks, replacing the
         # per-step O(num_threads) scan.  Only the worker being stepped can
         # advance its own clock, so entries are normally exact; the staleness
@@ -190,7 +194,7 @@ class Engine:
                     waiting.append(entry)
                     continue
                 spun = scheduler.on_idle(worker)
-                if not per_op and not tracer.enabled:
+                if not per_op:
                     # Steal-phase epoch: while this worker stays strictly
                     # min-clock (same tie-break as the heap pop) and found
                     # no work, the per-op engine would pop it straight back
@@ -215,7 +219,7 @@ class Engine:
                     if spun:
                         parked.append(thread)
                         continue
-            elif not per_op and not tracer.enabled:
+            elif not per_op:
                 if heap:
                     next_clock, next_thread = heap[0]
                 else:
@@ -324,7 +328,7 @@ class Engine:
         thread = worker.thread
         machine = self.machine
         core = machine.cores[thread]
-        try_fast = machine.protocol.try_fast_access
+        try_fast = self._fast_paths[thread]
         pcore = machine._core_of[thread]
         access_hook = self.access_hook
         max_steps = self.max_steps

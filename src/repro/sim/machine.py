@@ -20,7 +20,8 @@ class Machine:
     """Cores, caches, directory, and a bump allocator for simulated memory."""
 
     #: step every op through :meth:`access` (no epoch fast path, no parked
-    #: spinners); the trace recorder's machine sets it
+    #: spinners); the trace recorder's machine sets it, and nothing else
+    #: selects per-op stepping
     record_per_op = False
 
     def __init__(
@@ -103,6 +104,34 @@ class Machine:
             tracer.access(start, thread, atype.value, addr, size, latency)
         return latency
 
+    def fast_path(self, thread: int):
+        """The epoch fast path for ``thread``: a callable with the signature
+        of ``protocol.try_fast_access`` (see there).
+
+        Without a sink it *is* ``protocol.try_fast_access``.  With one, it
+        also stamps the tracer's emission context from ``thread``'s clock
+        (a fast-path hit can still emit a silent E->M transition or an L1
+        eviction) and counts each hit by ``(atype, latency)``;
+        :meth:`finalize` emits the counts as
+        :class:`~repro.obs.tracer.HitCountEvent` objects.  Fetch it after
+        the sink is installed.
+        """
+        try_fast = self.protocol.try_fast_access
+        tracer = self.tracer
+        if not tracer.enabled:
+            return try_fast
+        core = self.cores[thread]
+
+        def traced(pcore: int, addr: int, size: int, atype: AccessType):
+            tracer.cycle = core.clock
+            tracer.thread = thread
+            latency = try_fast(pcore, addr, size, atype)
+            if latency is not None:
+                tracer.count_hits(atype, latency, 1)
+            return latency
+
+        return traced
+
     def compute(self, thread: int, instrs: int) -> None:
         self.cores[thread].compute(instrs)
 
@@ -155,7 +184,8 @@ class Machine:
 
     # ------------------------------------------------------------------
     def finalize(self, makespan: Optional[int] = None) -> RunStats:
-        """Aggregate per-thread counters into the RunStats and return it."""
+        """Aggregate per-thread counters into the RunStats and return it;
+        with a sink installed, emit the counted fast-path hits."""
         stats = self.run_stats
         stats.cores = type(stats.cores)()
         for cm in self.cores:
@@ -169,4 +199,6 @@ class Machine:
         if makespan is None:
             makespan = max((cm.clock for cm in self.cores), default=0)
         stats.cycles = makespan
+        if self.tracer.enabled:
+            self.tracer.flush_hits(makespan)
         return stats

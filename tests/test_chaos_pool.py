@@ -345,3 +345,26 @@ class TestCacheCheckpoint:
             run_manifest(results[0], tasks[0].config,
                          robustness=report.to_dict()),
         )
+
+    def test_rerun_reports_cache_reads_apart_from_simulations(self, tmp_path):
+        # Each pool worker's disk-cache hits reach the report: the re-run
+        # counts the tasks stored before the interruption as cached and
+        # only the rest as completed (simulated).
+        tasks = small_matrix()
+        cache_dir = tmp_path / "cache"
+        arm("worker.fail@2x99")
+        with pytest.raises(PoolError):
+            run_matrix(tasks, jobs=2, cache_dir=str(cache_dir))
+        faults.uninstall()
+        stored = len(DiskCache(cache_dir))
+        assert 0 < stored < len(tasks)
+
+        report = MatrixReport()
+        run_matrix(tasks, jobs=2, cache_dir=str(cache_dir), report=report)
+        assert report.cached == stored
+        assert report.completed == len(tasks) - stored
+        data = report.to_dict()
+        assert data["schema"] == "warden-repro/matrix-report/v3"
+        assert (data["cached"], data["completed"]) == (
+            stored, len(tasks) - stored
+        )

@@ -8,7 +8,7 @@ import repro.cli as cli
 from repro.analysis.metrics import ComparisonMetrics
 from repro.analysis.run import set_disk_cache
 from repro.cli import build_parser, main
-from repro.obs.tracer import AccessEvent
+from repro.obs.tracer import AccessEvent, HitCountEvent
 
 
 @pytest.fixture(autouse=True)
@@ -91,8 +91,13 @@ class TestTraceAndProfile:
         out_path = tmp_path / "trace.json"
         assert main(["trace", "fib", "--size", "test",
                      "--out", str(out_path)]) == 0
-        assert "recorded" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "recorded" in out
         trace = json.loads(out_path.read_text())
+        # counted private hits are summed in the summary, not drawn
+        counted = trace["otherData"]["hits_counted"]
+        assert counted > 0
+        assert f"hits      : {counted} private-cache hits" in out
         events = trace["traceEvents"]
         assert events
         assert all(
@@ -137,14 +142,18 @@ class TestTraceAndProfile:
         window = [line for line in out.splitlines() if line.startswith("window:")]
         assert len(window) == 1
         assert f"the last 500 of {ring.seen} events" in window[0]
+        assert "counted private-cache hits cover the whole run" in window[0]
         latencies = out.split("== access latencies ==")[1].split("==")[0]
         printed = sum(
             int(line.split(" accesses")[0].rsplit(" ", 1)[1])
             for line in latencies.splitlines()
             if " accesses, " in line
         )
-        kept = sum(type(ev) is AccessEvent for ev in ring.events())
-        assert printed == kept > 0
+        events = ring.events()
+        kept = sum(type(ev) is AccessEvent for ev in events)
+        counted = sum(ev.count for ev in events if type(ev) is HitCountEvent)
+        assert kept > 0 and counted > 0
+        assert printed == kept + counted
 
 
 class TestFigureJson:

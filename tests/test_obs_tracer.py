@@ -1,6 +1,9 @@
 """Tracer/event-bus tests: no-op-when-off, ring buffer, trace schema."""
 
+import dataclasses
 import json
+
+import pytest
 
 from repro.analysis.run import run_benchmark
 from repro.common.config import CacheConfig, dual_socket
@@ -8,7 +11,13 @@ from repro.common.stats import CoherenceStats
 from repro.common.types import CoherenceState, MessageType
 from repro.mem.cache import SetAssocCache
 from repro.mem.interconnect import Interconnect, LinkClass
-from repro.obs.export import chrome_trace
+from repro.obs.export import (
+    chrome_trace,
+    flame_summary,
+    latency_summary,
+    phase_summary,
+    region_summary,
+)
 from repro.obs.tracer import RingBufferSink, Tracer
 from repro.sim.machine import Machine
 
@@ -43,7 +52,8 @@ class TestDisabledTracer:
         assert spy.events == []
 
     def test_disabled_run_matches_enabled_run_counters(self, config):
-        """Tracing must observe, never perturb: counters are identical."""
+        """Tracing must observe, never perturb: a traced run is the
+        untraced run, op for op and idle call for idle call."""
         from repro.hlpl.runtime import Runtime
         from repro.bench import BENCHMARKS
 
@@ -54,15 +64,22 @@ class TestDisabledTracer:
             if sink is not None:
                 machine.tracer.install(sink)
             rt = Runtime(machine, seed=7)
+            idle_calls = [0]
+            on_idle = rt.scheduler.on_idle
+
+            def counted(worker):
+                idle_calls[0] += 1
+                return on_idle(worker)
+
+            rt.scheduler.on_idle = counted
             _, stats = rt.run(bench.root_task, bench.workload(size="test", seed=7))
-            return stats
+            return stats.to_dict(), rt.engine.steps, idle_calls[0]
 
         plain = run(None)
         traced = run(RingBufferSink())
-        assert plain.cycles == traced.cycles
-        assert plain.instructions == traced.instructions
-        assert plain.coherence.invalidations == traced.coherence.invalidations
-        assert plain.coherence.to_dict() == traced.coherence.to_dict()
+        assert plain[0] == traced[0]
+        assert plain[1] == traced[1]  # Engine.steps
+        assert plain[2] == traced[2]  # scheduler on_idle calls
 
     def test_install_flips_enabled(self):
         tracer = Tracer()
@@ -93,8 +110,6 @@ class TestRingBufferSink:
         assert sink.seen == 9
 
     def test_rejects_bad_parameters(self):
-        import pytest
-
         with pytest.raises(ValueError):
             RingBufferSink(capacity=0)
         with pytest.raises(ValueError):
@@ -157,3 +172,50 @@ class TestInstrumentationCoverage:
         kinds = {type(ev).kind for ev in sink.events()}
         assert {"access", "message", "transition", "region",
                 "reconcile", "steal", "strand"} <= kinds
+
+
+class TestTracedBatchedRun:
+    """A traced batched run reports what per-op stepping reports: the
+    counted fast-path hits fill the access sections, and every other event
+    fires at the same point in the same order."""
+
+    @staticmethod
+    def _traced(name, protocol, per_op):
+        from repro.bench import BENCHMARKS
+        from repro.hlpl.runtime import Runtime
+
+        config = dual_socket()
+        machine = Machine(config, protocol)
+        machine.record_per_op = per_op  # the per-op reference
+        sink = RingBufferSink()
+        machine.tracer.install(sink)
+        bench = BENCHMARKS[name]
+        Runtime(machine, seed=42).run(
+            bench.root_task, bench.workload(size="test", seed=42)
+        )
+        events = sink.events()
+        sections = (
+            flame_summary(events, config),
+            region_summary(events),
+            latency_summary(events),
+            phase_summary(events, 10_000),
+        )
+        others = [
+            # task ids come from a process-wide counter
+            dataclasses.replace(ev, task_id=-1) if ev.kind == "strand" else ev
+            for ev in events
+            if ev.kind not in ("access", "hits")
+        ]
+        return sections, others, events
+
+    @pytest.mark.parametrize("protocol", ["mesi", "warden"])
+    @pytest.mark.parametrize("name", ["fib", "msort"])
+    def test_batched_run_reports_what_per_op_stepping_reports(
+        self, name, protocol
+    ):
+        reference = self._traced(name, protocol, per_op=True)
+        batched = self._traced(name, protocol, per_op=False)
+        assert batched[0] == reference[0]  # all four profile sections
+        assert batched[1] == reference[1]  # non-access events, in order
+        assert any(ev.kind == "hits" for ev in batched[2])
+        assert not any(ev.kind == "hits" for ev in reference[2])
