@@ -75,7 +75,6 @@ def _run_on(
     size: str,
     seed: int,
     policy: MarkingPolicy,
-    check_result: bool,
     check_ward: bool = False,
     race_detector=None,
 ) -> Tuple[BenchResult, Runtime]:
@@ -104,14 +103,13 @@ def _run_on(
     stats.benchmark = name
     EnergyModel(machine.config).compute(stats)
 
-    if check_result:
-        expected = bench.reference(workload)
-        if result != expected:
-            raise ResultMismatchError(
-                f"{name} on {machine.protocol.name}: result does not match "
-                f"the reference (got {str(result)[:80]}..., "
-                f"want {str(expected)[:80]}...)"
-            )
+    expected = bench.reference(workload)
+    if result != expected:
+        raise ResultMismatchError(
+            f"{name} on {machine.protocol.name}: result does not match "
+            f"the reference (got {str(result)[:80]}..., "
+            f"want {str(expected)[:80]}...)"
+        )
     out = BenchResult(
         benchmark=name,
         protocol=machine.protocol.name,
@@ -132,7 +130,6 @@ def run_benchmark(
     seed: int = 42,
     policy: MarkingPolicy = MarkingPolicy.FULL,
     check_ward: bool = False,
-    check_result: bool = True,
     use_cache: bool = True,
     use_disk_cache: bool = True,
     obs_sink=None,
@@ -176,7 +173,7 @@ def run_benchmark(
     if obs_sink is not None:
         machine.tracer.install(obs_sink)
     out, _ = _run_on(
-        machine, name, size, seed, policy, check_result,
+        machine, name, size, seed, policy,
         check_ward=check_ward, race_detector=race_detector,
     )
     if use_cache:
@@ -184,62 +181,6 @@ def run_benchmark(
         if disk is not None:
             disk.store(key, out)
     return out
-
-
-def replay_benchmark(
-    name: str,
-    protocol: str,
-    config: MachineConfig,
-    size: str = "default",
-    seed: int = 42,
-    policy: MarkingPolicy = MarkingPolicy.FULL,
-    trace_store=None,
-    obs_sink=None,
-) -> BenchResult:
-    """Run one benchmark via the record/replay path (see :mod:`repro.replay`).
-
-    The first call for a given task records the event trace through the
-    interpreted engine and persists it in the fingerprinted trace store;
-    every later call replays that trace through the vectorized kernel,
-    producing bit-identical ``RunStats`` at a fraction of the cost.  The
-    trace fingerprint covers the full config *and* the simulator source, so
-    a stale trace can never replay — the store misses and we re-record.
-
-    Replay results never enter the exact-result caches (``_CACHE`` / the
-    disk cache): those are reserved for the interpreted engine, and the
-    trace store is already the replay path's own cache.  Callers that
-    want the interpreted engine call :func:`run_benchmark`.
-    """
-    from repro.replay import TraceStore, record_benchmark, replay_trace
-
-    task = RunTask(
-        benchmark=name,
-        protocol=_protocol_key(protocol),
-        config=config,
-        size=size,
-        seed=seed,
-        policy=policy,
-    )
-    key = task_fingerprint(task)
-    store = trace_store if trace_store is not None else TraceStore()
-    trace = store.load(key)
-    if trace is None:
-        trace, result = record_benchmark(
-            name, protocol, config, size=size, seed=seed, policy=policy,
-            fingerprint=key, obs_sink=obs_sink,
-        )
-        store.store(key, trace)
-        return result
-    if obs_sink is not None:
-        from repro.obs.tracer import ReplayEvent
-
-        obs_sink.emit(ReplayEvent(
-            0, "trace-hit", name, trace.meta.get("protocol_name", ""),
-            events=len(trace), detail=str(store.path_for(key)),
-        ))
-    # The recorded run already verified the result against the reference;
-    # replay carries it in the trace, so no re-check is needed here.
-    return replay_trace(trace, obs_sink=obs_sink)
 
 
 def run_pair(

@@ -12,8 +12,6 @@ Usage (after ``pip install -e .``)::
     warden-repro run primes --protocol warden --machine dual [--json]
     warden-repro trace fib --size test --out trace.json   # Perfetto trace
     warden-repro profile fib --size test    # flame summary + region profile
-    warden-repro record fib --size test     # record a replayable trace
-    warden-repro replay fib --size test     # replay it (bit-identical stats)
     warden-repro ingest ext.trace --matrix  # external text trace, whole zoo
     warden-repro synth zipf --set skew=2.0  # seeded synthetic service trace
     warden-repro run --workload synth-ring  # synth/trace: names run anywhere
@@ -124,9 +122,8 @@ def _print_rows(rows: dict) -> None:
         print(f"{label:<10}: {value}")
 
 
-def _print_result(result, **extra) -> None:
-    """The one text rendering of a simulated run (run, replay, record,
-    ingest --run); ``extra`` rows follow the counters."""
+def _print_result(result) -> None:
+    """The one text rendering of a simulated run (run, ingest --run)."""
     s = result.stats
     _print_rows({
         "benchmark": f"{result.benchmark} ({result.size})",
@@ -138,7 +135,6 @@ def _print_result(result, **extra) -> None:
         "ward cov.": f"{s.coherence.ward_coverage:.2%}",
         "energy": f"{s.energy.processor_nj / 1e3:.1f} uJ "
                   f"(network {s.energy.interconnect_nj / 1e3:.1f} uJ)",
-        **extra,
     })
 
 
@@ -252,9 +248,8 @@ def cmd_run(args) -> int:
 
 def cmd_trace(args) -> int:
     config = _machine_config(args)
-    sink = RingBufferSink(capacity=args.capacity, sample_every=args.sample)
+    sink = RingBufferSink(capacity=args.capacity)
     result = _simulate(args, args.benchmark, config, sink)
-    # --sample thins the per-key hit counts like any other event
     aggregates = [ev for ev in sink.events() if type(ev) is HitCountEvent]
     counted = sum(ev.count for ev in aggregates)
     with _writing(args.out):
@@ -311,101 +306,6 @@ def cmd_profile(args) -> int:
     print()
     print(f"== coherence events per {args.bin_cycles}-cycle phase ==")
     print(phase_summary(events, args.bin_cycles))
-    return 0
-
-
-class _ReplayProgress:
-    """Minimal obs sink: print replay-subsystem progress lines to stderr."""
-
-    def emit(self, event) -> None:
-        if getattr(event, "kind", "") != "replay":
-            return
-        detail = f" {event.detail}" if getattr(event, "detail", "") else ""
-        print(
-            f"[{event.action}] {event.benchmark}/{event.protocol} "
-            f"events={event.events}{detail}",
-            file=sys.stderr,
-        )
-
-
-def cmd_record(args) -> int:
-    """Record one benchmark's protocol-event trace into the trace store."""
-    from repro.analysis.pool import RunTask, task_fingerprint
-    from repro.replay import TraceStore, record_benchmark
-
-    config = _machine_config(args)
-    store = TraceStore(args.trace_dir)
-    fp = task_fingerprint(RunTask(
-        benchmark=args.benchmark,
-        protocol=args.protocol,
-        config=config,
-        size=args.size,
-        seed=args.seed,
-    ))
-    trace, result = record_benchmark(
-        args.benchmark, args.protocol, config,
-        size=args.size, seed=args.seed, fingerprint=fp,
-        obs_sink=_ReplayProgress(),
-    )
-    path = store.store(fp, trace)
-    if path is None:
-        raise ConfigError(f"cannot write the trace to {store.root}")
-    _print_result(
-        result, events=len(trace),
-        trace=f"{path} ({path.stat().st_size} bytes)",
-    )
-    return 0
-
-
-def _replay_trace_file(args) -> int:
-    """Replay a raw ``.wtrace`` file (``replay --trace FILE``).
-
-    The protocol comes from the trace meta; an unregistered key is an
-    operational error (exit 2) listing the registered protocols.
-    """
-    from repro.replay import replay_trace
-    from repro.replay.trace import Trace
-
-    try:
-        with open(args.trace, "rb") as handle:
-            blob = handle.read()
-    except OSError as exc:
-        raise ConfigError(f"cannot read trace {args.trace!r}: {exc}") from None
-    import zlib
-
-    try:
-        trace = Trace.from_bytes(blob)
-    except (ValueError, KeyError, EOFError, zlib.error) as exc:
-        raise ConfigError(
-            f"{args.trace!r} is not a valid .wtrace file: {exc}"
-        ) from None
-    result = replay_trace(trace, obs_sink=_ReplayProgress())
-    _print_result(result, trace=f"{args.trace} ({len(trace)} events)")
-    return 0
-
-
-def cmd_replay(args) -> int:
-    """Replay one benchmark through the kernel (recording on first use)."""
-    from repro.analysis.run import replay_benchmark
-    from repro.replay import TraceStore
-
-    if args.trace is not None:
-        return _replay_trace_file(args)
-    if args.benchmark is None:
-        raise ConfigError(
-            "no workload given: pass a benchmark name or --trace FILE"
-        )
-    config = _machine_config(args)
-    result = replay_benchmark(
-        args.benchmark,
-        args.protocol,
-        config,
-        size=args.size,
-        seed=args.seed,
-        trace_store=TraceStore(args.trace_dir),
-        obs_sink=_ReplayProgress(),
-    )
-    _print_result(result)
     return 0
 
 
@@ -616,9 +516,6 @@ def _argument_groups() -> dict:
         "seed": [_arg("--seed", type=int, default=42,
                       help="scheduler seed, and synth's generator seed "
                            "(default: %(default)s)")],
-        "trace-dir": [_arg("--trace-dir", default=None,
-                           help="trace store directory (default: "
-                                f"{DEFAULT_CACHE_DIR}/traces)")],
         "json": [_arg("--json", action="store_true",
                       help="emit machine-readable JSON instead of text")],
         "cache": [
@@ -674,8 +571,6 @@ def _commands() -> dict:
                  help="output path for the Chrome trace (default: %(default)s)"),
             _arg("--capacity", type=_positive_int, default=1_000_000,
                  help="ring-buffer capacity in events (default: %(default)s)"),
-            _arg("--sample", type=_positive_int, default=1,
-                 help="keep every N-th event (default: record everything)"),
         ]),
         "profile": (cmd_profile,
                     "run with a ring-buffer sink and print a profile summary",
@@ -686,18 +581,6 @@ def _commands() -> dict:
             _arg("--bin-cycles", type=_positive_int, default=100_000,
                  help="phase-histogram bin width in cycles "
                       "(default: %(default)s)"),
-        ]),
-        "record": (cmd_record,
-                   "record one benchmark's protocol-event trace (replayable "
-                   "via 'replay'; stored under the fingerprinted trace store)",
-                   ("workload", *bench, "seed", "trace-dir"), []),
-        "replay": (cmd_replay,
-                   "replay one benchmark through the vectorized kernel "
-                   "(bit-identical stats; records the trace on first use)",
-                   ("workload?", *bench, "seed", "trace-dir"), [
-            _arg("--trace", default=None, metavar="FILE",
-                 help="replay a raw .wtrace file instead of a named "
-                      "benchmark (protocol comes from the trace meta)"),
         ]),
         "verify": (cmd_verify,
                    "differential conformance: baseline vs candidate "

@@ -174,11 +174,10 @@ class StrandEvent:
 
 @dataclass(slots=True)
 class ReplayEvent:
-    """A trace record/replay lifecycle event (see :mod:`repro.replay`).
+    """A trace replay lifecycle event (see :mod:`repro.replay`).
 
-    ``action`` is ``record-start``/``record-done``/``trace-hit``/
-    ``replay-start``/``replay-done``; ``events`` is the trace length (0
-    while unknown).  ``cycle`` is always 0 — these are host-side events
+    ``action`` is ``replay-start``/``replay-done``; ``events`` is the
+    trace length.  ``cycle`` is always 0 — these are host-side events
     outside any machine's simulated clock, and the field only keeps the
     event shape uniform for collectors.
     """
@@ -189,7 +188,6 @@ class ReplayEvent:
     benchmark: str
     protocol: str
     events: int = 0
-    detail: str = ""
 
 
 # ----------------------------------------------------------------------
@@ -197,29 +195,22 @@ class ReplayEvent:
 # ----------------------------------------------------------------------
 
 class RingBufferSink:
-    """Keep the most recent ``capacity`` events, optionally sampled 1-in-N.
+    """Keep the most recent ``capacity`` events.
 
-    ``sample_every=1`` records everything; ``sample_every=n`` keeps every
-    n-th event (deterministic, no RNG, so traces are reproducible).
     ``dropped`` counts events evicted by the capacity bound; ``seen`` counts
-    everything offered (pre-sampling).
+    everything offered.
     """
 
-    def __init__(self, capacity: int = 1_000_000, sample_every: int = 1) -> None:
+    def __init__(self, capacity: int = 1_000_000) -> None:
         if capacity <= 0:
             raise ValueError("ring buffer capacity must be positive")
-        if sample_every < 1:
-            raise ValueError("sample_every must be >= 1")
         self.capacity = capacity
-        self.sample_every = sample_every
         self.buffer: deque = deque(maxlen=capacity)
         self.seen = 0
         self.dropped = 0
 
     def emit(self, event) -> None:
         self.seen += 1
-        if self.sample_every > 1 and self.seen % self.sample_every:
-            return
         if len(self.buffer) == self.capacity:
             self.dropped += 1
         self.buffer.append(event)

@@ -31,10 +31,10 @@ import dataclasses
 from typing import List, Optional, Tuple
 
 from repro.analysis.pool import RunTask, code_fingerprint, task_fingerprint
+from repro.analysis.run import BenchResult, _protocol_key, _run_on
 from repro.common.config import MachineConfig
 from repro.common.types import AccessType
 from repro.hlpl.policy import MarkingPolicy
-from repro.obs.tracer import ReplayEvent
 from repro.sim.core import CoreModel
 from repro.sim.machine import Machine
 from repro.replay.trace import (
@@ -174,10 +174,8 @@ def record_benchmark(
     size: str = "default",
     seed: int = 42,
     policy: MarkingPolicy = MarkingPolicy.FULL,
-    check_result: bool = True,
     fingerprint: Optional[str] = None,
-    obs_sink=None,
-) -> Tuple[Trace, "BenchResult"]:
+) -> Tuple[Trace, BenchResult]:
     """Run one benchmark through the interpreted engine, recording its trace.
 
     Returns ``(trace, result)`` where ``result`` is the same
@@ -186,14 +184,9 @@ def record_benchmark(
     carries everything the replay kernel needs, including the pickled
     functional result and the task/code fingerprints that key the store.
     """
-    # Imported here: analysis.run's replay entry point imports this module.
-    from repro.analysis.run import _protocol_key, _run_on
-
     machine = RecordingMachine(config, protocol)
     recorder = machine.recorder
-    if obs_sink is not None:
-        obs_sink.emit(ReplayEvent(0, "record-start", name, machine.protocol.name))
-    out, rt = _run_on(machine, name, size, seed, policy, check_result)
+    out, rt = _run_on(machine, name, size, seed, policy)
     stats = out.stats
     recorder.finish()
 
@@ -232,8 +225,4 @@ def record_benchmark(
         ],
         "result": encode_result(out.result),
     }
-    if obs_sink is not None:
-        obs_sink.emit(ReplayEvent(
-            0, "record-done", name, machine.protocol.name, events=len(trace)
-        ))
     return trace, out

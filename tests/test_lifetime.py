@@ -15,7 +15,8 @@ import weakref
 
 import pytest
 
-from repro.analysis.run import replay_benchmark, run_benchmark
+from repro.analysis.pool import RunTask, replay_matrix
+from repro.analysis.run import run_benchmark
 from repro.coherence.registry import available_protocols
 from repro.common.config import dual_socket
 from repro.hlpl.heap import Heap, Page
@@ -52,11 +53,11 @@ def _replay(protocol, tmp_path):
     # the second replays the stored trace, which builds no machine and
     # must leave no cyclic garbage of its own.
     store = TraceStore(tmp_path)
-    replay_benchmark("msort", protocol, CONFIG, size="test", trace_store=store)
+    task = RunTask(benchmark="msort", protocol=protocol, config=CONFIG,
+                   size="test")
+    replay_matrix(task, [CONFIG], trace_store=store)
     gc.collect()
-    result = replay_benchmark(
-        "msort", protocol, CONFIG, size="test", trace_store=store
-    )
+    result, = replay_matrix(task, [CONFIG], trace_store=store)
     assert gc.collect() == 0
     return result
 

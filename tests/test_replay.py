@@ -14,9 +14,15 @@ import os
 import pytest
 
 from repro.analysis.conformance import stats_digest
-from repro.analysis.pool import RunTask, replay_matrix, task_fingerprint
-from repro.analysis.run import replay_benchmark, run_benchmark
+from repro.analysis.pool import (
+    DiskCache,
+    RunTask,
+    replay_matrix,
+    task_fingerprint,
+)
+from repro.analysis.run import run_benchmark, set_disk_cache
 from repro.analysis import run as run_mod
+import repro.replay
 from repro.bench import PAPER_ORDER
 from repro.common.config import dual_socket
 from repro.replay import (
@@ -115,34 +121,54 @@ def test_trace_store_rejects_corrupt_and_stale(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# Integration: replay_benchmark / replay_matrix
+# Integration: replay_matrix
 # ----------------------------------------------------------------------
-def test_replay_benchmark_records_then_replays(tmp_path):
+def _task(name):
+    return RunTask(
+        benchmark=name, protocol="mesi", config=dual_socket(), size="test",
+    )
+
+
+def test_replay_matrix_records_then_replays(tmp_path, monkeypatch):
+    recorded = []
+    record = repro.replay.record_benchmark
+
+    def counting_record(name, *args, **kwargs):
+        recorded.append(name)
+        return record(name, *args, **kwargs)
+
+    monkeypatch.setattr(repro.replay, "record_benchmark", counting_record)
     store = TraceStore(tmp_path)
-    config = dual_socket()
-    kwargs = dict(size="test", trace_store=store)
-    first = replay_benchmark("grep", "mesi", config, **kwargs)   # records
-    second = replay_benchmark("grep", "mesi", config, **kwargs)  # replays
+    base = _task("grep")
+    first, = replay_matrix(base, [base.config], trace_store=store)   # records
+    second, = replay_matrix(base, [base.config], trace_store=store)  # replays
     reference = run_benchmark(
-        "grep", "mesi", config, size="test", use_cache=False,
+        "grep", "mesi", base.config, size="test", use_cache=False,
         use_disk_cache=False,
     )
     assert first.stats.to_dict() == reference.stats.to_dict()
     assert second.stats.to_dict() == reference.stats.to_dict()
     assert second.result == reference.result
     # exactly one trace was recorded and reused
+    assert recorded == ["grep"]
     assert len(list(store.root.glob("*.wtrace"))) == 1
 
 
-def test_replay_benchmark_never_touches_result_caches(tmp_path):
+def test_replay_matrix_never_touches_result_caches(tmp_path):
     run_mod.clear_cache()
     before = dict(run_mod._CACHE)
-    replay_benchmark(
-        "fib", "mesi", dual_socket(), size="test",
-        trace_store=TraceStore(tmp_path),
-    )
+    disk = DiskCache(tmp_path / "results")
+    previous = set_disk_cache(disk)
+    try:
+        base = _task("fib")
+        replay_matrix(base, [base.config], trace_store=TraceStore(tmp_path))
+    finally:
+        set_disk_cache(previous)
     assert run_mod._CACHE == before, (
         "replay results must never enter the exact-result cache"
+    )
+    assert not any(disk.root.rglob("*")), (
+        "replay results must never enter the persistent result cache"
     )
 
 
@@ -175,11 +201,7 @@ def test_replay_matrix_sweeps_variants(tmp_path):
 
 
 def test_recorded_trace_fingerprint_matches_task_key(tmp_path):
-    config = dual_socket()
-    task = RunTask(
-        benchmark="fib", protocol="mesi", config=config, size="test", seed=42,
-    )
-    key = task_fingerprint(task)
+    task = _task("fib")
     store = TraceStore(tmp_path)
-    replay_benchmark("fib", "mesi", config, size="test", trace_store=store)
-    assert store.path_for(key).exists()
+    replay_matrix(task, [task.config], trace_store=store)
+    assert store.path_for(task_fingerprint(task)).exists()
