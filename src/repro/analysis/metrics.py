@@ -36,41 +36,8 @@ class ComparisonMetrics:
 
 
 def compare(mesi: BenchResult, warden: BenchResult) -> ComparisonMetrics:
-    if mesi.benchmark != warden.benchmark:
-        raise ValueError("comparing different benchmarks")
-    ms, ws = mesi.stats, warden.stats
-
-    inv_reduced = ms.coherence.invalidations - ws.coherence.invalidations
-    dg_reduced = ms.coherence.downgrades - ws.coherence.downgrades
-    total_reduced = inv_reduced + dg_reduced
-    kilo_instr = max(ms.instructions, 1) / 1000.0
-    if total_reduced > 0:
-        dg_pct = dg_reduced / total_reduced * 100.0
-        inv_pct = inv_reduced / total_reduced * 100.0
-    else:
-        dg_pct = inv_pct = 0.0
-
-    ipc_impr = (
-        (ws.ipc - ms.ipc) / ms.ipc * 100.0 if ms.ipc > 0 else 0.0
-    )
-
-    return ComparisonMetrics(
-        benchmark=mesi.benchmark,
-        speedup=ms.cycles / ws.cycles if ws.cycles else 0.0,
-        interconnect_savings=percent_savings(
-            ms.energy.interconnect_nj, ws.energy.interconnect_nj
-        ),
-        processor_savings=percent_savings(
-            ms.energy.processor_nj, ws.energy.processor_nj
-        ),
-        inv_dg_reduced_per_kilo=total_reduced / kilo_instr,
-        downgrade_reduction_pct=dg_pct,
-        invalidation_reduction_pct=inv_pct,
-        ipc_improvement_pct=ipc_impr,
-        ward_coverage=ws.coherence.ward_coverage,
-        mesi_cycles=ms.cycles,
-        warden_cycles=ws.cycles,
-    )
+    """The comparison of one MESI/WARDen run pair."""
+    return compare_multi([(mesi, warden)])
 
 
 def compare_multi(pairs: List[tuple]) -> ComparisonMetrics:
@@ -84,6 +51,8 @@ def compare_multi(pairs: List[tuple]) -> ComparisonMetrics:
     if not pairs:
         raise ValueError("need at least one run pair")
     name = pairs[0][0].benchmark
+    if any(r.benchmark != name for pair in pairs for r in pair):
+        raise ValueError("comparing different benchmarks")
 
     def tot(results, fn):
         return sum(fn(r.stats) for r in results)
@@ -140,6 +109,16 @@ def geomean(values: Iterable[float]) -> float:
 def mean(values: Iterable[float]) -> float:
     vals = list(values)
     return sum(vals) / len(vals) if vals else 0.0
+
+
+def pearson(xs: List[float], ys: List[float]) -> float:
+    """Pearson correlation of two samples (0 when either is constant)."""
+    n = len(xs)
+    mx, my = sum(xs) / n, sum(ys) / n
+    cov = sum((x - mx) * (y - my) for x, y in zip(xs, ys))
+    vx = sum((x - mx) ** 2 for x in xs) ** 0.5
+    vy = sum((y - my) ** 2 for y in ys) ** 0.5
+    return cov / (vx * vy) if vx and vy else 0.0
 
 
 def summarize(metrics: List[ComparisonMetrics]) -> dict:

@@ -2,9 +2,9 @@
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
+from typing import Dict, List, Sequence, Tuple
 
-from repro.analysis.metrics import ComparisonMetrics, summarize
+from repro.analysis.metrics import ComparisonMetrics, geomean, mean, summarize
 from repro.bench.microbench import PAPER_TABLE1, PingPongResult
 from repro.common.config import MachineConfig
 
@@ -115,4 +115,35 @@ def figure11(metrics: List[ComparisonMetrics]) -> str:
         ["Benchmark", "IPC improvement %"],
         rows,
         title="Figure 11: percentage IPC improvement",
+    )
+
+
+#: one labelled run group of a multi-policy or multi-machine table
+Group = Tuple[str, List[ComparisonMetrics]]
+
+
+def ablation_table(groups: List[Group]) -> str:
+    """Speedup per WARD-marking policy (one group per policy)."""
+    rows = [
+        [label, geomean(m.speedup for m in ms)] + [m.speedup for m in ms]
+        for label, ms in groups
+    ]
+    return render_table(
+        ["Policy", "geomean"] + [m.benchmark for m in groups[0][1]],
+        rows,
+        title="Ablation: WARD-marking policy (dual socket, speedup vs MESI)",
+    )
+
+
+def sockets_table(groups: List[Group]) -> str:
+    """§7.3: mean speedup and network savings per socket count."""
+    rows = [
+        [label, mean(m.speedup for m in ms), mean(m.interconnect_savings for m in ms)]
+        for label, ms in groups
+    ]
+    names = ", ".join(m.benchmark for m in groups[0][1])
+    return render_table(
+        ["Sockets", "Mean speedup", "Mean network savings %"],
+        rows,
+        title=f"§7.3: WARDen benefit vs socket count ({names})",
     )

@@ -9,6 +9,7 @@ Usage (after ``pip install -e .``)::
     warden-repro figure fig8 --jobs 4       # parallel (protocol x seed) matrix
     warden-repro figure fig9|fig10|fig11    # dual-socket analysis figures
     warden-repro figure fig12               # disaggregated
+    warden-repro figure ablation|sockets    # marking policies; §7.3 scaling
     warden-repro run primes --protocol warden --machine dual [--json]
     warden-repro trace fib --size test --out trace.json   # Perfetto trace
     warden-repro profile fib --size test    # flame summary + region profile
@@ -40,13 +41,15 @@ from pathlib import Path
 from typing import List, Optional
 
 from repro.analysis.conformance import run_verify
-from repro.analysis.metrics import compare_multi, summarize
+from repro.analysis.metrics import compare_multi, geomean, mean, pearson, summarize
 from repro.analysis.pool import DEFAULT_CACHE_DIR, DiskCache, MatrixReport
 from repro.analysis.run import run_benchmark, run_pairs, set_disk_cache
 from repro.analysis.tables import (
+    ablation_table,
     figure9,
     figure10,
     figure11,
+    sockets_table,
     speedup_energy_figure,
     table1,
     table2,
@@ -59,9 +62,10 @@ from repro.bench import (
 )
 from repro.bench.microbench import run_table1
 from repro.coherence.registry import available_protocols, protocol_class
-from repro.common.config import disaggregated, dual_socket, single_socket
+from repro.common.config import disaggregated, dual_socket, many_socket, single_socket
 from repro.common.errors import ConfigError, ReproError
 from repro.energy.cacti import region_cam_area_overhead, sectoring_area_overhead
+from repro.hlpl.policy import MarkingPolicy
 from repro.obs.export import (
     flame_summary,
     latency_summary,
@@ -176,37 +180,162 @@ def _gains(number: int, machine: str):
     return lambda metrics: speedup_energy_figure(metrics, title)
 
 
-#: per-figure rendering: (machine preset, benchmark list, renderer)
+# Each figure's claims, given its metrics and whether the paper's claims
+# apply (``default`` size); ``test`` and ``small`` inputs are too short for
+# a stable signal, so they get smoke bounds.  A claim: {"claim", "held"}.
+def _held(text: str, held) -> dict:
+    return {"claim": text, "held": bool(held)}
+
+
+def _above(what: str, value: float, floor: float) -> dict:
+    return _held(f"{what} {value:.2f} > {floor}", value > floor)
+
+
+def _fig7_claims(metrics, paper):
+    speedup = summarize(metrics)["speedup"]
+    if not paper:
+        return [_above("mean speedup", speedup, 0.8)]
+    # paper: 1.24x mean; we expect the same sign, nearly everywhere
+    wins = sum(m.speedup >= 0.95 for m in metrics)
+    return [_above("mean speedup", speedup, 1.0),
+            _held(f"{wins} benchmarks reach speedup 0.95 (need 12)", wins >= 12)]
+
+
+def _fig8_claims(metrics, paper):
+    agg = summarize(metrics)
+    net, proc = agg["interconnect_savings"], agg["processor_savings"]
+    if not paper:
+        return [_above("mean speedup", agg["speedup"], 0.8)]
+    # paper: 1.46x, 52.9% network / 23.1% processor savings
+    return [_above("mean speedup", agg["speedup"], 1.0),
+            _above("mean interconnect savings %", net, 0),
+            _held(f"interconnect savings {net:.2f}% > processor savings {proc:.2f}%",
+                  net > proc)]
+
+
+def _fig9_claims(metrics, paper):
+    reductions = [m.inv_dg_reduced_per_kilo for m in metrics]
+    removed, need = sum(r > 0 for r in reductions), 12 if paper else 8
+    out = [_held(f"{removed} benchmarks avoid coherence events (need {need})",
+                 removed >= need)]
+    if paper:  # Fig. 9's point: the removal correlates with speedup
+        r = pearson(reductions, [m.speedup for m in metrics])
+        out.append(_above("Pearson r of reduction vs speedup", r, 0))
+    return out
+
+
+def _fig10_claims(metrics, _paper):
+    dg = [m.downgrade_reduction_pct for m in metrics]
+    inv = [m.invalidation_reduction_pct for m in metrics]
+    return [_held("downgrade and invalidation shares partition each reduction",
+                  all(d + i == 0 or abs(d + i - 100.0) < 1e-6
+                      for d, i in zip(dg, inv))),
+            _above("largest downgrade share %", max(dg), 30),
+            _above("largest invalidation share %", max(inv), 30)]
+
+
+def _fig11_claims(metrics, paper):
+    gain = mean(m.ipc_improvement_pct for m in metrics)
+    return [_above("mean IPC improvement %", gain, 0)] if paper else []
+
+
+def _fig12_claims(metrics, paper):
+    agg = summarize(metrics)
+    if not paper:
+        return [_above("mean speedup", agg["speedup"], 0.7)]
+    return [_above("mean interconnect savings %", agg["interconnect_savings"], 0),
+            _above("mean speedup", agg["speedup"], 0.95)]
+
+
+def _ablation_claims(groups, paper):
+    speedup = {label: geomean(m.speedup for m in ms) for label, ms in groups}
+    none, full = speedup["none"], speedup["full"]
+    tol = 0.05 if paper else 0.1  # no regions: WARDen behaves as MESI
+    out = [_held(f"no-marking speedup {none:.2f} is within {tol} of 1.0",
+                 abs(none - 1.0) <= tol)]
+    if paper:
+        out.append(_held(f"full-marking speedup {full:.2f} > no-marking", full > none))
+    return out
+
+
+def _sockets_claims(groups, paper):
+    if not paper:
+        return []
+    net = [mean(m.interconnect_savings for m in ms) for _, ms in groups]
+    # the paper expects the gain to grow with scale; we require only that
+    # some multi-socket machine save more network energy than one socket
+    return [_held(f"best multi-socket network savings {max(net[1:]):.2f}% > "
+                  f"1-socket {net[0]:.2f}%", max(net[1:]) > net[0]),
+            _above(f"{groups[-1][0]}-socket mean speedup",
+                   mean(m.speedup for m in groups[-1][1]), 1.0)]
+
+
+def _on(machine) -> tuple:
+    return (("", machine, MarkingPolicy.FULL),)
+
+
+#: per figure: (run groups, benchmarks, renderer, claims).  A run group is
+#: (label, machine preset, marking policy); the renderer and the claims see
+#: a one-group figure's metrics list, else (label, metrics) pairs.
 _FIGURE_SPECS = {
-    "fig7": (single_socket, PAPER_ORDER, _gains(7, "single socket")),
-    "fig8": (dual_socket, PAPER_ORDER, _gains(8, "dual socket")),
-    "fig9": (dual_socket, PAPER_ORDER, figure9),
-    "fig10": (dual_socket, PAPER_ORDER, figure10),
-    "fig11": (dual_socket, PAPER_ORDER, figure11),
-    "fig12": (disaggregated, DISAGGREGATED_SUBSET, _gains(12, "disaggregated")),
+    "fig7": (_on(single_socket), PAPER_ORDER,
+             _gains(7, "single socket"), _fig7_claims),
+    "fig8": (_on(dual_socket), PAPER_ORDER,
+             _gains(8, "dual socket"), _fig8_claims),
+    "fig9": (_on(dual_socket), PAPER_ORDER, figure9, _fig9_claims),
+    "fig10": (_on(dual_socket), PAPER_ORDER, figure10, _fig10_claims),
+    "fig11": (_on(dual_socket), PAPER_ORDER, figure11, _fig11_claims),
+    "fig12": (_on(disaggregated), DISAGGREGATED_SUBSET,
+              _gains(12, "disaggregated"), _fig12_claims),
+    "ablation": (
+        tuple((p.value, dual_socket, p) for p in MarkingPolicy),
+        ("primes", "msort", "make_array", "grep", "suffix-array", "tokens"),
+        ablation_table, _ablation_claims),
+    "sockets": (
+        (("1", single_socket, MarkingPolicy.FULL),
+         ("2", dual_socket, MarkingPolicy.FULL),
+         ("4", many_socket, MarkingPolicy.FULL)),
+        ("grep", "msort"), sockets_table, _sockets_claims),
 }
 FIGURES = tuple(_FIGURE_SPECS)
 
 
+def _metrics_json(metrics) -> dict:
+    return {"rows": [dataclasses.asdict(m) for m in metrics],
+            "summary": summarize(metrics)}
+
+
 def cmd_figure(args) -> int:
+    """Print one figure and its claims; exit 1 if a claim does not hold."""
     _configure_disk_cache(args)
-    machine, names, renderer = _FIGURE_SPECS[args.figure]
-    config = machine()
+    run_groups, names, render, check = _FIGURE_SPECS[args.figure]
     report = MatrixReport()
-    metrics = [
-        compare_multi(run_pairs(
-            name, config, size=args.size, **_matrix_options(args, report)
-        ))
-        for name in names
+    groups = []
+    for label, machine, policy in run_groups:
+        config = machine()
+        groups.append((label, [
+            compare_multi(run_pairs(
+                name, config, size=args.size, policy=policy,
+                **_matrix_options(args, report),
+            ))
+            for name in names
+        ]))
+    view = groups[0][1] if len(groups) == 1 else groups
+    claims = check(view, args.size == "default")
+    payload = {"figure": args.figure, "size": args.size, "claims": claims}
+    if len(groups) == 1:
+        payload.update(_metrics_json(view))
+    else:
+        payload["groups"] = [
+            dict(_metrics_json(metrics), label=label)
+            for label, metrics in groups
+        ]
+    text = [render(view)] + [
+        f"claim {'held' if c['held'] else 'NOT HELD'}: {c['claim']}"
+        for c in claims
     ]
-    payload = {
-        "figure": args.figure,
-        "size": args.size,
-        "rows": [dataclasses.asdict(m) for m in metrics],
-        "summary": summarize(metrics),
-    }
-    _print_report(args, payload, renderer(metrics), report)
-    return 0
+    _print_report(args, payload, "\n".join(text), report)
+    return 0 if all(c["held"] for c in claims) else 1
 
 
 def _pick_workload(args) -> str:
@@ -554,7 +683,8 @@ def _commands() -> dict:
         "table1": (cmd_table1, "run the ping-pong validation", (), [
             _arg("--iterations", type=_positive_int, default=300),
         ]),
-        "figure": (cmd_figure, "regenerate one figure",
+        "figure": (cmd_figure, "regenerate one figure and check its claims "
+                   "(exit 1 if one does not hold)",
                    ("size", "json", "cache", "matrix"), [
             _arg("figure", choices=FIGURES),
         ]),

@@ -285,8 +285,7 @@ class MESIProtocol:
                     f"evicting owned block {block.addr:#x} but directory "
                     f"says owner={entry.owner}"
                 )
-            mtype = _PUT_M if block.state is M else _PUT_M
-            self.noc.core_to_home(core, home, mtype)
+            self.noc.core_to_home(core, home, _PUT_M)
             if block.state is M:
                 self.stats.writebacks += 1
                 self._llc_fill(block.addr)

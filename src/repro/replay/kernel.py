@@ -329,6 +329,14 @@ def _preprocess(tr, bs: int) -> _Prep:
     return p
 
 
+def _required(meta: dict, key: str):
+    """A meta field every recording writes: a trace without it is
+    malformed, and guessing a default would replay it as something else."""
+    if key not in meta:
+        raise ConfigError(f"trace meta has no {key!r} field")
+    return meta[key]
+
+
 def _recorded_config(meta: dict) -> MachineConfig:
     if "config" not in meta:
         raise ConfigError(
@@ -362,11 +370,8 @@ class ReplayKernel:
             raise ValueError("a replay group must share one memory key")
         #: the group's memory-side config (its timing fields are lane 0's)
         self.config = configs[0]
-        # dispatch mode from the recorded registry key; traces predating the
-        # key fall back on the supports_ward flag (mesi/warden era)
-        key = meta.get("protocol")
-        if key is None:
-            key = "warden" if meta.get("supports_ward") else "mesi"
+        # dispatch mode from the recorded registry key
+        key = _required(meta, "protocol")
         from repro.coherence.registry import available_protocols
 
         known = available_protocols()
@@ -435,7 +440,7 @@ class ReplayKernel:
         """
         prep = self.prep
         used = len(prep.tail_charge)
-        final = self.trace.meta.get("final_thread", 0)
+        final = _required(self.trace.meta, "final_thread")
         bound = 0
         for cfg in self.configs:
             if used > cfg.num_threads:

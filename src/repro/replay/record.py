@@ -207,7 +207,6 @@ def record_benchmark(
         "benchmark": name,
         "protocol": _protocol_key(protocol),
         "protocol_name": machine.protocol.name,
-        "supports_ward": machine.protocol.supports_ward,
         "size": size,
         "seed": seed,
         "policy": policy.value,

@@ -37,8 +37,9 @@ class TestParser:
             build_parser().parse_args([])
 
     def test_figure_choices(self):
-        args = build_parser().parse_args(["figure", "fig8", "--size", "test"])
-        assert args.figure == "fig8" and args.size == "test"
+        for figure in ("fig8", "ablation", "sockets"):
+            args = build_parser().parse_args(["figure", figure, "--size", "test"])
+            assert args.figure == figure and args.size == "test"
 
     def test_bad_figure_rejected(self):
         with pytest.raises(SystemExit):
@@ -163,10 +164,51 @@ class TestFigureJson:
         assert payload["rows"][0]["speedup"] == 1.5
         assert "summary" in payload
         assert "robustness" not in payload  # clean run, no plan armed
+        assert payload["claims"] == [{
+            "claim": "14 benchmarks avoid coherence events (need 8)",
+            "held": True,
+        }]
 
     def test_every_figure_has_a_spec(self):
         from repro.cli import FIGURES, _FIGURE_SPECS
+        assert FIGURES == (
+            "fig7", "fig8", "fig9", "fig10", "fig11", "fig12",
+            "ablation", "sockets",
+        )
         assert set(FIGURES) == set(_FIGURE_SPECS)
+        for groups, names, _render, _claims in _FIGURE_SPECS.values():
+            assert groups and names
+
+    def test_broken_claim_exits_1_and_names_it(self, capsys, monkeypatch):
+        slow = ComparisonMetrics(
+            benchmark="fib", speedup=0.5, interconnect_savings=-3.0,
+            processor_savings=-1.0, inv_dg_reduced_per_kilo=0.0,
+            downgrade_reduction_pct=0.0, invalidation_reduction_pct=0.0,
+            ipc_improvement_pct=-4.0, ward_coverage=0.0,
+        )
+        fake_figure_runs(monkeypatch, slow)
+        assert main(["figure", "fig7", "--size", "test"]) == 1
+        out = capsys.readouterr().out
+        assert out.startswith("Figure 7: performance and energy gains")
+        assert "claim NOT HELD: mean speedup 0.50 > 0.8" in out
+
+    def test_multi_group_figure_json(self, capsys, monkeypatch):
+        fake_figure_runs(monkeypatch, TestRobustnessFlags.FAKE)
+        assert main(["figure", "sockets", "--size", "test", "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert [g["label"] for g in payload["groups"]] == ["1", "2", "4"]
+        assert payload["groups"][0]["rows"][0]["benchmark"] == "fib"
+        assert payload["claims"] == []  # paper claims need default size
+
+    def test_every_figure_holds_its_smoke_claims(self, capsys):
+        for figure in cli.FIGURES:
+            code = main(
+                ["figure", figure, "--size", "test", "--json",
+                 "--no-disk-cache"]
+            )
+            claims = json.loads(capsys.readouterr().out)["claims"]
+            assert code == 0, (figure, claims)
+            assert all(c["held"] for c in claims), (figure, claims)
 
 
 class TestRobustnessFlags:

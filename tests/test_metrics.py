@@ -7,6 +7,7 @@ from repro.analysis.metrics import (
     compare_multi,
     geomean,
     mean,
+    pearson,
     summarize,
 )
 from repro.analysis.run import BenchResult
@@ -84,6 +85,14 @@ class TestCompareMulti:
         with pytest.raises(ValueError):
             compare_multi([])
 
+    def test_pairs_from_two_benchmarks_rejected(self):
+        pairs = [
+            (result(benchmark="a"), result(benchmark="a")),
+            (result(benchmark="b"), result(benchmark="b")),
+        ]
+        with pytest.raises(ValueError, match="different benchmarks"):
+            compare_multi(pairs)
+
 
 class TestAggregates:
     def test_geomean(self):
@@ -94,6 +103,11 @@ class TestAggregates:
 
     def test_geomean_empty(self):
         assert geomean([]) == 0.0
+
+    def test_pearson(self):
+        assert pearson([1.0, 2.0, 3.0], [2.0, 4.0, 6.0]) == pytest.approx(1.0)
+        assert pearson([1.0, 2.0, 3.0], [3.0, 2.0, 1.0]) == pytest.approx(-1.0)
+        assert pearson([1.0, 2.0], [5.0, 5.0]) == 0.0
 
     def test_mean(self):
         assert mean([1.0, 3.0]) == 2.0

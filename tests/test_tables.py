@@ -2,10 +2,12 @@
 
 from repro.analysis.metrics import ComparisonMetrics
 from repro.analysis.tables import (
+    ablation_table,
     figure9,
     figure10,
     figure11,
     render_table,
+    sockets_table,
     speedup_energy_figure,
     table1,
     table2,
@@ -59,6 +61,19 @@ class TestFigureRenderers:
     def test_figure11_columns(self):
         out = figure11([metric()])
         assert "IPC improvement %" in out and "7.00" in out
+
+    def test_ablation_rows_per_policy(self):
+        groups = [("none", [metric(speedup=1.0), metric("grep", 1.0)]),
+                  ("full", [metric(speedup=1.0), metric("grep", 4.0)])]
+        lines = ablation_table(groups).splitlines()
+        assert lines[1].split()[-3:] == ["fib", "|", "grep"]
+        assert lines[4].split() == "full | 2.00 | 1.00 | 4.00".split()
+
+    def test_sockets_means_per_group(self):
+        groups = [("1", [metric(speedup=1.0), metric("msort", 2.0)])]
+        out = sockets_table(groups)
+        assert out.startswith("§7.3: WARDen benefit vs socket count (fib, msort)")
+        assert out.splitlines()[-1].split() == "1 | 1.50 | 10.00".split()
 
 
 class TestPaperTables:

@@ -284,6 +284,8 @@ DOCTORINGS = {
     "thread-out-of-range": lambda tr: tr.thread.__setitem__(
         _first_access(tr), 999),
     "no-config": lambda tr: tr.meta.pop("config"),
+    "no-protocol": lambda tr: tr.meta.pop("protocol"),
+    "no-final-thread": lambda tr: tr.meta.pop("final_thread"),
     "malformed-config": lambda tr: tr.meta.__setitem__("config", {"l1": 5}),
     "final-thread-out-of-range": lambda tr: tr.meta.__setitem__(
         "final_thread", 99),
