@@ -12,13 +12,16 @@ benchmark's result value:
   is;
 * per-op stepping: the trace recorder's machine sets ``record_per_op``,
   so ``record_benchmark``'s recorded result is the per-op reference;
-* the replay kernel on that recording, after a ``to_bytes``/``from_bytes``
-  round trip so the on-disk format is on the hook too.
+* ``replay_trace`` on that recording, after a ``to_bytes``/``from_bytes``
+  round trip so the on-disk format is on the hook too.  The script prints
+  which replay path the cell took: the packed kernel (MESI and WARDen) or
+  the machine replay (every other protocol).
 
 A sweep leg then checks grouped replays: ``replay_matrix`` over a 2
 L2-size x 3 socket-link grid (two memory-key groups of three latency
 lanes) must give, for every variant, exactly the ``RunStats.to_dict()`` of
-that variant's own single-config replay.
+the machine replay at that variant, which plays the trace into the
+protocol's own engine class.
 
 Any mismatch prints the differing keys and exits 1.  The broader matrices
 (every benchmark x protocol at the "test" size) live in
@@ -71,11 +74,13 @@ def sweep_variants(config):
 
 
 def check_sweep(trace, task) -> list:
-    """Diff each ``replay_matrix`` result against its own replay."""
+    """Diff each ``replay_matrix`` result against the machine replay at
+    its variant."""
     import tempfile
 
     from repro.analysis.pool import replay_matrix, task_fingerprint
-    from repro.replay import TraceStore, replay_trace
+    from repro.replay import TraceStore
+    from repro.replay.kernel import machine_replay
 
     variants = sweep_variants(task.config)
     with tempfile.TemporaryDirectory() as root:
@@ -84,8 +89,8 @@ def check_sweep(trace, task) -> list:
         swept = replay_matrix(task, variants, trace_store=store)
     diffs = []
     for config, result in zip(variants, swept):
-        single = replay_trace(trace, config)
-        for line in diff_dicts(result.stats.to_dict(), single.stats.to_dict()):
+        reference = machine_replay(trace, config)
+        for line in diff_dicts(result.stats.to_dict(), reference.to_dict()):
             diffs.append(
                 f"  [l2 {config.l2.size_bytes // 1024}K, link "
                 f"{config.socket_link_latency}]{line}"
@@ -104,6 +109,7 @@ def main(argv) -> int:
     from repro.common.config import dual_socket
     from repro.obs import RingBufferSink
     from repro.replay import Trace, record_benchmark, replay_trace
+    from repro.replay.kernel import kernel_replays
 
     task = RunTask(
         benchmark=name, protocol=protocol, config=dual_socket(), size=size,
@@ -120,11 +126,12 @@ def main(argv) -> int:
         fingerprint=task_fingerprint(task),
     )
     replayed = replay_trace(Trace.from_bytes(trace.to_bytes()))
+    path = "replay kernel" if kernel_replays(trace) else "machine replay"
 
     failed = False
     for label, result in (("epoch-batched engine", batched),
                           ("traced engine", traced),
-                          ("replay kernel", replayed)):
+                          (path, replayed)):
         diffs = diff_results(result, per_op)
         if diffs:
             print(f"FAIL: {cell} {label} diverges from per-op stepping "
@@ -140,12 +147,12 @@ def main(argv) -> int:
 
     diffs = check_sweep(trace, task)
     if diffs:
-        print(f"FAIL: {cell} grouped sweep replay diverges from "
-              f"single-config replays (grouped != single):")
+        print(f"FAIL: {cell} grouped sweep replay diverges from the "
+              f"machine replay (grouped != machine):")
         print("\n".join(diffs))
         return 1
     print(f"ok: {cell} sweep of {len(sweep_variants(task.config))} configs "
-          f"bit-identical to single-config replays")
+          f"bit-identical to the machine replay at each config")
     return 0
 
 

@@ -23,7 +23,8 @@ class ComparisonMetrics:
     processor_savings: float
     #: (invalidations + downgrades) avoided per kilo-instruction (Fig. 9)
     inv_dg_reduced_per_kilo: float
-    #: share of the reduction that is downgrades / invalidations (Fig. 10)
+    #: share of the gross reduction that is downgrades / invalidations
+    #: (Fig. 10); a class counts only where it fell, so each lies in [0, 100]
     downgrade_reduction_pct: float
     invalidation_reduction_pct: float
     #: IPC improvement % (Fig. 11)
@@ -72,6 +73,12 @@ def compare_multi(pairs: List[tuple]) -> ComparisonMetrics:
         wards, lambda s: s.coherence.downgrades
     )
     total_red = inv_red + dg_red
+    # Fig. 10's shares split the gross reduction: a class that rose under
+    # WARDen removed nothing, so it counts 0 rather than a negative share
+    # that pushes the other one past 100%.
+    inv_fell = max(inv_red, 0)
+    dg_fell = max(dg_red, 0)
+    gross_red = inv_fell + dg_fell
     m_instr = tot(mesis, lambda s: s.instructions)
     w_instr = tot(wards, lambda s: s.instructions)
     threads = pairs[0][0].stats.num_threads
@@ -87,10 +94,10 @@ def compare_multi(pairs: List[tuple]) -> ComparisonMetrics:
         processor_savings=percent_savings(m_proc, w_proc),
         inv_dg_reduced_per_kilo=total_red / (max(m_instr, 1) / 1000.0),
         downgrade_reduction_pct=(
-            dg_red / total_red * 100.0 if total_red > 0 else 0.0
+            dg_fell / gross_red * 100.0 if gross_red else 0.0
         ),
         invalidation_reduction_pct=(
-            inv_red / total_red * 100.0 if total_red > 0 else 0.0
+            inv_fell / gross_red * 100.0 if gross_red else 0.0
         ),
         ipc_improvement_pct=(w_ipc - m_ipc) / m_ipc * 100.0 if m_ipc else 0.0,
         ward_coverage=w_cov_n / w_cov_d,

@@ -230,6 +230,8 @@ def _fig10_claims(metrics, _paper):
     return [_held("downgrade and invalidation shares partition each reduction",
                   all(d + i == 0 or abs(d + i - 100.0) < 1e-6
                       for d, i in zip(dg, inv))),
+            _held("every share lies in [0, 100]",
+                  all(0.0 <= s <= 100.0 for s in dg + inv)),
             _above("largest downgrade share %", max(dg), 30),
             _above("largest invalidation share %", max(inv), 30)]
 

@@ -4,7 +4,10 @@
 corpus generator, and the replay path all resolve protocol keys here, so
 registering a new protocol (a spec + a class, see
 :mod:`repro.coherence.spec`) plugs it into every verification layer at
-once.
+once.  Replay included: a trace replays through its protocol's own class
+unless that class *is* one the packed replay kernel transcribes (MESI or
+WARDen), so a subclass registered under a new key never borrows its
+parent's transcription.
 
 Protocol modules self-register at import via :func:`coherence_protocol`;
 :func:`_ensure_loaded` imports the built-in modules lazily so importing

@@ -1,13 +1,26 @@
 """The replay kernel: trace in, bit-identical ``RunStats`` out.
 
-A replay runs in two passes over a recorded trace.
+A trace replays one of two ways, chosen by its protocol's class.
 
-* The **memory pass** drives the registered protocols' state machines
-  (MESI, WARDen, MOESI, SI/SD — dispatched on the trace's recorded
-  protocol key) over packed arrays and emits each access's latency.  It
-  holds everything a latency cannot change: cache contents and LRU order,
-  per-core coherence states (``_I, _S, _O, _E, _M, _W = 0..5``), the
-  directory, WARD regions, message counts and the coherence counters.
+* :func:`machine_replay` plays the events into a plain
+  :class:`~repro.sim.machine.Machine` of the trace's protocol: the
+  protocol's own engine class answers every access.  It serves every
+  registered protocol, so each protocol is defined once (its
+  ``ProtocolSpec`` table plus its engine class), and at any config it is
+  the exact reference for the packed kernel below.
+* :class:`ReplayKernel` is a packed transcription of exactly two classes,
+  :class:`~repro.coherence.mesi.MESIProtocol` and
+  :class:`~repro.coherence.warden.WARDenProtocol` — the pair whose sweeps
+  are the kernel's reason to exist.  A subclass of either replays through
+  its own code on the machine path.
+
+The packed kernel runs in two passes over a recorded trace.
+
+* The **memory pass** drives the protocol's state machine over packed
+  arrays and emits each access's latency.  It holds everything a latency
+  cannot change: cache contents and LRU order, per-core coherence states
+  (``_I, _S, _E, _M, _W = 0..4``), the directory, WARD regions, message
+  counts and the coherence counters.
 * The **core-timing pass** turns those latencies into time: the
   per-thread clocks, the TSO store buffer, load and store-buffer stalls,
   ``cycles`` and energy.  It walks only the *barriers* — stores, RMWs and
@@ -37,14 +50,14 @@ The memory pass works over packed state:
   by a branch-minimal fast path: a guaranteed L1-MRU hit, no LRU
   maintenance, no method calls.
 
-Every slow-path transaction is a line-for-line transcription of the
-object protocols in :mod:`repro.coherence`, sharing the genuinely subtle
-pieces — :func:`~repro.coherence.warden.reconcile_plan`,
+Every slow-path transaction is a line-for-line transcription of the two
+object protocols, sharing the genuinely subtle pieces —
+:func:`~repro.coherence.warden.reconcile_plan`,
 :func:`~repro.mem.cache.set_index_params`,
 :func:`~repro.coherence.mesi.llc_config`, and the real
 :class:`~repro.coherence.regions.RegionTable` — so the two cannot drift
 on the parts that are easy to get wrong.  The replay-identity tests then
-pin the rest bit-for-bit.
+pin the rest bit-for-bit against the machine replay.
 
 Replaying under a *different* config than the recorded one is a
 trace-driven approximation: the instruction stream is the recorded one,
@@ -61,13 +74,15 @@ from typing import List, Optional, Sequence
 from repro.common.config import MachineConfig
 from repro.common.errors import ConfigError, UnknownProtocolError
 from repro.common.stats import CoreStats, RunStats
-from repro.common.types import MessageType
+from repro.common.types import AccessType, MessageType
 from repro.coherence.mesi import MESIProtocol, llc_config
 from repro.coherence.regions import RegionTable
-from repro.coherence.warden import reconcile_plan
+from repro.coherence.registry import protocol_map
+from repro.coherence.warden import WARDenProtocol, reconcile_plan
 from repro.energy.model import EnergyModel
 from repro.mem.cache import set_index_params
 from repro.obs.tracer import ReplayEvent
+from repro.sim.machine import Machine
 from repro.replay.trace import (
     AT_LOAD,
     AT_RMW,
@@ -102,11 +117,16 @@ _REGION_ADD_MSG = MessageType.REGION_ADD
 _REGION_REMOVE_MSG = MessageType.REGION_REMOVE
 
 # coherence state codes in the packed per-(core, block) state arrays.
-# Ordering is load-bearing: for MESI/WARDen/MOESI, st >= _E <=> the state
-# grants writes silently (M/E/W; O sits below E because an O store must
-# ask the directory); for SI/SD — which never holds E/O — the silent-
-# write threshold drops to _S (every cached state absorbs stores).
-_I, _S, _O, _E, _M, _W = 0, 1, 2, 3, 4, 5
+# Ordering is load-bearing: st >= _E <=> the state grants writes silently
+# (E/M/W); an S store must ask the directory.
+_I, _S, _E, _M, _W = 0, 1, 2, 3, 4
+
+#: the protocol classes the packed kernel transcribes; every other class,
+#: subclasses included, replays on the machine path
+_KERNEL_CLASSES = (MESIProtocol, WARDenProtocol)
+#: trace atype code -> AccessType (the recorder's ``_AT_CODE``, inverted)
+_ATYPES = {AT_LOAD: AccessType.LOAD, AT_STORE: AccessType.STORE,
+           AT_RMW: AccessType.RMW}
 
 _KINDS = frozenset((
     K_ACCESS, K_REGION_ADD, K_REGION_REMOVE, K_PLACE, K_SYNC, K_FLUSH,
@@ -197,6 +217,24 @@ class _Prep:
     )
 
 
+def _check_events(kind, thr, atype, sizes) -> None:
+    """Raise :class:`ConfigError` on an event no replay can interpret
+    (the columns as lists)."""
+    unknown = set(kind) - _KINDS
+    if unknown:
+        k = next(k for k, kd in enumerate(kind) if kd in unknown)
+        raise ConfigError(f"trace event {k}: unknown event kind {kind[k]}")
+    if thr and min(thr) < 0:
+        k = thr.index(min(thr))
+        raise ConfigError(f"trace event {k}: negative thread id {thr[k]}")
+    if sizes and min(sizes) < 0:
+        k = sizes.index(min(sizes))
+        raise ConfigError(f"trace event {k}: negative access size {sizes[k]}")
+    for k, kd, at in zip(range(len(kind)), kind, atype):
+        if kd == K_ACCESS and at not in _ATYPES:
+            raise ConfigError(f"trace event {k}: unknown access type {at}")
+
+
 def _preprocess(tr, bs: int) -> _Prep:
     """Config-independent load-time pass: column lists, block-id
     factorization, the adjacent-repeat flags, written-sector masks, the
@@ -215,17 +253,7 @@ def _preprocess(tr, bs: int) -> _Prep:
     aux = tr.aux.tolist()
     pre_i = tr.pre_instrs.tolist()
     pre_c = tr.pre_cycles.tolist()
-
-    unknown = set(kind) - _KINDS
-    if unknown:
-        k = next(k for k, kd in enumerate(kind) if kd in unknown)
-        raise ConfigError(f"trace event {k}: unknown event kind {kind[k]}")
-    if n and min(thr) < 0:
-        k = thr.index(min(thr))
-        raise ConfigError(f"trace event {k}: negative thread id {thr[k]}")
-    if n and min(sizes) < 0:
-        k = sizes.index(min(sizes))
-        raise ConfigError(f"trace event {k}: negative access size {sizes[k]}")
+    _check_events(kind, thr, atype, sizes)
 
     bid = [-1] * n
     rep = [False] * n
@@ -295,10 +323,8 @@ def _preprocess(tr, bs: int) -> _Prep:
                 continue
             if at == AT_STORE:
                 stores += 1
-            elif at == AT_RMW:
-                rmws += 1
             else:
-                raise ConfigError(f"trace event {k}: unknown access type {at}")
+                rmws += 1
         elif kd != K_SYNC:
             continue
         j = len(b_thr)
@@ -348,6 +374,57 @@ def _recorded_config(meta: dict) -> MachineConfig:
         raise ConfigError(f"trace meta has a malformed config: {exc}") from None
 
 
+def _protocol_class(meta: dict) -> type:
+    """The registered class of the trace's protocol key."""
+    key = _required(meta, "protocol")
+    known = protocol_map()
+    if key not in known:
+        # A trace recorded by a build with extra protocols (or doctored
+        # meta) must not silently replay under another protocol.
+        raise UnknownProtocolError(key, known)
+    return known[key]
+
+
+def _group_configs(meta: dict, configs) -> List[MachineConfig]:
+    """``configs`` (default: the recorded config alone) as a list that
+    shares one :func:`memory_key`."""
+    if configs is None:
+        configs = [_recorded_config(meta)]
+    configs = list(configs)
+    if not configs:
+        raise ValueError("a replay needs at least one config")
+    shared = memory_key(configs[0])
+    if any(memory_key(config) != shared for config in configs[1:]):
+        raise ValueError("a replay group must share one memory key")
+    return configs
+
+
+def _latencies(cfg: MachineConfig) -> tuple:
+    return (cfg.l1.latency, cfg.l2.latency, cfg.l3.latency,
+            cfg.dram_latency, cfg.hop_intra_latency,
+            cfg.cross_socket_latency())
+
+
+def _check_fit(meta: dict, used: int, configs) -> int:
+    """Each config must fit a trace whose events use ``used`` threads;
+    returns the trace's final thread."""
+    final = _required(meta, "final_thread")
+    for cfg in configs:
+        if used > cfg.num_threads:
+            raise ConfigError(
+                f"trace uses thread {used - 1} but config {cfg.name!r} "
+                f"has {cfg.num_threads} threads"
+            )
+        if not (isinstance(final, int) and 0 <= final < cfg.num_threads):
+            raise ConfigError(
+                f"trace final_thread {final!r} is not a thread of "
+                f"config {cfg.name!r} ({cfg.num_threads} threads)"
+            )
+        if min(_latencies(cfg)) < 0:
+            raise ConfigError(f"config {cfg.name!r} has a negative latency")
+    return final
+
+
 class ReplayKernel:
     """Replays one :class:`~repro.replay.trace.Trace` under a group of
     configs that share one :func:`memory_key` (default: the recorded
@@ -360,33 +437,17 @@ class ReplayKernel:
     ):
         self.trace = trace
         meta = trace.meta
-        if configs is None:
-            configs = [_recorded_config(meta)]
-        self.configs = configs = list(configs)
-        if not configs:
-            raise ValueError("a replay needs at least one config")
-        shared = memory_key(configs[0])
-        if any(memory_key(config) != shared for config in configs[1:]):
-            raise ValueError("a replay group must share one memory key")
+        self.configs = configs = _group_configs(meta, configs)
         #: the group's memory-side config (its timing fields are lane 0's)
         self.config = configs[0]
-        # dispatch mode from the recorded registry key
-        key = _required(meta, "protocol")
-        from repro.coherence.registry import available_protocols
-
-        known = available_protocols()
-        if key not in known:
-            # A trace recorded by a build with extra protocols (or doctored
-            # meta) must not silently replay under MESI semantics.
-            raise UnknownProtocolError(key, known)
-        self.protocol_key = key
-        self.is_warden = key == "warden"
-        self.is_moesi = key == "moesi"
-        self.is_sisd = key == "sisd"
-        # silent-write threshold for the hit paths; the threshold state is
-        # also the source of the one silent transition (E -> M, or S -> M
-        # under SI/SD where stores never consult a directory)
-        self._smin = _S if self.is_sisd else _E
+        cls = _protocol_class(meta)
+        if cls not in _KERNEL_CLASSES:
+            raise ConfigError(
+                f"the replay kernel transcribes only the mesi and warden "
+                f"protocols, not {meta['protocol']!r}; replay_trace replays "
+                f"it through its own engine class"
+            )
+        self.is_warden = cls is WARDenProtocol
         self._prepare()
         self._check_lanes()
 
@@ -439,28 +500,13 @@ class ReplayKernel:
         ``bound * accesses`` fits below each field's guard bit.
         """
         prep = self.prep
-        used = len(prep.tail_charge)
-        final = _required(self.trace.meta, "final_thread")
-        bound = 0
-        for cfg in self.configs:
-            if used > cfg.num_threads:
-                raise ConfigError(
-                    f"trace uses thread {used - 1} but config {cfg.name!r} "
-                    f"has {cfg.num_threads} threads"
-                )
-            if not (isinstance(final, int) and 0 <= final < cfg.num_threads):
-                raise ConfigError(
-                    f"trace final_thread {final!r} is not a thread of "
-                    f"config {cfg.name!r} ({cfg.num_threads} threads)"
-                )
-            link = max(cfg.hop_intra_latency, cfg.cross_socket_latency())
-            lats = (cfg.l1.latency, cfg.l2.latency, cfg.l3.latency,
-                    cfg.dram_latency, cfg.hop_intra_latency,
-                    cfg.cross_socket_latency())
-            if min(lats) < 0:
-                raise ConfigError(f"config {cfg.name!r} has a negative latency")
-            bound = max(bound, sum(lats[:4]) + 4 * link)
-        self.final_thread = final
+        self.final_thread = _check_fit(
+            self.trace.meta, len(prep.tail_charge), self.configs
+        )
+        bound = max(
+            sum(lats[:4]) + 4 * max(lats[4:])
+            for lats in map(_latencies, self.configs)
+        )
         self.lanes = len(self.configs)
         self.width = (bound * max(prep.accesses, 1)).bit_length() + 1
 
@@ -529,10 +575,6 @@ class ReplayKernel:
         self.recon = 0
         self.recon_shared = 0
         self.recon_true = 0
-        # protocol-specific extra counters (CoherenceStats.extra)
-        self.x_dirty_shares = 0
-        self.x_self_downgrades = 0
-        self.x_self_invalidations = 0
 
         # lane-packed timing constants / topology
         lanes = self.configs
@@ -566,9 +608,6 @@ class ReplayKernel:
         upgrade = self._upgrade
         l1sets = self.l1sets
         sidx1 = self.sidx1
-        is_sisd = self.is_sisd
-        smin = self._smin
-        sisd_rmw = self._sisd_rmw
         wacc_f = 0
 
         # One flat unpack per event beats re-subscripting the hot columns:
@@ -579,29 +618,19 @@ class ReplayKernel:
         ):
             if kd == K_ACCESS:
                 core = core_of[t]
-                if at == AT_RMW and is_sisd:
-                    # SI/SD atomics execute at the home slice and never
-                    # leave a cached copy, so the MRU/L1-hit assumptions
-                    # below do not apply.
-                    barrier_lat[slot[k]] = sisd_rmw(core, b)
-                    continue
                 if rp:
                     # Guaranteed L1-MRU hit (same thread, same block as the
                     # previous event): serve without touching LRU order.
-                    # (Under SI/SD the guarantee has one hole — an RMW
-                    # self-invalidates its block, so the follow-up access
-                    # sees _I and must take the full path.)
                     st = pstate[core][b]
                     if at == AT_LOAD:
-                        if st or not is_sisd:
-                            if st == _W:
-                                wacc_f += 1
-                            continue
-                    elif st >= smin:
                         if st == _W:
                             wacc_f += 1
-                        elif st == smin:
-                            pstate[core][b] = _M  # silent E -> M (S -> M)
+                        continue
+                    if st >= _E:
+                        if st == _W:
+                            wacc_f += 1
+                        elif st == _E:
+                            pstate[core][b] = _M  # silent E -> M
                         wmask[core][b] |= mask_k
                         continue
                     # S-state write: needs the directory; fall through to
@@ -618,14 +647,14 @@ class ReplayKernel:
                         if st == _W:
                             wacc_f += 1
                         continue
-                    if st >= smin:  # silent write grant
+                    if st >= _E:  # silent write grant
                         if st == _W:
                             wacc_f += 1
-                        elif st == smin:
+                        elif st == _E:
                             pstate[core][b] = _M
                         wmask[core][b] |= mask_k
                         continue
-                    # S/O-state write: directory upgrade
+                    # S-state write: directory upgrade
                     barrier_lat[slot[k]] = l1_lat + upgrade(core, b, mask_k)
                     continue
                 latency = access(core, b, at, mask_k, True)
@@ -772,11 +801,10 @@ class ReplayKernel:
                 if st == _W:
                     self.wacc += 1
                 return latency
-            smin = self._smin
-            if st >= smin:  # silent write grant
+            if st >= _E:  # silent write grant
                 if st == _W:
                     self.wacc += 1
-                elif st == smin:
+                elif st == _E:
                     self.pstate[core][b] = _M
                 self.wmask[core][b] |= mask
                 return latency
@@ -802,32 +830,6 @@ class ReplayKernel:
                 self.wmask[core][b] |= mask
                 self.wacc += 1
                 return latency
-        if self.is_moesi and self.dstate[b] == _O:
-            # MOESIProtocol._handle_upgrade_at_dir: sharers die; a dirty
-            # owner (unless it is the writer itself) forwards and dies too.
-            lat = self._inv_sharers(b, core, home)
-            owner = self.downer[b]
-            if owner == core:
-                lat += self._h2c(home, core, _DATA_E)
-            else:
-                fwd = self._h2c(home, owner, _FWD_GET_M)
-                fwd += self._c2c(owner, core, _DATA)
-                lat = self._lmax(lat, fwd)
-                self.inval += 1
-                cset = self.l2sets[owner].get(self.sidx2[b])
-                if cset is not None:
-                    cset.pop(b, None)
-                cset = self.l1sets[owner].get(self.sidx1[b])
-                if cset is not None:
-                    cset.pop(b, None)
-                self.pstate[owner][b] = _I
-                self.wmask[owner][b] = 0
-            self.dstate[b] = _M
-            self.downer[b] = core
-            self.dshare[b] = 0
-            self.pstate[core][b] = _M
-            self.wmask[core][b] |= mask
-            return latency + lat
         latency += self._inv_sharers(b, core, home)
         latency += self._h2c(home, core, _DATA_E)
         self.dstate[b] = _M
@@ -879,23 +881,7 @@ class ReplayKernel:
     def _miss(self, core: int, b: int, at: int, mask: int) -> int:
         home = self._home(b)
         latency = self._c2h(core, home, _GET_M if at != AT_LOAD else _GET_S)
-        latency += self.l3_lat
-        if self.is_sisd:
-            # SISDProtocol._miss: data straight from the home slice, no
-            # directory entry touched; in-region blocks install as W.
-            latency += self._fetch(b, home)
-            latency += self._h2c(home, core, _DATA)
-            if self.regions.contains(self.baddrs[b]):
-                state = _W
-                self.wacc += 1
-            elif at == AT_LOAD:
-                state = _S
-            else:
-                state = _M
-            self._install(core, b, state, mask)
-            return latency
-        latency += self._at_dir(core, b, at, mask, home)
-        return latency
+        return latency + self.l3_lat + self._at_dir(core, b, at, mask, home)
 
     def _at_dir(self, core: int, b: int, at: int, mask: int, home: int) -> int:
         if self.is_warden:
@@ -932,34 +918,6 @@ class ReplayKernel:
             self._install(core, b, _S, 0)
             self.dshare[b] |= 1 << core
             return latency
-        if st == _O:
-            # MOESIProtocol._handle_at_directory: readers are fed c2c by
-            # the dirty owner; a writer invalidates sharers + owner.
-            owner = self.downer[b]
-            if at == AT_LOAD:
-                latency = self._h2c(home, owner, _FWD_GET_S)
-                latency += self._c2c(owner, core, _DATA)
-                self._install(core, b, _S, 0)
-                self.dshare[b] |= 1 << core
-                self.x_dirty_shares += 1
-                return latency
-            inv_latency = self._inv_sharers(b, core, home)
-            latency = self._h2c(home, owner, _FWD_GET_M)
-            latency += self._c2c(owner, core, _DATA)
-            self.inval += 1
-            cset = self.l2sets[owner].get(self.sidx2[b])
-            if cset is not None:
-                cset.pop(b, None)
-            cset = self.l1sets[owner].get(self.sidx1[b])
-            if cset is not None:
-                cset.pop(b, None)
-            self.pstate[owner][b] = _I
-            self.wmask[owner][b] = 0
-            self._install(core, b, _M, mask)
-            self.dstate[b] = _M
-            self.downer[b] = core
-            self.dshare[b] = 0
-            return self._lmax(inv_latency, latency)
         # E or M: forward to the owner
         return self._forward(core, b, at, mask, home)
 
@@ -982,21 +940,7 @@ class ReplayKernel:
             self.downer[b] = core
             self.dshare[b] = 0
             return latency
-        # Fwd-GetS: downgrade the owner to S, write back if dirty — except
-        # under MOESI with a directory-M line, where the owner keeps the
-        # dirty data in O instead (MOESIProtocol._forward_to_owner; a
-        # silently-upgraded E line stays on the MESI path, like the object
-        # protocol which dispatches on the directory state).
-        if self.is_moesi and self.dstate[b] == _M:
-            latency = self._h2c(home, owner, _FWD_GET_S)
-            latency += self._c2c(owner, core, _DATA)
-            self.downg += 1
-            self.pstate[owner][b] = _O  # written mask retained
-            self._install(core, b, _S, 0)
-            self.dstate[b] = _O
-            self.dshare[b] |= 1 << core
-            self.x_dirty_shares += 1
-            return latency
+        # Fwd-GetS: downgrade the owner to S, write back if dirty.
         latency = self._h2c(home, owner, _FWD_GET_S)
         latency += self._c2c(owner, core, _DATA)
         self.downg += 1
@@ -1063,17 +1007,6 @@ class ReplayKernel:
             cset.pop(v, None)
         st = self.pstate[core][v]
         home = self._home(v)
-        if self.is_sisd:
-            # SISDProtocol._evict_private: self-downgrade if dirty, silent
-            # otherwise — there is no directory to keep exact.
-            if self.wmask[core][v]:
-                self._c2h(core, home, _WB_DATA)
-                self.wb += 1
-                self.x_self_downgrades += 1
-                self._llc_fill(v, home)
-                self.wmask[core][v] = 0
-            self.pstate[core][v] = _I
-            return
         if st == _W:
             # _flush_ward_copy: pre-pay reconciliation (§5.3)
             if self.wmask[core][v]:
@@ -1094,17 +1027,10 @@ class ReplayKernel:
             self.dstate[v] = _I
             self.downer[v] = -1
             self.dshare[v] = 0
-        elif st == _O:
-            # MOESIProtocol._evict_private: the deferred writeback lands.
-            self._c2h(core, home, _PUT_M)
-            self.wb += 1
-            self._llc_fill(v, home)
-            self.downer[v] = -1
-            self.dstate[v] = _S if self.dshare[v] else _I
         elif st == _S:
             self._c2h(core, home, _PUT_M)
             self.dshare[v] &= ~(1 << core)
-            # collapse only from dir-S: an S copy can leave an O entry
+            # collapse only from dir-S, like the object protocol
             if not self.dshare[v] and self.dstate[v] == _S:
                 self.dstate[v] = _I
         self.pstate[core][v] = _I
@@ -1143,83 +1069,6 @@ class ReplayKernel:
         return self.dram_lat
 
     # ------------------------------------------------------------------
-    # SI/SD extensions (SISDProtocol, transcribed)
-    # ------------------------------------------------------------------
-    def _sisd_self_invalidate(self, core: int, b: int) -> None:
-        """``_self_invalidate``: flush written sectors home, drop the copy."""
-        if self.wmask[core][b]:
-            self._c2h(core, self._home(b), _WB_DATA)
-            self.wb += 1
-            self.x_self_downgrades += 1
-            self._llc_fill(b, self._home(b))
-            self.wmask[core][b] = 0
-        self.x_self_invalidations += 1
-        cset = self.l2sets[core].get(self.sidx2[b])
-        if cset is not None:
-            cset.pop(b, None)
-        cset = self.l1sets[core].get(self.sidx1[b])
-        if cset is not None:
-            cset.pop(b, None)
-        self.pstate[core][b] = _I
-
-    def _sisd_rmw(self, core: int, b: int) -> int:
-        """``_rmw_at_home``: flush any local copy, execute at the home
-        slice, cache nothing."""
-        latency = self.l1_lat
-        cset1 = self.l1sets[core].get(self.sidx1[b])
-        present = cset1 is not None and b in cset1
-        if present:
-            del cset1[b]  # lookup refreshes LRU before the invalidate
-            cset1[b] = True
-        else:
-            latency += self.l2_lat
-            self.l2a += 1
-            cset2 = self.l2sets[core].get(self.sidx2[b])
-            present = cset2 is not None and b in cset2
-            if present:
-                del cset2[b]
-                cset2[b] = True
-        if present:
-            self._sisd_self_invalidate(core, b)
-        home = self._home(b)
-        latency += self._c2h(core, home, _GET_M)
-        latency += self.l3_lat
-        latency += self._fetch(b, home)
-        latency += self._h2c(home, core, _DATA)
-        return latency
-
-    def _sisd_region_add(self, start: int, end: int) -> None:
-        """Tag already-cached copies in the new region W, like
-        ``SISDProtocol.add_region``."""
-        baddrs = self.baddrs
-        for core in range(len(self.l2sets)):
-            pst = self.pstate[core]
-            for cset in self.l2sets[core].values():
-                for b in cset:
-                    if start <= baddrs[b] < end and pst[b] != _W:
-                        pst[b] = _W
-
-    def _sisd_region_remove(self, region) -> None:
-        """``SISDProtocol.remove_region``: self-invalidate every W copy of
-        the closed region, per core, unless another region still covers
-        it.  Iteration order matches ``SetAssocCache.blocks()`` (set
-        creation order, then LRU order) so LLC fills land identically."""
-        contains = self.regions.contains
-        baddrs = self.baddrs
-        for core in range(len(self.l2sets)):
-            pst = self.pstate[core]
-            doomed = [
-                b
-                for cset in self.l2sets[core].values()
-                for b in cset
-                if pst[b] == _W
-                and region.start <= baddrs[b] < region.end
-                and not contains(baddrs[b])
-            ]
-            for b in doomed:
-                self._sisd_self_invalidate(core, b)
-
-    # ------------------------------------------------------------------
     # WARDen extensions
     # ------------------------------------------------------------------
     def _ward_grant(self, core: int, b: int, mask: int, home: int) -> int:
@@ -1252,8 +1101,6 @@ class ReplayKernel:
             self.region_adds += 1
             self.messages[(_REGION_ADD_MSG, "intra")] += 1
             self.rid_map[region.region_id] = region
-            if self.is_sisd:
-                self._sisd_region_add(start, end)
 
     def _region_remove(self, rid: int) -> None:
         region = self.rid_map.pop(rid, None)
@@ -1262,9 +1109,6 @@ class ReplayKernel:
         self.regions.remove(region)
         self.region_removes += 1
         self.messages[(_REGION_REMOVE_MSG, "intra")] += 1
-        if self.is_sisd:
-            self._sisd_region_remove(region)
-            return
         contains = self.regions.contains
         baddrs = self.baddrs
         dstate = self.dstate
@@ -1364,12 +1208,6 @@ class ReplayKernel:
         coh.reconciled_shared_blocks = self.recon_shared
         coh.reconciled_true_sharing_blocks = self.recon_true
         coh.writebacks = self.wb
-        if self.x_dirty_shares:
-            coh.extra["dirty_shares"] = self.x_dirty_shares
-        if self.x_self_downgrades:
-            coh.extra["self_downgrades"] = self.x_self_downgrades
-        if self.x_self_invalidations:
-            coh.extra["self_invalidations"] = self.x_self_invalidations
 
         cores = CoreStats()
         cores.loads = prep.loads
@@ -1379,13 +1217,79 @@ class ReplayKernel:
         cores.spin_loads = prep.spin_loads
         cores.load_stall_cycles = load_stall
         cores.store_buffer_stall_cycles = sb_stall
-        for attempts, successes in meta.get("steals", []):
-            cores.steal_attempts += attempts
-            cores.successful_steals += successes
+        _add_steals(cores, meta)
         stats.cores = cores
         stats.cycles = cycles
         EnergyModel(cfg).compute(stats)
         return stats
+
+
+def _add_steals(cores: CoreStats, meta: dict) -> None:
+    """Steal probes happen inside the scheduler, invisible to the
+    protocol: the trace carries per-thread totals."""
+    for attempts, successes in meta.get("steals", []):
+        cores.steal_attempts += attempts
+        cores.successful_steals += successes
+
+
+def machine_replay(
+    trace: Trace, config: Optional[MachineConfig] = None,
+) -> RunStats:
+    """Play the trace's events into a plain ``Machine`` of its protocol
+    under ``config`` (default: the recorded config).
+
+    The protocol's own engine class answers every access, so this is the
+    replay of every protocol the packed kernel does not transcribe, and
+    at any config the exact reference the kernel must reproduce.  It
+    rejects the traces the kernel rejects, with the same errors.
+    """
+    meta = trace.meta
+    config, = _group_configs(meta, None if config is None else [config])
+    protocol_cls = _protocol_class(meta)
+    kind, thr = trace.kind.tolist(), trace.thread.tolist()
+    atype, sizes = trace.atype.tolist(), trace.size.tolist()
+    _check_events(kind, thr, atype, sizes)
+    final = _check_fit(meta, max(thr, default=-1) + 1, [config])
+    machine = Machine(config, protocol_cls)
+    protocol = machine.protocol
+    cores = machine.cores
+    regions = {}  # recorded region id -> the replay's region
+    for kd, t, at, size, spin, addr, aux, pre_i, pre_c in zip(
+        kind, thr, atype, sizes, trace.spin.tolist(), trace.addr.tolist(),
+        trace.aux.tolist(), trace.pre_instrs.tolist(),
+        trace.pre_cycles.tolist(),
+    ):
+        core = cores[t]
+        if pre_i:
+            core.compute(pre_i)
+        if pre_c:
+            core.advance(pre_c)
+        if kd == K_ACCESS:
+            machine.access(t, addr, size, _ATYPES[at], spin=bool(spin))
+        elif kd == K_REGION_ADD:
+            region = protocol.add_region(addr, aux)
+            if region is not None:
+                regions[region.region_id] = region
+        elif kd == K_REGION_REMOVE:
+            protocol.remove_region(regions.pop(aux, None))
+        elif kd == K_PLACE:
+            machine.place(addr, aux, t)
+        elif kd == K_SYNC:
+            core.wait_until(aux)
+        elif kd == K_LLC_WARM:
+            machine.llc_warm_fill(addr, t)
+        # K_FLUSH: its charges only
+    stats = machine.finalize(cores[final].clock)
+    stats.benchmark = meta.get("benchmark", "")
+    _add_steals(stats.cores, meta)
+    EnergyModel(config).compute(stats)
+    return stats
+
+
+def kernel_replays(trace: Trace) -> bool:
+    """Whether :func:`replay_group` sends ``trace`` to the packed kernel:
+    its protocol class *is* one the kernel transcribes."""
+    return _protocol_class(trace.meta) in _KERNEL_CLASSES
 
 
 def replay_group(
@@ -1394,11 +1298,21 @@ def replay_group(
 ) -> list:
     """Replay a trace under every config of one :func:`memory_key` group
     (default: the recorded config); returns ``BenchResult``\\ s in config
-    order, each owning its objects."""
+    order, each owning its objects.
+
+    A trace of a protocol the packed kernel transcribes shares one memory
+    pass across the group; any other protocol replays each config through
+    :func:`machine_replay`.
+    """
     from repro.analysis.run import BenchResult
 
     meta = trace.meta
-    kernel = ReplayKernel(trace, configs)
+    if kernel_replays(trace):
+        kernel = ReplayKernel(trace, configs)
+        configs, runs = kernel.configs, kernel.run()
+    else:
+        configs = _group_configs(meta, configs)
+        runs = [machine_replay(trace, config) for config in configs]
     return [
         BenchResult(
             benchmark=meta.get("benchmark", ""),
@@ -1409,7 +1323,7 @@ def replay_group(
             result=decode_result(meta["result"]) if "result" in meta else None,
             ward_checked=False,
         )
-        for config, stats in zip(kernel.configs, kernel.run())
+        for config, stats in zip(configs, runs)
     ]
 
 
@@ -1418,11 +1332,13 @@ def replay_trace(
     config: Optional[MachineConfig] = None,
     obs_sink=None,
 ):
-    """Replay a trace through the kernel; returns a ``BenchResult``.
+    """Replay a trace; returns a ``BenchResult``.
 
-    With ``config=None`` the trace's recorded config is used and the result
-    is bit-identical to the interpreted engine.  Passing a different config
-    produces the trace-driven approximation described in the module doc.
+    MESI and WARDen traces run through the packed kernel, every other
+    protocol through :func:`machine_replay`.  With ``config=None`` the
+    trace's recorded config is used and the result is bit-identical to the
+    interpreted engine.  Passing a different config produces the
+    trace-driven approximation described in the module doc.
     """
     meta = trace.meta
     if obs_sink is not None:

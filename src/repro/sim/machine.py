@@ -5,10 +5,9 @@ from __future__ import annotations
 from typing import List, Optional, Union
 
 from repro.common.config import MachineConfig
-from repro.common.errors import ConfigError
 from repro.common.stats import RunStats
 from repro.common.types import AccessType
-from repro.coherence.registry import protocol_class, protocol_map
+from repro.coherence.registry import protocol_class
 from repro.obs.tracer import Tracer
 from repro.sim.core import CoreModel
 
@@ -30,16 +29,10 @@ class Machine:
         protocol: Union[str, type] = "mesi",
     ) -> None:
         self.config = config
-        if isinstance(protocol, str):
-            try:
-                protocol_cls = protocol_class(protocol)
-            except KeyError:
-                raise ConfigError(
-                    f"unknown protocol {protocol!r}; "
-                    f"choose from {sorted(protocol_map())}"
-                ) from None
-        else:
-            protocol_cls = protocol
+        # an unknown key raises UnknownProtocolError, a ConfigError
+        protocol_cls = (
+            protocol_class(protocol) if isinstance(protocol, str) else protocol
+        )
         self.run_stats = RunStats(
             protocol=protocol_cls.name,
             machine=config.name,

@@ -49,6 +49,16 @@ class TestCompare:
         assert m.downgrade_reduction_pct == pytest.approx(75.0)
         assert m.invalidation_reduction_pct == pytest.approx(25.0)
 
+    def test_breakdown_counts_only_the_class_that_fell(self):
+        # downgrades fall by 30 while invalidations rise by 10: the net
+        # reduction is 20, but the shares split the gross 30 of removal
+        m = compare(result(inv=10, dg=30), result(inv=20, dg=0))
+        assert m.downgrade_reduction_pct == pytest.approx(100.0)
+        assert m.invalidation_reduction_pct == 0.0
+        m = compare(result(inv=40, dg=5), result(inv=10, dg=15))
+        assert m.invalidation_reduction_pct == pytest.approx(100.0)
+        assert m.downgrade_reduction_pct == 0.0
+
     def test_no_reduction_gives_zero_breakdown(self):
         m = compare(result(), result())
         assert m.downgrade_reduction_pct == 0.0

@@ -24,6 +24,9 @@ from repro.analysis.run import run_benchmark, set_disk_cache
 from repro.analysis import run as run_mod
 import repro.replay
 from repro.bench import PAPER_ORDER
+from repro.coherence import registry
+from repro.coherence.registry import coherence_protocol
+from repro.coherence.warden import WARDenProtocol
 from repro.common.config import dual_socket
 from repro.replay import (
     Trace,
@@ -205,3 +208,39 @@ def test_recorded_trace_fingerprint_matches_task_key(tmp_path):
     store = TraceStore(tmp_path)
     replay_matrix(task, [task.config], trace_store=store)
     assert store.path_for(task_fingerprint(task)).exists()
+
+
+# ----------------------------------------------------------------------
+# A registered protocol replays through its own class
+# ----------------------------------------------------------------------
+@pytest.fixture()
+def warden_variant():
+    """A WARDen subclass registered under a fresh key, for one test."""
+    key = "warden-variant"
+
+    @coherence_protocol(key, WARDenProtocol.SPEC)
+    class WARDenVariant(WARDenProtocol):
+        name = "WARDen-variant"
+
+    yield key
+    del registry._REGISTRY[key]
+
+
+def test_registered_subclass_replays_exactly(warden_variant, tmp_path):
+    # The packed kernel transcribes MESIProtocol and WARDenProtocol only;
+    # a subclass under another key must not replay as either of them.
+    task = RunTask(
+        benchmark="msort", protocol=warden_variant, config=dual_socket(),
+        size="test",
+    )
+    trace, recorded = record_benchmark(
+        "msort", warden_variant, task.config, size="test",
+        fingerprint=task_fingerprint(task),
+    )
+    assert recorded.stats.coherence.ward_accesses > 0
+    assert replay_trace(trace).stats.to_dict() == recorded.stats.to_dict()
+    store = TraceStore(tmp_path)
+    store.store(task_fingerprint(task), trace)
+    swept, = replay_matrix(task, [task.config], trace_store=store)
+    assert swept.stats.to_dict() == recorded.stats.to_dict()
+    assert swept.result == recorded.result

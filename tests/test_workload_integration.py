@@ -16,7 +16,7 @@ from repro.coherence.registry import available_protocols, protocol_class
 from repro.common.config import dual_socket, single_socket
 from repro.common.errors import ConfigError, ReproError, UnknownProtocolError
 from repro.replay import record_benchmark, replay_trace
-from repro.replay.kernel import ReplayKernel
+from repro.replay.kernel import ReplayKernel, machine_replay
 from repro.replay.trace import K_ACCESS, Trace
 from repro.workloads import make_trace, memtrace
 
@@ -270,6 +270,16 @@ class TestUnknownProtocol:
 
         with pytest.raises(ConfigError):
             Machine(dual_socket(), "dragon")
+        with pytest.raises(UnknownProtocolError, match="dragon"):
+            Machine(dual_socket(), "dragon")
+
+    def test_kernel_names_the_protocols_it_transcribes(self):
+        trace, _ = record_benchmark(
+            "synth-ring", "moesi", dual_socket(), size="test", seed=42
+        )
+        with pytest.raises(ConfigError, match="mesi and warden") as excinfo:
+            ReplayKernel(trace)
+        assert "moesi" in str(excinfo.value)
 
 
 # ----------------------------------------------------------------------
@@ -299,6 +309,9 @@ DOCTORINGS = {
 
 
 class TestDoctoredTrace:
+    """The packed kernel (a WARDen trace) and the machine replay (a MOESI
+    trace) reject the same malformed traces with ConfigError."""
+
     @pytest.fixture(scope="class")
     def primes(self):
         trace, _ = record_benchmark(
@@ -306,14 +319,39 @@ class TestDoctoredTrace:
         )
         return trace.to_bytes()
 
+    @pytest.fixture(scope="class")
+    def primes_moesi(self):
+        trace, _ = record_benchmark(
+            "primes", "moesi", dual_socket(), size="test", seed=42
+        )
+        return trace.to_bytes()
+
+    @staticmethod
+    def _doctored(blob, doctor):
+        trace = Trace.from_bytes(blob)
+        DOCTORINGS[doctor](trace)
+        return Trace.from_bytes(trace.to_bytes())
+
     @pytest.mark.parametrize("doctor", sorted(DOCTORINGS))
     def test_kernel_raises_config_error(self, doctor, primes):
-        trace = Trace.from_bytes(primes)
-        DOCTORINGS[doctor](trace)
         with pytest.raises(ConfigError):
-            replay_trace(Trace.from_bytes(trace.to_bytes()))
+            replay_trace(self._doctored(primes, doctor))
 
-    def test_variant_with_too_few_threads(self, primes):
-        trace = Trace.from_bytes(primes)
-        with pytest.raises(ConfigError, match="threads"):
-            replay_trace(trace, single_socket(cores=2))
+    @pytest.mark.parametrize("doctor", sorted(DOCTORINGS))
+    def test_machine_replay_raises_config_error(
+        self, doctor, primes, primes_moesi
+    ):
+        with pytest.raises(ConfigError):
+            replay_trace(self._doctored(primes_moesi, doctor))
+        # one trace down both paths: the same diagnostic
+        trace = self._doctored(primes, doctor)
+        with pytest.raises(ConfigError) as kernel:
+            ReplayKernel(trace)
+        with pytest.raises(ConfigError) as machine:
+            machine_replay(trace)
+        assert str(machine.value) == str(kernel.value)
+
+    def test_variant_with_too_few_threads(self, primes, primes_moesi):
+        for blob in (primes, primes_moesi):
+            with pytest.raises(ConfigError, match="threads"):
+                replay_trace(Trace.from_bytes(blob), single_socket(cores=2))
