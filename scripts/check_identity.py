@@ -19,9 +19,13 @@ benchmark's result value:
 
 A sweep leg then checks grouped replays: ``replay_matrix`` over a 2
 L2-size x 3 socket-link grid (two memory-key groups of three latency
-lanes) must give, for every variant, exactly the ``RunStats.to_dict()`` of
+lanes), the recorded config first.  For a protocol the packed kernel
+transcribes, every variant must give exactly the ``RunStats.to_dict()`` of
 the machine replay at that variant, which plays the trace into the
-protocol's own engine class.
+protocol's own engine class.  Every other protocol already replays each
+variant through the machine replay, so there the leg checks only variant
+order and grouping: the recorded config's result must equal per-op
+stepping.
 
 Any mismatch prints the differing keys and exits 1.  The broader matrices
 (every benchmark x protocol at the "test" size) live in
@@ -73,23 +77,29 @@ def sweep_variants(config):
     return [config] + [variant for variant in grid if variant != config]
 
 
-def check_sweep(trace, task) -> list:
+def check_sweep(trace, task, per_op) -> list:
     """Diff each ``replay_matrix`` result against the machine replay at
-    its variant."""
+    its variant (kernel protocols), or the recorded config's result
+    against per-op stepping (every other protocol)."""
     import tempfile
 
     from repro.analysis.pool import replay_matrix, task_fingerprint
     from repro.replay import TraceStore
-    from repro.replay.kernel import machine_replay
+    from repro.replay.kernel import kernel_replays, machine_replay
 
     variants = sweep_variants(task.config)
     with tempfile.TemporaryDirectory() as root:
         store = TraceStore(root)
         store.store(task_fingerprint(task), trace)
         swept = replay_matrix(task, variants, trace_store=store)
+    if kernel_replays(trace):
+        references = [machine_replay(trace, config) for config in variants]
+    else:
+        references = [per_op.stats] + [None] * (len(variants) - 1)
     diffs = []
-    for config, result in zip(variants, swept):
-        reference = machine_replay(trace, config)
+    for config, result, reference in zip(variants, swept, references):
+        if reference is None:
+            continue
         for line in diff_dicts(result.stats.to_dict(), reference.to_dict()):
             diffs.append(
                 f"  [l2 {config.l2.size_bytes // 1024}K, link "
@@ -145,14 +155,16 @@ def main(argv) -> int:
     if failed:
         return 1
 
-    diffs = check_sweep(trace, task)
+    diffs = check_sweep(trace, task, per_op)
+    reference = ("the machine replay at each config" if kernel_replays(trace)
+                 else "per-op stepping at the recorded config")
     if diffs:
-        print(f"FAIL: {cell} grouped sweep replay diverges from the "
-              f"machine replay (grouped != machine):")
+        print(f"FAIL: {cell} grouped sweep replay diverges from "
+              f"{reference}:")
         print("\n".join(diffs))
         return 1
     print(f"ok: {cell} sweep of {len(sweep_variants(task.config))} configs "
-          f"bit-identical to the machine replay at each config")
+          f"bit-identical to {reference}")
     return 0
 
 

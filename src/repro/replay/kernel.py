@@ -72,12 +72,12 @@ from collections import Counter, deque
 from typing import List, Optional, Sequence
 
 from repro.common.config import MachineConfig
-from repro.common.errors import ConfigError, UnknownProtocolError
+from repro.common.errors import ConfigError
 from repro.common.stats import CoreStats, RunStats
 from repro.common.types import AccessType, MessageType
 from repro.coherence.mesi import MESIProtocol, llc_config
 from repro.coherence.regions import RegionTable
-from repro.coherence.registry import protocol_map
+from repro.coherence.registry import protocol_class
 from repro.coherence.warden import WARDenProtocol, reconcile_plan
 from repro.energy.model import EnergyModel
 from repro.mem.cache import set_index_params
@@ -375,14 +375,9 @@ def _recorded_config(meta: dict) -> MachineConfig:
 
 
 def _protocol_class(meta: dict) -> type:
-    """The registered class of the trace's protocol key."""
-    key = _required(meta, "protocol")
-    known = protocol_map()
-    if key not in known:
-        # A trace recorded by a build with extra protocols (or doctored
-        # meta) must not silently replay under another protocol.
-        raise UnknownProtocolError(key, known)
-    return known[key]
+    """The registered class of the trace's protocol key; an unregistered
+    key raises ``UnknownProtocolError`` rather than replay as another."""
+    return protocol_class(_required(meta, "protocol"))
 
 
 def _group_configs(meta: dict, configs) -> List[MachineConfig]:

@@ -1,7 +1,7 @@
 """Grouped replays: configs that differ only in latencies share one memory
-pass (``repro.replay.kernel.memory_key``), and each grouped result must
-equal the machine replay at that config — the trace played into the
-protocol's own engine class — bit for bit.
+pass (``repro.replay.kernel.memory_key``), and each lane of the packed
+kernel must equal the machine replay at that config — the trace played
+into the protocol's own engine class — bit for bit.
 
 The latency grid flips every lane-wise ``max`` site: a socket link cheaper
 than an on-die hop (1, 60) makes remote sharers the fast ones, a slow one
@@ -28,6 +28,7 @@ from repro.replay.kernel import (
     ReplayKernel,
     _lane_max,
     _pack,
+    kernel_replays,
     machine_replay,
     memory_groups,
     memory_key,
@@ -84,10 +85,16 @@ def test_group_matches_single_replays(name, protocol):
     assert len(memory_groups(grid)) == 1
     trace = _trace(name, protocol)
     grouped = replay_group(trace, grid)
+    recorded = replay_trace(trace).result
+    # A protocol the kernel does not transcribe already replays each lane
+    # through machine_replay, so its cells check lane order and results.
+    exact = kernel_replays(trace)
     for config, result in zip(grid, grouped):
-        reference = machine_replay(trace, config)
         assert result.machine == config.name
-        assert result.stats.to_dict() == reference.to_dict(), config.name
+        assert result.result == recorded
+        if exact:
+            reference = machine_replay(trace, config)
+            assert result.stats.to_dict() == reference.to_dict(), config.name
     # the lanes really differ: the grid is not one config seven times
     assert len({r.stats.cycles for r in grouped}) > 1
 
