@@ -93,13 +93,12 @@ def check_sweep(trace, task, per_op) -> list:
         store.store(task_fingerprint(task), trace)
         swept = replay_matrix(task, variants, trace_store=store)
     if kernel_replays(trace):
-        references = [machine_replay(trace, config) for config in variants]
+        checks = [(config, result, machine_replay(trace, config))
+                  for config, result in zip(variants, swept)]
     else:
-        references = [per_op.stats] + [None] * (len(variants) - 1)
+        checks = [(variants[0], swept[0], per_op.stats)]
     diffs = []
-    for config, result, reference in zip(variants, swept, references):
-        if reference is None:
-            continue
+    for config, result, reference in checks:
         for line in diff_dicts(result.stats.to_dict(), reference.to_dict()):
             diffs.append(
                 f"  [l2 {config.l2.size_bytes // 1024}K, link "
