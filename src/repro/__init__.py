@@ -29,7 +29,7 @@ Quickstart::
 """
 
 from repro.analysis.metrics import ComparisonMetrics, compare, compare_multi
-from repro.analysis.run import BenchResult, run_benchmark, run_pair, run_pairs
+from repro.analysis.run import BenchResult, run_benchmark, run_pairs
 from repro.bench import BENCHMARKS, PAPER_ORDER
 from repro.coherence.mesi import MESIProtocol
 from repro.coherence.warden import WARDenProtocol
@@ -74,7 +74,6 @@ __all__ = [
     "disaggregated",
     "dual_socket",
     "run_benchmark",
-    "run_pair",
     "run_pairs",
     "single_socket",
     "validation_machine",

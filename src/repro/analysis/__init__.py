@@ -14,7 +14,7 @@ from repro.analysis.pool import (
     RunTask,
     run_matrix,
 )
-from repro.analysis.run import BenchResult, run_benchmark, run_pair, run_pairs
+from repro.analysis.run import BenchResult, run_benchmark, run_pairs
 
 __all__ = [
     "BenchResult",
@@ -25,6 +25,5 @@ __all__ = [
     "compare",
     "run_benchmark",
     "run_matrix",
-    "run_pair",
     "run_pairs",
 ]

@@ -87,17 +87,6 @@ def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def config_fingerprint(config: MachineConfig) -> str:
-    """Content hash of the *entire* machine configuration.
-
-    Unlike keying on ``config.name``, two differently-tuned configs can
-    never alias: every field (cache geometries, latencies, energy model,
-    protocol knobs) participates in the hash.
-    """
-    payload = json.dumps(dataclasses.asdict(config), sort_keys=True)
-    return _sha256(payload.encode("utf-8"))
-
-
 def code_fingerprint() -> str:
     """Hash of every ``repro`` source file (cached per process).
 

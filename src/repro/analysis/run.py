@@ -183,25 +183,6 @@ def run_benchmark(
     return out
 
 
-def run_pair(
-    name: str,
-    config: MachineConfig,
-    size: str = "default",
-    seed: int = 42,
-    policy: MarkingPolicy = MarkingPolicy.FULL,
-    protocols: Sequence[str] = ("mesi", "warden"),
-) -> Tuple[BenchResult, ...]:
-    """Run a benchmark under each protocol on the same machine/input.
-
-    Defaults to the paper's (MESI, WARDen) pair; any registered protocol
-    keys work (e.g. ``("mesi", "moesi", "sisd", "warden")``).
-    """
-    return tuple(
-        run_benchmark(name, proto, config, size=size, seed=seed, policy=policy)
-        for proto in protocols
-    )
-
-
 def prefetch(
     tasks: List[RunTask],
     jobs: int = 1,

@@ -15,7 +15,7 @@ Usage (after ``pip install -e .``)::
     warden-repro profile fib --size test    # flame summary + region profile
     warden-repro ingest ext.trace --matrix  # external text trace, whole zoo
     warden-repro synth zipf --set skew=2.0  # seeded synthetic service trace
-    warden-repro run --workload synth-ring  # synth/trace: names run anywhere
+    warden-repro run synth-ring             # synth/trace: names run anywhere
     warden-repro verify --all [--json]      # race detector + conformance
     warden-repro area                       # §6.1 CACTI estimates
 
@@ -340,22 +340,6 @@ def cmd_figure(args) -> int:
     return 0 if all(c["held"] for c in claims) else 1
 
 
-def _pick_workload(args) -> str:
-    """The workload under test: positional name or ``--workload`` (one)."""
-    workload = getattr(args, "workload", None)
-    if workload and args.benchmark and workload != args.benchmark:
-        raise ConfigError(
-            f"both a positional benchmark ({args.benchmark!r}) and "
-            f"--workload ({workload!r}) given; pass one"
-        )
-    name = workload or args.benchmark
-    if name is None:
-        raise ConfigError(
-            "no workload given: pass a benchmark name or --workload"
-        )
-    return name
-
-
 def _simulate(args, name: str, config, obs_sink=None):
     """The engine run of ``run``/``trace``/``profile``: WARD-checked
     wherever the protocol supports it."""
@@ -369,7 +353,7 @@ def _simulate(args, name: str, config, obs_sink=None):
 def cmd_run(args) -> int:
     _configure_disk_cache(args)
     config = _machine_config(args)
-    result = _simulate(args, _pick_workload(args), config)
+    result = _simulate(args, args.benchmark, config)
     if args.json:
         print(manifest_json(run_manifest(result, config)))
     else:
@@ -508,7 +492,7 @@ def _parse_knob(text: str):
 
 
 def cmd_synth(args) -> int:
-    """Generate a seeded synthetic workload trace; optionally verify it."""
+    """Generate a seeded synthetic workload trace."""
     from repro.workloads import make_trace
 
     knobs = dict(_parse_knob(item) for item in args.set or [])
@@ -525,10 +509,6 @@ def cmd_synth(args) -> int:
         **_trace_rows(trace),
         "trace": out,
     })
-    if args.matrix:
-        return _workload_matrix(
-            f"trace:{out}", _machine_config(args), "test", args.seed
-        )
     return 0
 
 
@@ -635,7 +615,6 @@ def _argument_groups() -> dict:
                     help="a paper kernel, a synth-* workload, or trace:<path>")
     return {
         "workload": [_arg("benchmark", **workload)],
-        "workload?": [_arg("benchmark", nargs="?", default=None, **workload)],
         "protocol": [_arg("--protocol", default="warden",
                           choices=available_protocols(),
                           help="coherence protocol (default: %(default)s)")],
@@ -691,11 +670,7 @@ def _commands() -> dict:
             _arg("figure", choices=FIGURES),
         ]),
         "run": (cmd_run, "run one benchmark or workload",
-                ("workload?", *bench, "json", "cache"), [
-            _arg("--workload", type=_workload_name, default=None,
-                 help="workload to run (synth-* or trace:<path>); "
-                      "alternative spelling of the positional name"),
-        ]),
+                ("workload", *bench, "json", "cache"), []),
         "trace": (cmd_trace,
                   "record a coherence event trace (Chrome trace JSON)",
                   ("workload", *bench), [
@@ -749,9 +724,8 @@ def _commands() -> dict:
         ]),
         "synth": (cmd_synth,
                   "generate a seeded synthetic service workload as a text "
-                  "trace (runnable via 'ingest', 'run --workload "
-                  "trace:<path>', ...)",
-                  ("machine", "seed"), [
+                  "trace (runnable via 'ingest', 'run trace:<path>', ...)",
+                  ("seed",), [
             _arg("kind", choices=sorted(GENERATORS),
                  help="traffic shape to generate"),
             _arg("--ops", type=_positive_int, default=150, metavar="N",
@@ -761,10 +735,6 @@ def _commands() -> dict:
                       "threads=16); repeatable"),
             _arg("--out", default=None, metavar="FILE",
                  help="output path (default: <kind>.trace; '-' for stdout)"),
-            _arg("--matrix", action="store_true",
-                 help="after writing, run the trace under every registered "
-                      "protocol on both engine and replay paths; exit 1 on "
-                      "divergence"),
         ]),
         "area": (cmd_area, "§6.1 area estimates", (), []),
     }

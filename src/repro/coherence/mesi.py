@@ -17,7 +17,7 @@ core model, not here).
 from __future__ import annotations
 
 import weakref
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from repro.common.config import CacheConfig, MachineConfig
 from repro.common.errors import ProtocolError
@@ -569,15 +569,11 @@ class MESIProtocol:
             f"MESI directory cannot handle state {entry.state} at {block_addr:#x}"
         )
 
-    def _forward_to_owner(
-        self,
-        core: int,
-        block_addr: int,
-        entry: DirEntry,
-        atype: AccessType,
-        mask: int,
-    ) -> int:
-        home = self.home(block_addr)
+    def _owner_copy(
+        self, core: int, block_addr: int, entry: DirEntry
+    ) -> Tuple[int, CacheBlock]:
+        """The directory's owner of ``block_addr`` and its private copy,
+        for a miss by ``core``; ``ProtocolError`` when the two disagree."""
         owner = entry.owner
         if owner is None or owner == core:
             raise ProtocolError(f"bad owner {owner} for miss by {core}: {entry}")
@@ -587,6 +583,18 @@ class MESIProtocol:
                 f"directory says core {owner} owns {block_addr:#x} "
                 "but no private copy exists"
             )
+        return owner, owner_block
+
+    def _forward_to_owner(
+        self,
+        core: int,
+        block_addr: int,
+        entry: DirEntry,
+        atype: AccessType,
+        mask: int,
+    ) -> int:
+        home = self.home(block_addr)
+        owner, owner_block = self._owner_copy(core, block_addr, entry)
         tracer = self.tracer
         if atype is not _LOAD:
             # Fwd-GetM: invalidate the owner, transfer ownership.

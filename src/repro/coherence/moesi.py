@@ -137,15 +137,7 @@ class MOESIProtocol(MESIProtocol):
         if entry.state is not O:
             return super()._handle_at_directory(core, block_addr, entry, atype, mask)
         home = self.home(block_addr)
-        owner = entry.owner
-        if owner is None or owner == core:
-            raise ProtocolError(f"bad owner {owner} for miss by {core}: {entry}")
-        owner_block = self.l2[owner].peek(block_addr)
-        if owner_block is None:
-            raise ProtocolError(
-                f"directory says core {owner} owns {block_addr:#x} "
-                "but no private copy exists"
-            )
+        owner, owner_block = self._owner_copy(core, block_addr, entry)
         tracer = self.tracer
         if atype is _LOAD:
             # Another reader: the owner supplies the dirty data c2c and
@@ -187,15 +179,7 @@ class MOESIProtocol(MESIProtocol):
             return super()._forward_to_owner(core, block_addr, entry, atype, mask)
         # Fwd-GetS on a dirty line: owner M -> O, data c2c, NO writeback.
         home = self.home(block_addr)
-        owner = entry.owner
-        if owner is None or owner == core:
-            raise ProtocolError(f"bad owner {owner} for miss by {core}: {entry}")
-        owner_block = self.l2[owner].peek(block_addr)
-        if owner_block is None:
-            raise ProtocolError(
-                f"directory says core {owner} owns {block_addr:#x} "
-                "but no private copy exists"
-            )
+        owner, owner_block = self._owner_copy(core, block_addr, entry)
         latency = self.noc.home_to_core(home, owner, _FWD_GET_S)
         latency += self.noc.core_to_core(owner, core, _DATA)
         self.stats.downgrades += 1

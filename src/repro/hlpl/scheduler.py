@@ -49,17 +49,13 @@ class WorkStealingScheduler:
             machine.place(self.top_addr[t], bs, t)
             machine.place(self.flag_addr[t], bs, t)
         self._backoff = [BACKOFF_MIN] * nthreads
-        #: scheduler deque/spin accesses are overwhelmingly private hits, so
-        #: route them through the epoch fast path (identical statistical
-        #: effects; see try_fast_access) unless a per-op machine
-        #: (``record_per_op``) asks for the pure reference access path
-        self._fast_touch = not machine.record_per_op
         # hoisted hot-path handles (all stable for the machine's lifetime;
         # on_idle dominates simulated idle time, so attribute chains matter)
         self._machine = machine
         self._cores = machine.cores
         self._core_of = machine._core_of
-        #: thread -> its ``Machine.fast_path`` (a traced one counts hits)
+        #: thread -> its ``Machine.fast_path`` (a traced one counts hits; a
+        #: ``record_per_op`` one declines every access)
         self._fast = [machine.fast_path(t) for t in range(nthreads)]
         self._tracer = machine.tracer
         self._nthreads = nthreads
@@ -67,10 +63,10 @@ class WorkStealingScheduler:
         self._pstats = machine.protocol.stats
         self._l1_latency = config.l1.latency
         self._spin_latency = 2 * config.l1.latency
-        #: spins may be parked only on the epoch fast path and without SMT:
-        #: an SMT sibling shares the L1 and interleaves its own accesses
-        #: with the spinner's LRU refreshes
-        self._can_park = self._fast_touch and config.threads_per_core == 1
+        #: spins may be parked only without SMT: an SMT sibling shares the
+        #: L1 and interleaves its own accesses with the spinner's LRU
+        #: refreshes (per-op stepping ignores clean spins)
+        self._can_park = config.threads_per_core == 1
         self._per_socket = config.cores_per_socket * config.threads_per_core
         self._num_sockets = config.num_sockets
         # Deterministic per-worker victim choice (xorshift-style LCG),
@@ -109,15 +105,14 @@ class WorkStealingScheduler:
         # Deque words and spin flags are overwhelmingly private hits, so
         # take the epoch fast path (identical statistical effects); atomics
         # always fall through (try_fast_access declines RMWs).
-        if self._fast_touch:
-            latency = self._fast[thread](self._core_of[thread], addr, 8, atype)
-            if latency is not None:
-                cm = self._cores[thread]
-                if atype is _LOAD:
-                    cm.load(latency, spin=spin)
-                else:
-                    cm.store(latency)
-                return latency
+        latency = self._fast[thread](self._core_of[thread], addr, 8, atype)
+        if latency is not None:
+            cm = self._cores[thread]
+            if atype is _LOAD:
+                cm.load(latency, spin=spin)
+            else:
+                cm.store(latency)
+            return latency
         return self._machine.access(thread, addr, 8, atype, spin=spin)
 
     # ------------------------------------------------------------------
@@ -140,10 +135,10 @@ class WorkStealingScheduler:
         """One scheduling attempt of an idle worker.
 
         Returns True when the call was a *clean* spin: both of its loads
-        were L1 hits on the epoch fast path, outside any WARD state, with
-        parking allowed.  Until the next push or the root's end, every
-        further call would repeat that spin exactly, so the engine may park
-        the worker and later apply them with :meth:`skip_spins`.
+        were L1 hits, outside any WARD state, with parking allowed.  Until
+        the next push or the root's end, every further call would repeat
+        that spin exactly, so the engine may park the worker and later
+        apply them with :meth:`skip_spins` (per-op stepping never parks).
         """
         thread = worker.thread
         core = self._cores[thread]

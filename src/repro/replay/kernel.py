@@ -45,13 +45,16 @@ The memory pass works over packed state:
 * cache sets are plain dicts keyed by block id (insertion order = LRU
   order, exactly like :class:`~repro.mem.cache.SetAssocCache`'s ordered
   sets), so presence in the dict *is* validity;
-* consecutive same-thread accesses to the same block — the dominant
-  pattern after epoching — are flagged at load time (``rep``) and served
-  by a branch-minimal fast path: a guaranteed L1-MRU hit, no LRU
-  maintenance, no method calls.
+* an L1 hit — the dominant case — is served inline in the hot loop: an
+  LRU refresh and a state check, no method call.
 
-Every slow-path transaction is a line-for-line transcription of the two
-object protocols, sharing the genuinely subtle pieces —
+The transcription is one protocol, WARDen.  By §5 of the paper WARDen is
+MESI plus a ``W`` state entered only inside a WARD region.  A MESI trace
+carries no region events, and its region table has no entries (a stray
+region event is dropped, as ``MESIProtocol.add_region`` drops it), so
+MESI replays through the same code as WARDen's region-free case.  Every
+slow-path transaction is a line-for-line transcription of the object
+protocols, sharing the genuinely subtle pieces —
 :func:`~repro.coherence.warden.reconcile_plan`,
 :func:`~repro.mem.cache.set_index_params`,
 :func:`~repro.coherence.mesi.llc_config`, and the real
@@ -208,7 +211,7 @@ class _Prep:
 
     __slots__ = (
         # memory pass
-        "kind", "thr", "atype", "addr", "aux", "bid", "rep", "baddrs", "mask",
+        "kind", "thr", "atype", "addr", "aux", "bid", "baddrs", "mask",
         # core-timing pass: per barrier, then per thread for its tail
         "slot", "b_thr", "b_op", "b_charge", "b_loads", "b_aux", "tail_charge",
         "tail_loads",
@@ -237,8 +240,8 @@ def _check_events(kind, thr, atype, sizes) -> None:
 
 def _preprocess(tr, bs: int) -> _Prep:
     """Config-independent load-time pass: column lists, block-id
-    factorization, the adjacent-repeat flags, written-sector masks, the
-    barrier structure of the core-timing pass and the core counters.
+    factorization, written-sector masks, the barrier structure of the
+    core-timing pass and the core counters.
 
     Raises :class:`ConfigError` on an event no replay can interpret.
     Memoized per trace (keyed by block size) — see ``Trace._prep``.
@@ -256,7 +259,6 @@ def _preprocess(tr, bs: int) -> _Prep:
     _check_events(kind, thr, atype, sizes)
 
     bid = [-1] * n
-    rep = [False] * n
     uniq_set = set()
     for k in range(n):
         if kind[k] == K_ACCESS or kind[k] == K_LLC_WARM:
@@ -266,25 +268,10 @@ def _preprocess(tr, bs: int) -> _Prep:
     # iterates like the object protocol's sorted block addresses
     baddrs = sorted(uniq_set)
     index = {a: i for i, a in enumerate(baddrs)}
-    prev_acc = False
-    pt = -1
-    pb = -1
     for k in range(n):
-        kd = kind[k]
-        if kd == K_ACCESS or kd == K_LLC_WARM:
+        if kind[k] == K_ACCESS or kind[k] == K_LLC_WARM:
             a = addr[k]
-            b = index[a - a % bs]
-            bid[k] = b
-            if kd != K_ACCESS:
-                prev_acc = False
-                continue
-            if prev_acc and thr[k] == pt and b == pb:
-                rep[k] = True
-            prev_acc = True
-            pt = thr[k]
-            pb = b
-        else:
-            prev_acc = False
+            bid[k] = index[a - a % bs]
 
     # Written-sector masks per event.
     mask = [0] * n
@@ -344,7 +331,7 @@ def _preprocess(tr, bs: int) -> _Prep:
 
     p = _Prep()
     p.kind, p.thr, p.atype, p.addr, p.aux = kind, thr, atype, addr, aux
-    p.bid, p.rep, p.baddrs, p.mask = bid, rep, baddrs, mask
+    p.bid, p.baddrs, p.mask = bid, baddrs, mask
     p.slot, p.b_thr, p.b_op = slot, b_thr, b_op
     p.b_charge, p.b_loads, p.b_aux = b_charge, b_loads, b_aux
     p.tail_charge, p.tail_loads = charge, nloads
@@ -442,7 +429,11 @@ class ReplayKernel:
                 f"protocols, not {meta['protocol']!r}; replay_trace replays "
                 f"it through its own engine class"
             )
-        self.is_warden = cls is WARDenProtocol
+        #: MESI has no region CAM: a zero-entry table rejects every region
+        #: add, as ``MESIProtocol.add_region`` does
+        self.region_capacity = (
+            self.config.max_ward_regions if cls.supports_ward else 0
+        )
         self._prepare()
         self._check_lanes()
 
@@ -552,7 +543,7 @@ class ReplayKernel:
         self.l1sets = [{} for _ in range(ncores)]
         self.l2sets = [{} for _ in range(ncores)]
         self.llcsets = [{} for _ in range(cfg.num_sockets)]
-        self.regions = RegionTable(capacity=cfg.max_ward_regions)
+        self.regions = RegionTable(capacity=self.region_capacity)
         self.rid_map = {}
         self.page_homes = {}
         self.messages = Counter()
@@ -607,32 +598,15 @@ class ReplayKernel:
 
         # One flat unpack per event beats re-subscripting the hot columns:
         # the loop body is the throughput ceiling of the whole replay.
-        for k, t, kd, b, at, rp, mask_k in zip(
+        for k, t, kd, b, at, mask_k in zip(
             range(len(prep.kind)), prep.thr, prep.kind, prep.bid, prep.atype,
-            prep.rep, prep.mask,
+            prep.mask,
         ):
             if kd == K_ACCESS:
                 core = core_of[t]
-                if rp:
-                    # Guaranteed L1-MRU hit (same thread, same block as the
-                    # previous event): serve without touching LRU order.
-                    st = pstate[core][b]
-                    if at == AT_LOAD:
-                        if st == _W:
-                            wacc_f += 1
-                        continue
-                    if st >= _E:
-                        if st == _W:
-                            wacc_f += 1
-                        elif st == _E:
-                            pstate[core][b] = _M  # silent E -> M
-                        wmask[core][b] |= mask_k
-                        continue
-                    # S-state write: needs the directory; fall through to
-                    # the full transaction.
-                # Inlined _access L1-hit path (the dominant case): LRU
-                # refresh + state check without a method call.  Anything
-                # past the L1 falls back to the full transcription.
+                # The L1 hit (the dominant case), inline: LRU refresh +
+                # state check without a method call.  Anything past the L1
+                # goes to _access.
                 cset1 = l1sets[core].get(sidx1[b])
                 if cset1 is not None and b in cset1:
                     del cset1[b]  # LRU refresh (move to end)
@@ -652,7 +626,7 @@ class ReplayKernel:
                     # S-state write: directory upgrade
                     barrier_lat[slot[k]] = l1_lat + upgrade(core, b, mask_k)
                     continue
-                latency = access(core, b, at, mask_k, True)
+                latency = access(core, b, at, mask_k)
                 if at == AT_LOAD:
                     load_extra[slot[k]] += latency - l1_lat
                 else:
@@ -768,29 +742,16 @@ class ReplayKernel:
         return self.interleave[b]
 
     # ------------------------------------------------------------------
-    # MESIProtocol.access, transcribed over packed state
+    # MESIProtocol.access past an L1 miss, transcribed over packed state
     # ------------------------------------------------------------------
-    def _access(
-        self, core: int, b: int, at: int, mask: int, l1_missed: bool = False
-    ) -> int:
-        latency = self.l1_lat
-        present = False
-        if not l1_missed:
-            cset1 = self.l1sets[core].get(self.sidx1[b])
-            present = cset1 is not None and b in cset1
-            if present:
-                del cset1[b]  # LRU refresh (move to end)
-                cset1[b] = True
-        if not present:
-            latency += self.l2_lat
-            self.l2a += 1
-            cset2 = self.l2sets[core].get(self.sidx2[b])
-            if cset2 is not None and b in cset2:
-                del cset2[b]
-                cset2[b] = True
-                self._l1_install(core, b)
-                present = True
-        if present:
+    def _access(self, core: int, b: int, at: int, mask: int) -> int:
+        latency = self.l1_lat + self.l2_lat
+        self.l2a += 1
+        cset2 = self.l2sets[core].get(self.sidx2[b])
+        if cset2 is not None and b in cset2:
+            del cset2[b]
+            cset2[b] = True
+            self._l1_install(core, b)
             st = self.pstate[core][b]
             if at == AT_LOAD:
                 if st == _W:
@@ -814,17 +775,18 @@ class ReplayKernel:
         # _handle_upgrade_at_dir (WARDen override first, then MESI).
         # Region lookups use the block base address, like the object
         # protocol (the raw access address may cross the region edge).
-        if self.is_warden:
-            if self.dstate[b] == _W or self.regions.contains(self.baddrs[b]):
-                if self.dstate[b] != _W:
-                    self._enter_ward(b)
-                latency += self._h2c(home, core, _DATA_E)
-                self.dshare[b] |= 1 << core
-                self._register_ward(b)
-                self.pstate[core][b] = _W
-                self.wmask[core][b] |= mask
-                self.wacc += 1
-                return latency
+        if self.dstate[b] == _W or (
+            self.regions and self.regions.contains(self.baddrs[b])
+        ):
+            if self.dstate[b] != _W:
+                self._enter_ward(b)
+            latency += self._h2c(home, core, _DATA_E)
+            self.dshare[b] |= 1 << core
+            self._register_ward(b)
+            self.pstate[core][b] = _W
+            self.wmask[core][b] |= mask
+            self.wacc += 1
+            return latency
         latency += self._inv_sharers(b, core, home)
         latency += self._h2c(home, core, _DATA_E)
         self.dstate[b] = _M
@@ -879,13 +841,13 @@ class ReplayKernel:
         return latency + self.l3_lat + self._at_dir(core, b, at, mask, home)
 
     def _at_dir(self, core: int, b: int, at: int, mask: int, home: int) -> int:
-        if self.is_warden:
-            if self.dstate[b] == _W:
-                return self._ward_grant(core, b, mask, home)
-            if self.regions and self.regions.contains(self.baddrs[b]):
-                self._enter_ward(b)
-                return self._ward_grant(core, b, mask, home)
+        # WARDenProtocol._handle_at_directory, then MESI's
         st = self.dstate[b]
+        if st == _W:
+            return self._ward_grant(core, b, mask, home)
+        if self.regions and self.regions.contains(self.baddrs[b]):
+            self._enter_ward(b)
+            return self._ward_grant(core, b, mask, home)
         if st == _I:
             latency = self._fetch(b, home)
             latency += self._h2c(home, core, _DATA_E)

@@ -20,9 +20,9 @@ is the makespan, so the trace must know the thread.  Nothing is patched
 onto the runtime or scheduler, so a recording's machine is freed when
 :func:`record_benchmark` returns, like any run's.
 
-The ``record_per_op`` class attribute opts the machine out of the epoch
-batching fast path (the engine checks it), guaranteeing every access flows
-through :meth:`Machine.access` one at a time.
+The ``record_per_op`` class attribute makes :meth:`Machine.fast_path`
+decline every access and the engine end each run after one op, so every
+access flows through :meth:`Machine.access` one at a time.
 """
 
 from __future__ import annotations
@@ -115,8 +115,8 @@ class RecordingCore(CoreModel):
 class RecordingMachine(Machine):
     """A machine that records protocol-visible events as it executes."""
 
-    #: tells the engine to step per-op (no epoch batching): every access
-    #: must pass through :meth:`access` to be captured
+    #: per-op stepping (a fast path that declines every access, one-op
+    #: runs): every access must pass through :meth:`access` to be captured
     record_per_op = True
 
     def __init__(self, config: MachineConfig, protocol="mesi") -> None:

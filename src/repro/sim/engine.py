@@ -17,11 +17,10 @@ Epoch batching
 --------------
 
 Most retired ops are private-cache hits that no other core can observe, so
-paying a heap interaction per op is pure overhead.  Unless the machine
-asks for per-op stepping (``record_per_op``), the engine lets the worker it
-just popped as the global minimum retire a *run* of consecutive ops in a
-tight loop (:meth:`Engine._retire_run`) — without re-touching the heap — for
-as long as the run provably cannot change the schedule:
+paying a heap interaction per op is pure overhead.  The engine lets the
+worker it just popped as the global minimum retire a *run* of consecutive
+ops in a tight loop (:meth:`Engine._retire_run`) — without re-touching the
+heap — for as long as the run provably cannot change the schedule:
 
 * the worker's clock keeps it the worker the strict min-clock scan would
   pick anyway (strictly below the next-best heap entry, or equal with a
@@ -32,14 +31,22 @@ as long as the run provably cannot change the schedule:
 
 Epoch-safe ops mutate nothing any other worker can observe (only this
 core's clock, private caches, and counters), so the batched schedule is the
-*same* schedule the per-op engine produces and RunStats stay bit-identical
+*same* schedule per-op stepping produces and RunStats stay bit-identical
 (asserted in ``tests/test_epoch.py``).  The first op that needs the slow
 path runs once in full, then the run ends and the worker re-enters the
 heap.  Each worker's fast path comes from :meth:`Machine.fast_path`, so a
 traced run batches exactly like an untraced one: the traced fast path
 only stamps the tracer and counts its hits.  Access hooks are invoked for
-every op inside the run, preserving checker semantics.  Every op is a
-scalar op, so ``steps`` counts yielded ops on both paths.
+every op inside the run, preserving checker semantics.
+
+Per-op stepping is a mode of the same loop, not a second one.  A machine
+with ``record_per_op`` set (the trace recorder's) hands out a fast path
+that declines every access, and the engine bounds each run to one op, so
+every access flows through :meth:`Machine.access` and every op re-enters
+the heap.  That reference never continues a run, never takes the fast path
+and never parks a spinner, so ``tests/test_epoch.py`` and the parking tests
+hold batching to it.  Every op is a scalar op, so ``steps`` counts yielded
+ops in both modes.
 
 Parked spinners
 ---------------
@@ -61,13 +68,13 @@ parked worker: ``scheduler.skip_spins`` applies, in closed form, each spin
 keyed below that op, and the worker re-enters the heap at its next spin.
 The op's key is its clock from *before* the generator ``send``, since a
 generator body can charge cycles inside ``send`` before yielding the
-``ForkOp``; the per-op engine runs spins keyed between the two clocks after
-the fork.  Parking needs the epoch fast path and one thread per core (an
-SMT sibling shares the L1 and interleaves its own accesses with the
-spinner's LRU refreshes); a tracer changes neither, and ``skip_spins``
-counts the skipped spins' hits for it.  An empty heap with parked
-workers and no ``finished`` is the per-op engine's endless spin, reported
-as a deadlock.
+``ForkOp``; per-op stepping runs spins keyed between the two clocks after
+the fork.  Parking needs one thread per core (an SMT sibling shares the L1
+and interleaves its own accesses with the spinner's LRU refreshes), and
+per-op stepping ignores clean spins; a tracer changes neither, and
+``skip_spins`` counts the skipped spins' hits for it.  An empty heap with
+parked workers and no ``finished`` is per-op stepping's endless spin,
+reported as a deadlock.
 """
 
 from __future__ import annotations
@@ -145,10 +152,10 @@ class Engine:
         machine_cores = self.machine.cores
         workers = self.workers
         scheduler = self.scheduler
-        step = self.step
         retire_run = self._retire_run
-        # The trace recorder's machine steps per op (``record_per_op``) so
-        # every access flows through ``Machine.access``.
+        # The trace recorder's machine steps per op (``record_per_op``): its
+        # fast path declines every access, so each one flows through
+        # ``Machine.access``, and every run is bounded to one op.
         per_op = self.machine.record_per_op
         self._fast_paths = [self.machine.fast_path(w.thread) for w in workers]
         # Lazily-repaired min-heap over worker clocks, replacing the
@@ -219,8 +226,11 @@ class Engine:
                     if spun:
                         parked.append(thread)
                         continue
-            elif not per_op:
-                if heap:
+            else:
+                if per_op:
+                    # no clock sorts below -1: the run ends after one op
+                    next_clock, next_thread = -1, -1
+                elif heap:
                     next_clock, next_thread = heap[0]
                 else:
                     next_clock, next_thread = None, -1
@@ -234,8 +244,6 @@ class Engine:
                         scheduler.skip_spins(spinner, op_clock, thread)
                         heappush(heap, (machine_cores[spinner].clock, spinner))
                     parked.clear()
-            else:
-                step(worker)
             heappush(heap, (core.clock, thread))
             if waiting:
                 # Progress was made; waiting workers may have work again.
@@ -258,52 +266,6 @@ class Engine:
             strand.on_done(getattr(stop, "value", None), worker)
 
     # ------------------------------------------------------------------
-    def step(self, worker: Worker) -> None:
-        """Execute one operation of the worker's current strand."""
-        strand = worker.strand
-        self.steps += 1
-        if self.max_steps is not None and self.steps > self.max_steps:
-            raise SimulationError(f"engine exceeded max_steps={self.max_steps}")
-        self.current_worker = worker
-        try:
-            op = strand.gen.send(strand.resume_value)
-        except StopIteration as stop:
-            self._finish_strand(worker, strand, stop)
-            return
-        strand.resume_value = None
-
-        cls = op.__class__
-        thread = worker.thread
-        machine = self.machine
-        access_hook = self.access_hook
-        if cls is ComputeOp:
-            machine.compute(thread, op.instrs)
-        elif cls is LoadOp:
-            if access_hook is not None:
-                access_hook(worker, op, _LOAD)
-            strand.resume_value = machine.access(
-                thread, op.addr, op.size, _LOAD, spin=op.spin
-            )
-        elif cls is StoreOp:
-            if access_hook is not None:
-                access_hook(worker, op, _STORE)
-            strand.resume_value = machine.access(
-                thread, op.addr, op.size, _STORE
-            )
-        elif cls is RmwOp:
-            if access_hook is not None:
-                access_hook(worker, op, _RMW)
-            strand.resume_value = machine.access(
-                thread, op.addr, op.size, _RMW
-            )
-        elif cls is ForkOp:
-            if self.fork_handler is None:
-                raise SimulationError("ForkOp yielded but no fork handler installed")
-            self.fork_handler(worker, op)
-        else:
-            raise SimulationError(f"unknown operation {op!r}")
-
-    # ------------------------------------------------------------------
     def _retire_run(
         self, worker: Worker, next_clock: Optional[int], next_thread: int
     ) -> Optional[int]:
@@ -311,7 +273,8 @@ class Engine:
 
         ``worker`` was just popped as the global min-clock choice;
         ``(next_clock, next_thread)`` is the best remaining heap entry
-        (``next_clock=None`` when the heap is empty).  The loop keeps
+        (``next_clock=None`` when the heap is empty, ``(-1, -1)`` to stop
+        after one op for per-op stepping).  The loop keeps
         retiring while the worker would be re-picked by the strict per-op
         scan anyway — stale heap entries only make that stop condition
         fire *early* (the entry's recorded clock is never above the real

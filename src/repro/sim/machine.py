@@ -15,11 +15,17 @@ from repro.sim.core import CoreModel
 ADDRESS_SPACE_BASE = 0x1_0000
 
 
+def _decline(pcore: int, addr: int, size: int, atype: AccessType) -> None:
+    """The fast path of a per-op machine: every access takes the slow path."""
+    return None
+
+
 class Machine:
     """Cores, caches, directory, and a bump allocator for simulated memory."""
 
-    #: step every op through :meth:`access` (no epoch fast path, no parked
-    #: spinners); the trace recorder's machine sets it, and nothing else
+    #: step every op through :meth:`access`: :meth:`fast_path` declines
+    #: every access, the engine ends each run after one op and parks no
+    #: spinner.  The trace recorder's machine sets it, and nothing else
     #: selects per-op stepping
     record_per_op = False
 
@@ -101,7 +107,9 @@ class Machine:
         """The epoch fast path for ``thread``: a callable with the signature
         of ``protocol.try_fast_access`` (see there).
 
-        Without a sink it *is* ``protocol.try_fast_access``.  With one, it
+        With ``record_per_op`` set it declines every access, so each one
+        goes through :meth:`access`.  Otherwise, without a sink it *is*
+        ``protocol.try_fast_access``.  With one, it
         also stamps the tracer's emission context from ``thread``'s clock
         (a fast-path hit can still emit a silent E->M transition or an L1
         eviction) and counts each hit by ``(atype, latency)``;
@@ -109,6 +117,8 @@ class Machine:
         :class:`~repro.obs.tracer.HitCountEvent` objects.  Fetch it after
         the sink is installed.
         """
+        if self.record_per_op:
+            return _decline
         try_fast = self.protocol.try_fast_access
         tracer = self.tracer
         if not tracer.enabled:

@@ -6,7 +6,6 @@ from repro.analysis.run import (
     ResultMismatchError,
     clear_cache,
     run_benchmark,
-    run_pair,
     run_pairs,
 )
 from tests.conftest import tiny_config
@@ -63,8 +62,9 @@ class TestRunBenchmark:
 
 
 class TestPairs:
-    def test_run_pair_same_input(self):
-        m, w = run_pair("make_array", tiny_config(), size="test")
+    def test_run_pairs_one_seed_same_input(self):
+        (m, w), = run_pairs("make_array", tiny_config(), size="test",
+                            seeds=(42,))
         assert m.protocol == "MESI" and w.protocol == "WARDen"
         assert m.result == w.result
 

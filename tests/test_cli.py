@@ -451,6 +451,9 @@ def _exit_code(argv) -> int:
         # the ring is bounded by --capacity alone
         (["trace", "fib", "--sample", "50"], None,
          "unrecognized arguments: --sample"),
+        # the positional BENCHMARK takes every workload name
+        (["run", "fib", "--workload", "synth-ring"], None,
+         "unrecognized arguments: --workload"),
     ],
     ids=[
         "synth-unwritable-out", "trace-unwritable-out",
@@ -459,7 +462,7 @@ def _exit_code(argv) -> int:
         "figure-serial-bogus-faults", "figure-pool-bogus-faults",
         "verify-serial-bogus-faults", "figure-zero-hit-fault",
         "figure-resume-removed", "record-removed", "replay-removed",
-        "trace-sample-removed",
+        "trace-sample-removed", "run-workload-removed",
     ],
 )
 def test_bad_input_exits_2(argv, env, message, tmp_path, capsys, monkeypatch):

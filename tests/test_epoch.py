@@ -88,6 +88,21 @@ class TestTryFastAccess:
             == m2.protocol.stats.total_accesses
         )
 
+    def test_per_op_machine_fast_path_declines_l1_hits(self):
+        """A ``record_per_op`` machine's fast path sends even an L1 hit
+        through ``Machine.access``; that is all that makes the engine's one
+        run loop step per op."""
+        machine = Machine(tiny_config(), "mesi")
+        machine.record_per_op = True
+        addr = machine.sbrk(64)
+        machine.access(0, addr, 8, AccessType.LOAD)  # now in core 0's L1
+        assert machine.protocol.try_fast_access(
+            machine._core_of[0], addr, 8, AccessType.LOAD
+        ) == machine.config.l1.latency
+        fast = machine.fast_path(0)
+        for atype in (AccessType.LOAD, AccessType.STORE):
+            assert fast(machine._core_of[0], addr, 8, atype) is None
+
     def test_shared_store_declines(self):
         machine = Machine(tiny_config(), "mesi")
         addr = machine.sbrk(64)

@@ -195,3 +195,24 @@ class TestPlainMESIBehaviourPreserved:
         assert entry(m, a).state is S
         assert priv(m, 0, a).state is S
         m.protocol.check_invariants()
+
+
+class TestLostOwnerCopy:
+    """A directory owner without a private copy is a protocol error, at
+    each place that forwards to the owner: MESI's forward, MOESI's dirty
+    read-forward (M -> O) and MOESI's O entry."""
+
+    @pytest.mark.parametrize("protocol, readers", [
+        ("mesi", 0), ("moesi", 0), ("moesi", 1),
+    ], ids=["mesi-forward", "moesi-dirty-forward", "moesi-owned-entry"])
+    def test_lost_owner_copy_raises(self, protocol, readers):
+        from repro.common.errors import ProtocolError
+
+        machine = Machine(tiny_config(), protocol)
+        a = dirty_line(machine, core=0)
+        for core in range(1, 1 + readers):
+            machine.access(core, a, 8, LOAD)  # M -> O under MOESI
+        machine.protocol.l2[0].invalidate(a)
+        machine.protocol.l1[0].invalidate(a)
+        with pytest.raises(ProtocolError, match="no private copy exists"):
+            machine.access(3, a, 8, LOAD)

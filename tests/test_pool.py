@@ -19,7 +19,6 @@ from repro.analysis.pool import (
     MatrixReport,
     RunTask,
     code_fingerprint,
-    config_fingerprint,
     decode_result,
     encode_result,
     run_matrix,
@@ -50,7 +49,7 @@ def fresh_caches():
 
 
 class TestFingerprints:
-    def test_config_fingerprint_covers_every_field(self):
+    def test_task_fingerprint_covers_every_config_field(self):
         a = tiny_config()
         # Same name, different tuning: must NOT alias (the old in-process
         # cache keyed on config.name + a few fields and conflated these).
@@ -58,12 +57,17 @@ class TestFingerprints:
             a, l1=dataclasses.replace(a.l1, latency=a.l1.latency + 1)
         )
         assert a.name == b.name
-        assert config_fingerprint(a) != config_fingerprint(b)
-
-    def test_config_fingerprint_deterministic(self):
-        assert config_fingerprint(tiny_config()) == config_fingerprint(
-            tiny_config()
+        task = RunTask(benchmark="fib", protocol="mesi", config=a)
+        assert task_fingerprint(task) != task_fingerprint(
+            dataclasses.replace(task, config=b)
         )
+
+    def test_task_fingerprint_deterministic(self):
+        def task():
+            return RunTask(benchmark="fib", protocol="mesi",
+                           config=tiny_config())
+
+        assert task_fingerprint(task()) == task_fingerprint(task())
 
     def test_task_fingerprint_varies_with_coordinates(self):
         base = RunTask(benchmark="fib", protocol="mesi", config=tiny_config())

@@ -244,3 +244,17 @@ def test_registered_subclass_replays_exactly(warden_variant, tmp_path):
     swept, = replay_matrix(task, [task.config], trace_store=store)
     assert swept.stats.to_dict() == recorded.stats.to_dict()
     assert swept.result == recorded.result
+
+
+def test_mesi_kernel_ignores_region_events():
+    # The kernel transcribes WARDen once and replays MESI as its
+    # region-free case: a MESI trace that does carry region events must
+    # replay as MESIProtocol does, which drops them.
+    from repro.replay.kernel import ReplayKernel, machine_replay
+
+    trace, _ = record_benchmark("msort", "warden", dual_socket(), size="test")
+    trace.meta.update(protocol="mesi", protocol_name="MESI")
+    packed, = ReplayKernel(trace).run()
+    reference = machine_replay(trace)
+    assert reference.coherence.ward_region_adds == 0
+    assert packed.to_dict() == reference.to_dict()

@@ -113,18 +113,18 @@ class TestIngestSynthCLI:
 
 
 # ----------------------------------------------------------------------
-# --workload plumbing on run / bench / verify
+# workload names on run and verify
 # ----------------------------------------------------------------------
 
 class TestWorkloadPlumbing:
     def test_run_workload_synth(self, capsys):
-        assert main(["run", "--workload", "synth-falseshare",
+        assert main(["run", "synth-falseshare",
                      "--size", "test", "--protocol", "mesi",
                      "--no-disk-cache"]) == 0
         assert "synth-falseshare" in capsys.readouterr().out
 
     def test_run_workload_trace(self, trace_file, capsys):
-        assert main(["run", "--workload", f"trace:{trace_file}",
+        assert main(["run", f"trace:{trace_file}",
                      "--size", "test", "--no-disk-cache"]) == 0
         assert "cycles" in capsys.readouterr().out
 
@@ -137,17 +137,14 @@ class TestWorkloadPlumbing:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["run", "synth-bogus"])
 
-    def test_run_conflicting_names_exit_2(self, trace_file, capsys):
-        assert main(["run", "fib", "--workload", f"trace:{trace_file}",
-                     "--no-disk-cache"]) == 2
-        assert "pass one" in capsys.readouterr().err
-
     def test_run_no_name_exits_2(self, capsys):
-        assert main(["run", "--no-disk-cache"]) == 2
-        assert "no workload" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--no-disk-cache"])
+        assert exc.value.code == 2
+        assert "required: BENCHMARK" in capsys.readouterr().err
 
     def test_run_missing_trace_file_exits_2(self, tmp_path, capsys):
-        assert main(["run", "--workload", f"trace:{tmp_path}/gone.trace",
+        assert main(["run", f"trace:{tmp_path}/gone.trace",
                      "--no-disk-cache"]) == 2
         err = capsys.readouterr().err
         assert "cannot read" in err and "Traceback" not in err
