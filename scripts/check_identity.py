@@ -18,10 +18,14 @@ benchmark's result value:
   the machine replay (every other protocol).
 
 A sweep leg then checks grouped replays: ``replay_matrix`` over a 2
-L2-size x 3 socket-link grid (two memory-key groups of three latency
-lanes), the recorded config first.  For a protocol the packed kernel
-transcribes, every variant must give exactly the ``RunStats.to_dict()`` of
-the machine replay at that variant, which plays the trace into the
+L2-size x 3 socket-link grid plus the recorded config with a one-entry
+store buffer (two memory-key groups, of three and four latency lanes),
+the recorded config first.  The store-buffer variant shares the recorded
+config's memory pass; its core-timing pass, one ``CoreModel`` per
+thread, stalls whenever a store finds the previous one still in flight,
+and every RMW fences on it.  For a protocol the packed kernel
+transcribes, every variant must give exactly the ``RunStats.to_dict()``
+of the machine replay at that variant, which plays the trace into the
 protocol's own engine class.  Every other protocol already replays each
 variant through the machine replay, so there the leg checks only variant
 order and grouping: the recorded config's result must equal per-op
@@ -63,7 +67,8 @@ def diff_results(left, right) -> list:
 
 
 def sweep_variants(config):
-    """2 L2 sizes x 3 socket-link latencies, the recorded config first."""
+    """2 L2 sizes x 3 socket-link latencies, the recorded config first and
+    the recorded config with a one-entry store buffer last."""
     from dataclasses import replace
 
     grid = [
@@ -74,7 +79,11 @@ def sweep_variants(config):
         for kb in (128, config.l2.size_bytes // 1024)
         for link in (60, config.socket_link_latency, 3300)
     ]
-    return [config] + [variant for variant in grid if variant != config]
+    return (
+        [config]
+        + [variant for variant in grid if variant != config]
+        + [config.replace(store_buffer_entries=1)]
+    )
 
 
 def check_sweep(trace, task, per_op) -> list:

@@ -50,7 +50,7 @@ from __future__ import annotations
 import hashlib
 import json
 import random
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Optional, Sequence
 
 from repro.common.config import MachineConfig
@@ -106,39 +106,7 @@ class ConformanceResult:
         self.failures.append(message)
 
     def to_dict(self) -> dict:
-        return {
-            "benchmark": self.benchmark,
-            "size": self.size,
-            "machine": self.machine,
-            "seed": self.seed,
-            "protocol": self.protocol,
-            "baseline": self.baseline,
-            "passed": self.passed,
-            "failures": list(self.failures),
-            "races": self.races,
-            "benign_waws": self.benign_waws,
-            "oracle_regions": self.oracle_regions,
-            "detector": dict(self.detector),
-            "stats": {k: dict(v) for k, v in self.stats.items()},
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ConformanceResult":
-        return cls(
-            benchmark=data["benchmark"],
-            size=data["size"],
-            machine=data["machine"],
-            seed=data["seed"],
-            protocol=data.get("protocol", "warden"),
-            baseline=data.get("baseline", "mesi"),
-            passed=data["passed"],
-            failures=list(data.get("failures", [])),
-            races=data.get("races", 0),
-            benign_waws=data.get("benign_waws", 0),
-            oracle_regions=data.get("oracle_regions", 0),
-            detector=dict(data.get("detector", {})),
-            stats={k: dict(v) for k, v in data.get("stats", {}).items()},
-        )
+        return asdict(self)
 
 
 @dataclass
@@ -163,15 +131,6 @@ class ConformanceReport:
             "passed": self.passed,
             "results": [r.to_dict() for r in self.results],
         }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ConformanceReport":
-        return cls(
-            size=data["size"],
-            machine=data["machine"],
-            seed=data["seed"],
-            results=[ConformanceResult.from_dict(r) for r in data["results"]],
-        )
 
 
 # ----------------------------------------------------------------------

@@ -169,6 +169,17 @@ def task_fingerprint(task: RunTask, code: Optional[str] = None) -> str:
 # ----------------------------------------------------------------------
 
 
+def pickle_b64(value) -> str:
+    """A benchmark's functional result as ASCII text: the form both the
+    disk cache's entries and a trace's meta carry it in."""
+    return base64.b64encode(pickle.dumps(value, protocol=4)).decode("ascii")
+
+
+def unpickle_b64(text: str):
+    """Inverse of :func:`pickle_b64`."""
+    return pickle.loads(base64.b64decode(text))
+
+
 def encode_result(fingerprint: str, result) -> dict:
     """One BenchResult as a JSON-safe payload dict (see CACHE_SCHEMA)."""
     return {
@@ -180,9 +191,7 @@ def encode_result(fingerprint: str, result) -> dict:
         "size": result.size,
         "ward_checked": result.ward_checked,
         "stats": result.stats.to_dict(),
-        "result": base64.b64encode(
-            pickle.dumps(result.result, protocol=pickle.HIGHEST_PROTOCOL)
-        ).decode("ascii"),
+        "result": pickle_b64(result.result),
     }
 
 
@@ -198,7 +207,7 @@ def decode_result(payload: dict):
         machine=payload["machine"],
         size=payload["size"],
         stats=RunStats.from_dict(payload["stats"]),
-        result=pickle.loads(base64.b64decode(payload["result"])),
+        result=unpickle_b64(payload["result"]),
         ward_checked=payload["ward_checked"],
     )
 

@@ -59,6 +59,21 @@ _DATA_E = MessageType.DATA_E
 _WB_DATA = MessageType.WB_DATA
 
 
+#: NUMA placement granularity: one block, since padded runtime words
+#: would otherwise inherit a neighbour's 4 KB page home
+PAGE_SHIFT = 6
+
+
+def first_touch(page_homes: dict, addr: int, size: int, socket: int) -> None:
+    """NUMA first-touch placement: home each page of ``[addr, addr+size)``
+    that has no home yet in ``page_homes`` (page number -> socket) on
+    ``socket``.  The replay kernel places through it too."""
+    first = addr >> PAGE_SHIFT
+    last = (addr + max(size, 1) - 1) >> PAGE_SHIFT
+    for page in range(first, last + 1):
+        page_homes.setdefault(page, socket)
+
+
 def llc_config(config: MachineConfig) -> CacheConfig:
     """Geometry of one socket's shared LLC slice.
 
@@ -230,21 +245,15 @@ class MESIProtocol:
     def home(self, block_addr: int) -> int:
         """Home socket of a block: NUMA first-touch page placement when the
         allocator registered one, address-interleaved otherwise."""
-        home = self._page_homes.get(block_addr >> self.PAGE_SHIFT)
+        home = self._page_homes.get(block_addr >> PAGE_SHIFT)
         if home is not None:
             return home
         # inlined config.home_socket (hot: several calls per transaction)
         return (block_addr // self._block_size) % self._num_sockets
 
-    PAGE_SHIFT = 6  # block-granularity placement (padded runtime words
-    # would otherwise inherit a neighbour's 4 KB page home)
-
     def set_page_home(self, addr: int, size: int, socket: int) -> None:
         """Register first-touch NUMA placement for ``[addr, addr+size)``."""
-        first = addr >> self.PAGE_SHIFT
-        last = (addr + max(size, 1) - 1) >> self.PAGE_SHIFT
-        for page in range(first, last + 1):
-            self._page_homes.setdefault(page, socket)
+        first_touch(self._page_homes, addr, size, socket)
 
     def directory_for(self, block_addr: int) -> Directory:
         return self.dirs[self.home(block_addr)]

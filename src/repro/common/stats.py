@@ -154,15 +154,8 @@ class CoreStats:
         return self.loads + self.stores + self.rmws + self.compute_instrs
 
     def merge(self, other: "CoreStats") -> None:
-        self.loads += other.loads
-        self.stores += other.stores
-        self.rmws += other.rmws
-        self.compute_instrs += other.compute_instrs
-        self.spin_loads += other.spin_loads
-        self.load_stall_cycles += other.load_stall_cycles
-        self.store_buffer_stall_cycles += other.store_buffer_stall_cycles
-        self.steal_attempts += other.steal_attempts
-        self.successful_steals += other.successful_steals
+        for f in dataclasses.fields(self):
+            setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)

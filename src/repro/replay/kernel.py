@@ -19,13 +19,17 @@ The packed kernel runs in two passes over a recorded trace.
 * The **memory pass** drives the protocol's state machine over packed
   arrays and emits each access's latency.  It holds everything a latency
   cannot change: cache contents and LRU order, per-core coherence states
-  (``_I, _S, _E, _M, _W = 0..4``), the directory, WARD regions, message
-  counts and the coherence counters.
-* The **core-timing pass** turns those latencies into time: the
-  per-thread clocks, the TSO store buffer, load and store-buffer stalls,
-  ``cycles`` and energy.  It walks only the *barriers* — stores, RMWs and
-  scheduler clock clamps — because between two barriers a thread's clock
-  just adds its compute charges and one latency per load.
+  (``_I, _S, _E, _M, _W = 0..4``), the directory, WARD regions, NUMA
+  page homes (placed by :func:`~repro.coherence.mesi.first_touch`) and
+  one :class:`~repro.common.stats.CoherenceStats` of counters and
+  messages.
+* The **core-timing pass** turns those latencies into time with one real
+  :class:`~repro.sim.core.CoreModel` per thread: its clock, TSO store
+  buffer and store/RMW counters, then ``cycles`` and energy.  It walks
+  only the *barriers* — stores, RMWs and scheduler clock clamps — because
+  between two barriers a thread's clock just adds its compute charges and
+  one latency per load; at each barrier the core's own ``store``,
+  ``rmw`` or ``wait_until`` runs.
 
 The trace fixes the event order, so the coherence state never depends on
 a latency.  Configs that differ only in :data:`TIMING_FIELDS` (and the
@@ -48,7 +52,7 @@ The memory pass works over packed state:
 * an L1 hit — the dominant case — is served inline in the hot loop: an
   LRU refresh and a state check, no method call.
 
-The transcription is one protocol, WARDen.  By §5 of the paper WARDen is
+The kernel transcribes one protocol, WARDen.  By §5 of the paper WARDen is
 MESI plus a ``W`` state entered only inside a WARD region.  A MESI trace
 carries no region events, and its region table has no entries (a stray
 region event is dropped, as ``MESIProtocol.add_region`` drops it), so
@@ -59,7 +63,8 @@ protocols, sharing the genuinely subtle pieces —
 :func:`~repro.mem.cache.set_index_params`,
 :func:`~repro.coherence.mesi.llc_config`, and the real
 :class:`~repro.coherence.regions.RegionTable` — so the two cannot drift
-on the parts that are easy to get wrong.  The replay-identity tests then
+on the parts that are easy to get wrong; the core model, the counters
+and placement are the engine's own code.  The replay-identity tests then
 pin the rest bit-for-bit against the machine replay.
 
 Replaying under a *different* config than the recorded one is a
@@ -71,20 +76,26 @@ sweeps; never fed into the exact-result caches.
 from __future__ import annotations
 
 import dataclasses
-from collections import Counter, deque
 from typing import List, Optional, Sequence
 
+from repro.analysis.pool import unpickle_b64
 from repro.common.config import MachineConfig
 from repro.common.errors import ConfigError
-from repro.common.stats import CoreStats, RunStats
+from repro.common.stats import CoherenceStats, CoreStats, RunStats
 from repro.common.types import AccessType, MessageType
-from repro.coherence.mesi import MESIProtocol, llc_config
+from repro.coherence.mesi import (
+    PAGE_SHIFT,
+    MESIProtocol,
+    first_touch,
+    llc_config,
+)
 from repro.coherence.regions import RegionTable
 from repro.coherence.registry import protocol_class
 from repro.coherence.warden import WARDenProtocol, reconcile_plan
 from repro.energy.model import EnergyModel
 from repro.mem.cache import set_index_params
 from repro.obs.tracer import ReplayEvent
+from repro.sim.core import CoreModel
 from repro.sim.machine import Machine
 from repro.replay.trace import (
     AT_LOAD,
@@ -99,10 +110,7 @@ from repro.replay.trace import (
     K_SYNC,
     Trace,
     config_from_dict,
-    decode_result,
 )
-
-_PAGE_SHIFT = MESIProtocol.PAGE_SHIFT
 
 _GET_S = MessageType.GET_S
 _GET_M = MessageType.GET_M
@@ -206,6 +214,23 @@ def _lane_max(width: int, lanes: int):
     return lane_max
 
 
+def _lru_insert(sets: dict, idx: int, b: int, assoc: int) -> None:
+    """Make ``b`` the most recent entry of set ``idx`` of ``sets`` (an
+    ``{index: {bid: True}}`` cache, sets created lazily), dropping least
+    recent entries without a hook while the set is full."""
+    cset = sets.get(idx)
+    if cset is None:
+        sets[idx] = {b: True}
+        return
+    if b in cset:
+        del cset[b]
+        cset[b] = True
+        return
+    while len(cset) >= assoc:
+        del cset[next(iter(cset))]
+    cset[b] = True
+
+
 class _Prep:
     """Config-independent columns of one trace at one block size."""
 
@@ -215,12 +240,12 @@ class _Prep:
         # core-timing pass: per barrier, then per thread for its tail
         "slot", "b_thr", "b_op", "b_charge", "b_loads", "b_aux", "tail_charge",
         "tail_loads",
-        # core counters
-        "accesses", "loads", "stores", "rmws", "spin_loads", "compute_instrs",
+        # counters the timing pass does not take from its cores
+        "accesses", "loads", "spin_loads", "compute_instrs",
     )
 
 
-def _check_events(kind, thr, atype, sizes) -> None:
+def _check_events(kind, thr, atype, sizes, addr, aux) -> None:
     """Raise :class:`ConfigError` on an event no replay can interpret
     (the columns as lists)."""
     unknown = set(kind) - _KINDS
@@ -233,9 +258,13 @@ def _check_events(kind, thr, atype, sizes) -> None:
     if sizes and min(sizes) < 0:
         k = sizes.index(min(sizes))
         raise ConfigError(f"trace event {k}: negative access size {sizes[k]}")
-    for k, kd, at in zip(range(len(kind)), kind, atype):
+    for k, kd, at, start, end in zip(range(len(kind)), kind, atype, addr, aux):
         if kd == K_ACCESS and at not in _ATYPES:
             raise ConfigError(f"trace event {k}: unknown access type {at}")
+        if kd == K_REGION_ADD and end <= start:
+            raise ConfigError(
+                f"trace event {k}: empty region [{start:#x}, {end:#x})"
+            )
 
 
 def _preprocess(tr, bs: int) -> _Prep:
@@ -256,7 +285,7 @@ def _preprocess(tr, bs: int) -> _Prep:
     aux = tr.aux.tolist()
     pre_i = tr.pre_instrs.tolist()
     pre_c = tr.pre_cycles.tolist()
-    _check_events(kind, thr, atype, sizes)
+    _check_events(kind, thr, atype, sizes, addr, aux)
 
     bid = [-1] * n
     uniq_set = set()
@@ -280,22 +309,21 @@ def _preprocess(tr, bs: int) -> _Prep:
             a = addr[k]
             mask[k] = ((1 << sizes[k]) - 1) << (a % bs)
 
-    # Core-timing structure.  A barrier carries its thread's running
-    # charge total (inclusive) and load count (exclusive); the loads of a
-    # thread up to a barrier form that barrier's segment, the loads after
-    # its last barrier its tail.  ``slot[k]`` is a barrier's index, or a
-    # load's segment index (a tail's is ``barriers + thread``).
+    # Core-timing structure.  A barrier carries its thread's charges and
+    # load count since the thread's previous barrier; the loads of a thread
+    # up to a barrier form that barrier's segment, the loads after its last
+    # barrier its tail.  ``slot[k]`` is a barrier's index, or a load's
+    # segment index (a tail's is ``barriers + thread``).
     nthr = max(thr) + 1 if n else 0
     slot = [-1] * n
     waiting = [[] for _ in range(nthr)]
     charge = [0] * nthr
-    nloads = [0] * nthr
     b_thr: List[int] = []
     b_op: List[int] = []
     b_charge: List[int] = []
     b_loads: List[int] = []
     b_aux: List[int] = []
-    stores = rmws = spins = 0
+    spins = 0
     for k, t, kd, at, sp, a, pi, pc in zip(
         range(n), thr, kind, atype, spin, aux, pre_i, pre_c,
     ):
@@ -304,29 +332,26 @@ def _preprocess(tr, bs: int) -> _Prep:
         if kd == K_ACCESS:
             if at == AT_LOAD:
                 waiting[t].append(k)
-                nloads[t] += 1
                 if sp:
                     spins += 1
                 continue
-            if at == AT_STORE:
-                stores += 1
-            else:
-                rmws += 1
         elif kd != K_SYNC:
             continue
         j = len(b_thr)
-        for q in waiting[t]:
+        segment = waiting[t]
+        for q in segment:
             slot[q] = j
         waiting[t] = []
         slot[k] = j
         b_thr.append(t)
         b_op.append(at if kd == K_ACCESS else _OP_SYNC)
         b_charge.append(charge[t])
-        b_loads.append(nloads[t])
+        b_loads.append(len(segment))
         b_aux.append(a)
+        charge[t] = 0
     nb = len(b_thr)
-    for t, ks in enumerate(waiting):
-        for q in ks:
+    for t, segment in enumerate(waiting):
+        for q in segment:
             slot[q] = nb + t
 
     p = _Prep()
@@ -334,10 +359,11 @@ def _preprocess(tr, bs: int) -> _Prep:
     p.bid, p.baddrs, p.mask = bid, baddrs, mask
     p.slot, p.b_thr, p.b_op = slot, b_thr, b_op
     p.b_charge, p.b_loads, p.b_aux = b_charge, b_loads, b_aux
-    p.tail_charge, p.tail_loads = charge, nloads
-    p.loads = sum(nloads)
-    p.stores, p.rmws, p.spin_loads = stores, rmws, spins
-    p.accesses = p.loads + stores + rmws
+    p.tail_charge = charge
+    p.tail_loads = [len(segment) for segment in waiting]
+    p.accesses = kind.count(K_ACCESS)
+    p.loads = sum(b_loads) + sum(p.tail_loads)
+    p.spin_loads = spins
     p.compute_instrs = sum(pre_i)
     return p
 
@@ -464,7 +490,7 @@ class ReplayKernel:
 
         baddrs = self.baddrs
         nsock = cfg.num_sockets
-        self.page_of = [a >> _PAGE_SHIFT for a in baddrs]
+        self.page_of = [a >> PAGE_SHIFT for a in baddrs]
         self.interleave = [(a // bs) % nsock for a in baddrs]
 
     def _set_indices(self, cache_cfg) -> List[int]:
@@ -546,21 +572,10 @@ class ReplayKernel:
         self.regions = RegionTable(capacity=self.region_capacity)
         self.rid_map = {}
         self.page_homes = {}
-        self.messages = Counter()
-
-        # coherence counters
-        self.l2a = 0
-        self.wacc = 0
-        self.l3a = 0
-        self.dram = 0
-        self.inval = 0
-        self.downg = 0
-        self.wb = 0
-        self.region_adds = 0
-        self.region_removes = 0
-        self.recon = 0
-        self.recon_shared = 0
-        self.recon_true = 0
+        # the coherence counters (every lane's alike); ``messages`` is a
+        # hot alias of its message counter
+        self.coh = coh = CoherenceStats()
+        self.messages = coh.messages
 
         # lane-packed timing constants / topology
         lanes = self.configs
@@ -636,84 +651,55 @@ class ReplayKernel:
             elif kd == K_REGION_REMOVE:
                 self._region_remove(aux[k])
             elif kd == K_PLACE:
-                self._place(t, addr[k], aux[k])
+                first_touch(
+                    self.page_homes, addr[k], aux[k], self.soc_of_thread[t]
+                )
             elif kd == K_LLC_WARM:
                 self._llc_fill(b, self._home(b))
             # K_SYNC, K_FLUSH: core timing only
 
-        self.wacc += wacc_f
+        coh = self.coh
+        coh.ward_accesses += wacc_f
+        # every access performs exactly one L1 lookup, so the recorded
+        # Machine.finalize L1 hits+misses sum equals total_accesses
+        coh.l1_accesses = coh.total_accesses = prep.accesses
         return barrier_lat, load_extra
 
     def _core_timing(self, lane: int, barrier_lat, load_extra):
-        """The core-timing pass of one config (CoreModel, transcribed).
+        """The core-timing pass of one config: one real ``CoreModel`` per
+        thread, driven barrier by barrier.
 
-        Returns ``(cycles, load stall cycles, store-buffer stall
-        cycles)``.  A load stalls for its latency beyond the L1 hit, so
-        the load stall is the sum of the segments' extras.
+        Returns ``(cycles, load stall cycles, cores)``.  Between barriers
+        a thread's clock just adds its charges and one latency per load; a
+        load stalls for its latency beyond the L1 hit, so the load stall
+        is the sum of the segments' extras.
         """
         cfg = self.configs[lane]
         prep = self.prep
         l1 = cfg.l1.latency
-        sb_cap = cfg.store_buffer_entries
         barrier_lat = self._lane(barrier_lat, lane)
         load_extra = self._lane(load_extra, lane)
-        nthr = len(prep.tail_charge)
-        clk = [0] * nthr
-        charged = [0] * nthr  # charge total at the thread's last barrier
-        loaded = [0] * nthr  # load count at the thread's last barrier
-        sb = [deque() for _ in range(nthr)]
-        sb_last = [0] * nthr
-        sbstall = 0
+        cores = [CoreModel(cfg, t) for t in range(len(prep.tail_charge))]
         for t, op, charge, nloads, a, latency, extra in zip(
             prep.b_thr, prep.b_op, prep.b_charge, prep.b_loads, prep.b_aux,
             barrier_lat, load_extra,
         ):
-            # the thread's charges and loads since its previous barrier
-            ck = (
-                clk[t] + charge - charged[t] + (nloads - loaded[t]) * l1
-                + extra
-            )
-            charged[t] = charge
-            loaded[t] = nloads
-            if op == AT_STORE:  # TSO store-buffer issue
-                buf = sb[t]
-                while buf and buf[0] <= ck:
-                    buf.popleft()
-                if len(buf) >= sb_cap:
-                    stall = buf[0] - ck
-                    if stall > 0:
-                        ck += stall
-                        sbstall += stall
-                    while buf and buf[0] <= ck:
-                        buf.popleft()
-                ck += 1
-                comp = ck + latency
-                last = sb_last[t]
-                if comp < last:
-                    comp = last
-                sb_last[t] = comp
-                buf.append(comp)
-            elif op == AT_RMW:  # fence + full latency
-                buf = sb[t]
-                if buf:
-                    last = buf[-1]
-                    if last > ck:
-                        sbstall += last - ck
-                        ck = last
-                    buf.clear()
-                ck += latency
-            elif a > ck:  # clock clamp (strand handoff)
-                ck = a
-            clk[t] = ck
+            core = cores[t]
+            core.clock += charge + nloads * l1 + extra
+            if op == AT_STORE:
+                core.store(latency)
+            elif op == AT_RMW:
+                core.rmw(latency)
+            else:  # clock clamp (strand handoff)
+                core.wait_until(a)
         t = self.final_thread
         cycles = 0
-        if t < nthr:
+        if t < len(cores):
             cycles = (
-                clk[t] + prep.tail_charge[t] - charged[t]
-                + (prep.tail_loads[t] - loaded[t]) * l1
-                + load_extra[len(barrier_lat) + t]
+                cores[t].clock + prep.tail_charge[t]
+                + prep.tail_loads[t] * l1 + load_extra[len(barrier_lat) + t]
             )
-        return cycles, sum(load_extra), sbstall
+        return cycles, sum(load_extra), cores
 
     # ------------------------------------------------------------------
     # Message accounting (Interconnect, transcribed; returns latency)
@@ -746,7 +732,7 @@ class ReplayKernel:
     # ------------------------------------------------------------------
     def _access(self, core: int, b: int, at: int, mask: int) -> int:
         latency = self.l1_lat + self.l2_lat
-        self.l2a += 1
+        self.coh.l2_accesses += 1
         cset2 = self.l2sets[core].get(self.sidx2[b])
         if cset2 is not None and b in cset2:
             del cset2[b]
@@ -755,11 +741,11 @@ class ReplayKernel:
             st = self.pstate[core][b]
             if at == AT_LOAD:
                 if st == _W:
-                    self.wacc += 1
+                    self.coh.ward_accesses += 1
                 return latency
             if st >= _E:  # silent write grant
                 if st == _W:
-                    self.wacc += 1
+                    self.coh.ward_accesses += 1
                 elif st == _E:
                     self.pstate[core][b] = _M
                 self.wmask[core][b] |= mask
@@ -771,7 +757,7 @@ class ReplayKernel:
         home = self._home(b)
         latency = self._c2h(core, home, _UPGRADE)
         latency += self.l3_lat
-        self.l3a += 1
+        self.coh.l3_accesses += 1
         # _handle_upgrade_at_dir (WARDen override first, then MESI).
         # Region lookups use the block base address, like the object
         # protocol (the raw access address may cross the region edge).
@@ -785,7 +771,7 @@ class ReplayKernel:
             self._register_ward(b)
             self.pstate[core][b] = _W
             self.wmask[core][b] |= mask
-            self.wacc += 1
+            self.coh.ward_accesses += 1
             return latency
         latency += self._inv_sharers(b, core, home)
         latency += self._h2c(home, core, _DATA_E)
@@ -815,24 +801,16 @@ class ReplayKernel:
         lmax = self._lmax
         sh = self.dshare[b]
         core = 0
-        i2 = self.sidx2[b]
-        i1 = self.sidx1[b]
         while sh:
             if sh & 1 and core != exclude:
                 lat = self._h2c(home, core, _INV)
                 lat += self._c2h(core, home, _INV_ACK)
                 worst = lmax(worst, lat)
                 inval += 1
-                cset = self.l2sets[core].get(i2)
-                if cset is not None:
-                    cset.pop(b, None)
-                cset = self.l1sets[core].get(i1)
-                if cset is not None:
-                    cset.pop(b, None)
-                self.pstate[core][b] = _I
+                self._drop(core, b)
             sh >>= 1
             core += 1
-        self.inval += inval
+        self.coh.invalidations += inval
         return worst
 
     def _miss(self, core: int, b: int, at: int, mask: int) -> int:
@@ -884,14 +862,8 @@ class ReplayKernel:
             # Fwd-GetM: invalidate the owner, transfer ownership.
             latency = self._h2c(home, owner, _FWD_GET_M)
             latency += self._c2c(owner, core, _DATA)
-            self.inval += 1
-            cset = self.l2sets[owner].get(self.sidx2[b])
-            if cset is not None:
-                cset.pop(b, None)
-            cset = self.l1sets[owner].get(self.sidx1[b])
-            if cset is not None:
-                cset.pop(b, None)
-            self.pstate[owner][b] = _I
+            self.coh.invalidations += 1
+            self._drop(owner, b)
             self._install(core, b, _M, mask)
             self.dstate[b] = _M
             self.downer[b] = core
@@ -900,10 +872,10 @@ class ReplayKernel:
         # Fwd-GetS: downgrade the owner to S, write back if dirty.
         latency = self._h2c(home, owner, _FWD_GET_S)
         latency += self._c2c(owner, core, _DATA)
-        self.downg += 1
+        self.coh.downgrades += 1
         if self.pstate[owner][b] == _M:
             self._c2h(owner, home, _WB_DATA)
-            self.wb += 1
+            self.coh.writebacks += 1
             self._llc_fill(b, home)
         self.pstate[owner][b] = _S
         self.wmask[owner][b] = 0
@@ -917,20 +889,18 @@ class ReplayKernel:
     # Private-cache install/evict (SetAssocCache + _evict_private)
     # ------------------------------------------------------------------
     def _l1_install(self, core: int, b: int) -> None:
-        sets = self.l1sets[core]
-        idx = self.sidx1[b]
-        cset = sets.get(idx)
-        if cset is None:
-            sets[idx] = {b: True}
-            return
-        if b in cset:
-            del cset[b]
-            cset[b] = True
-            return
-        assoc = self.l1_assoc
-        while len(cset) >= assoc:
-            del cset[next(iter(cset))]  # silent: block stays valid in L2
-        cset[b] = True
+        # an L1 victim leaves silently: the block stays valid in L2
+        _lru_insert(self.l1sets[core], self.sidx1[b], b, self.l1_assoc)
+
+    def _drop(self, core: int, b: int) -> None:
+        """Invalidate ``core``'s copy of ``b``: out of its L2 and L1."""
+        cset = self.l2sets[core].get(self.sidx2[b])
+        if cset is not None:
+            cset.pop(b, None)
+        cset = self.l1sets[core].get(self.sidx1[b])
+        if cset is not None:
+            cset.pop(b, None)
+        self.pstate[core][b] = _I
 
     def _install(self, core: int, b: int, state: int, mask: int) -> None:
         """``_install_private``: L2 install (with victim eviction), written
@@ -968,7 +938,7 @@ class ReplayKernel:
             # _flush_ward_copy: pre-pay reconciliation (§5.3)
             if self.wmask[core][v]:
                 self._c2h(core, home, _WB_DATA)
-                self.wb += 1
+                self.coh.writebacks += 1
                 self._llc_fill(v, home)
             else:
                 self._c2h(core, home, _PUT_M)
@@ -979,7 +949,7 @@ class ReplayKernel:
         if st >= _E:  # M or E
             self._c2h(core, home, _PUT_M)
             if st == _M:
-                self.wb += 1
+                self.coh.writebacks += 1
                 self._llc_fill(v, home)
             self.dstate[v] = _I
             self.downer[v] = -1
@@ -996,31 +966,18 @@ class ReplayKernel:
     # LLC / DRAM
     # ------------------------------------------------------------------
     def _llc_fill(self, b: int, home: int) -> None:
-        sets = self.llcsets[home]
-        idx = self.sidxL[b]
-        cset = sets.get(idx)
-        if cset is None:
-            sets[idx] = {b: True}
-            return
-        if b in cset:
-            del cset[b]
-            cset[b] = True
-            return
-        assoc = self.llc_assoc
-        while len(cset) >= assoc:
-            del cset[next(iter(cset))]
-        cset[b] = True
+        _lru_insert(self.llcsets[home], self.sidxL[b], b, self.llc_assoc)
 
     def _fetch(self, b: int, home: int) -> int:
         """``_fetch_data_at_home``: LLC hit is free (the l3 latency was
         charged by the caller), miss goes to DRAM and fills the slice."""
-        self.l3a += 1
+        self.coh.l3_accesses += 1
         cset = self.llcsets[home].get(self.sidxL[b])
         if cset is not None and b in cset:
             del cset[b]
             cset[b] = True
             return 0
-        self.dram += 1
+        self.coh.dram_accesses += 1
         self.messages[(_DATA, "memory")] += 1
         self._llc_fill(b, home)
         return self.dram_lat
@@ -1034,7 +991,7 @@ class ReplayKernel:
         self.dshare[b] |= 1 << core
         self._register_ward(b)
         self._install(core, b, _W, mask)
-        self.wacc += 1
+        self.coh.ward_accesses += 1
         return latency
 
     def _enter_ward(self, b: int) -> None:
@@ -1055,7 +1012,7 @@ class ReplayKernel:
     def _region_add(self, start: int, end: int) -> None:
         region = self.regions.add(start, end)
         if region is not None:
-            self.region_adds += 1
+            self.coh.ward_region_adds += 1
             self.messages[(_REGION_ADD_MSG, "intra")] += 1
             self.rid_map[region.region_id] = region
 
@@ -1064,7 +1021,7 @@ class ReplayKernel:
         if region is None:
             return
         self.regions.remove(region)
-        self.region_removes += 1
+        self.coh.ward_region_removes += 1
         self.messages[(_REGION_REMOVE_MSG, "intra")] += 1
         contains = self.regions.contains
         baddrs = self.baddrs
@@ -1089,7 +1046,7 @@ class ReplayKernel:
                     copies.append(core)
             sh >>= 1
             core += 1
-        self.recon += 1
+        self.coh.reconciled_blocks += 1
         wmask = self.wmask
         union_mask, true_sharing, keep_flags = reconcile_plan(
             [wmask[c][b] for c in copies]
@@ -1098,38 +1055,22 @@ class ReplayKernel:
         for c, current in zip(copies, keep_flags):
             if wmask[c][b]:
                 self._c2h(c, home, _RECONCILE)
-                self.wb += 1
+                self.coh.writebacks += 1
                 wmask[c][b] = 0
             if current:
                 self.pstate[c][b] = _S
                 keep |= 1 << c
             else:
-                self.pstate[c][b] = _I
-                cset = self.l2sets[c].get(i2)
-                if cset is not None:
-                    cset.pop(b, None)
-                cset = self.l1sets[c].get(self.sidx1[b])
-                if cset is not None:
-                    cset.pop(b, None)
+                self._drop(c, b)
         if union_mask:
             self._llc_fill(b, home)
         if len(copies) > 1:
-            self.recon_shared += 1
+            self.coh.reconciled_shared_blocks += 1
             if true_sharing:
-                self.recon_true += 1
+                self.coh.reconciled_true_sharing_blocks += 1
         self.downer[b] = -1
         self.dshare[b] = keep
         self.dstate[b] = _S if keep else _I
-
-    # ------------------------------------------------------------------
-    def _place(self, thread: int, a: int, size: int) -> None:
-        socket = self.soc_of_thread[thread]
-        first = a >> _PAGE_SHIFT
-        last = (a + (size if size > 1 else 1) - 1) >> _PAGE_SHIFT
-        homes = self.page_homes
-        for page in range(first, last + 1):
-            if page not in homes:
-                homes[page] = socket
 
     # ------------------------------------------------------------------
     def _finalize(self, lane: int, barrier_lat, load_extra) -> RunStats:
@@ -1138,7 +1079,7 @@ class ReplayKernel:
         meta = self.trace.meta
         cfg = self.configs[lane]
         prep = self.prep
-        cycles, load_stall, sb_stall = self._core_timing(
+        cycles, load_stall, timed = self._core_timing(
             lane, barrier_lat, load_extra
         )
         stats = RunStats(
@@ -1147,35 +1088,16 @@ class ReplayKernel:
             machine=cfg.name,
             num_threads=cfg.num_threads,
         )
-        coh = stats.coherence
-        coh.messages = Counter(self.messages)
-        coh.invalidations = self.inval
-        coh.downgrades = self.downg
-        coh.dram_accesses = self.dram
-        coh.l3_accesses = self.l3a
-        # every access performs exactly one L1 lookup, so the recorded
-        # Machine.finalize L1 hits+misses sum equals total_accesses
-        coh.l1_accesses = prep.accesses
-        coh.l2_accesses = self.l2a
-        coh.ward_accesses = self.wacc
-        coh.total_accesses = prep.accesses
-        coh.ward_region_adds = self.region_adds
-        coh.ward_region_removes = self.region_removes
-        coh.reconciled_blocks = self.recon
-        coh.reconciled_shared_blocks = self.recon_shared
-        coh.reconciled_true_sharing_blocks = self.recon_true
-        coh.writebacks = self.wb
-
-        cores = CoreStats()
+        # a fresh copy of the memory pass's counters per config
+        stats.coherence.merge(self.coh)
+        cores = stats.cores
+        for core in timed:
+            cores.merge(core.stats)  # stores, RMWs, store-buffer stalls
         cores.loads = prep.loads
-        cores.stores = prep.stores
-        cores.rmws = prep.rmws
         cores.compute_instrs = prep.compute_instrs
         cores.spin_loads = prep.spin_loads
         cores.load_stall_cycles = load_stall
-        cores.store_buffer_stall_cycles = sb_stall
         _add_steals(cores, meta)
-        stats.cores = cores
         stats.cycles = cycles
         EnergyModel(cfg).compute(stats)
         return stats
@@ -1205,16 +1127,16 @@ def machine_replay(
     protocol_cls = _protocol_class(meta)
     kind, thr = trace.kind.tolist(), trace.thread.tolist()
     atype, sizes = trace.atype.tolist(), trace.size.tolist()
-    _check_events(kind, thr, atype, sizes)
+    addrs, auxs = trace.addr.tolist(), trace.aux.tolist()
+    _check_events(kind, thr, atype, sizes, addrs, auxs)
     final = _check_fit(meta, max(thr, default=-1) + 1, [config])
     machine = Machine(config, protocol_cls)
     protocol = machine.protocol
     cores = machine.cores
     regions = {}  # recorded region id -> the replay's region
     for kd, t, at, size, spin, addr, aux, pre_i, pre_c in zip(
-        kind, thr, atype, sizes, trace.spin.tolist(), trace.addr.tolist(),
-        trace.aux.tolist(), trace.pre_instrs.tolist(),
-        trace.pre_cycles.tolist(),
+        kind, thr, atype, sizes, trace.spin.tolist(), addrs, auxs,
+        trace.pre_instrs.tolist(), trace.pre_cycles.tolist(),
     ):
         core = cores[t]
         if pre_i:
@@ -1277,7 +1199,7 @@ def replay_group(
             machine=config.name,
             size=meta.get("size", "default"),
             stats=stats,
-            result=decode_result(meta["result"]) if "result" in meta else None,
+            result=unpickle_b64(meta["result"]) if "result" in meta else None,
             ward_checked=False,
         )
         for config, stats in zip(configs, runs)

@@ -6,10 +6,14 @@ runtime issues (accesses, WARD region boundaries, NUMA placement) and a
 :class:`RecordingCore` folds everything *between* those instructions —
 compute batches, scheduler backoff, fork overhead — into per-thread pending
 charges that ride on the next event's ``pre_instrs``/``pre_cycles`` fields.
-The recorded run itself is unperturbed: all charges still land on the real
-core clocks immediately, so the recorded ``RunStats`` (and hence the
+The recorded run itself is unperturbed: every recording method notes its
+event or charge and then calls the :class:`Machine` or :class:`CoreModel`
+method it overrides, so all charges still land on the real core clocks
+immediately and the recorded ``RunStats`` (and hence the
 reference-checked result) are exactly what :func:`repro.analysis.run.
-run_benchmark` would produce.
+run_benchmark` would produce.  A region instruction is recorded after
+the machine executes it, so its 1-instruction charge rides in its own
+event's pre fields.
 
 The scheduler clamps a worker's clock forward to a stolen strand's ready
 time through :meth:`CoreModel.wait_until` — the only non-additive clock
@@ -30,7 +34,12 @@ from __future__ import annotations
 import dataclasses
 from typing import List, Optional, Tuple
 
-from repro.analysis.pool import RunTask, code_fingerprint, task_fingerprint
+from repro.analysis.pool import (
+    RunTask,
+    code_fingerprint,
+    pickle_b64,
+    task_fingerprint,
+)
 from repro.analysis.run import BenchResult, _protocol_key, _run_on
 from repro.common.config import MachineConfig
 from repro.common.types import AccessType
@@ -47,7 +56,6 @@ from repro.replay.trace import (
     K_SYNC,
     TRACE_SCHEMA,
     Trace,
-    encode_result,
 )
 
 _AT_CODE = {AccessType.LOAD: 0, AccessType.STORE: 1, AccessType.RMW: 2}
@@ -99,17 +107,16 @@ class RecordingCore(CoreModel):
 
     def compute(self, instrs: int) -> None:
         self._recorder.pend_i[self.thread] += instrs
-        self.clock += instrs
-        self.stats.compute_instrs += instrs
+        super().compute(instrs)
 
     def advance(self, cycles: int) -> None:
         self._recorder.pend_c[self.thread] += cycles
-        self.clock += cycles
+        super().advance(cycles)
 
     def wait_until(self, clock: int) -> None:
         if clock > self.clock:
             self._recorder.emit(K_SYNC, self.thread, 0, 0, 0, 0, clock)
-            self.clock = clock
+        super().wait_until(clock)
 
 
 class RecordingMachine(Machine):
@@ -145,26 +152,22 @@ class RecordingMachine(Machine):
         self.recorder.emit(K_LLC_WARM, thread, 0, 0, 0, addr, 0)
         super().llc_warm_fill(addr, thread)
 
+    # The region instructions are recorded *after* the machine executes
+    # them, so each one's 1-instruction charge (a pending charge by then)
+    # rides in its own event's pre fields.  The protocol's region work
+    # issues no recorded event, so the event order is the execution order.
     def add_ward_region(self, thread, start, end):
-        if not self.protocol.supports_ward:
-            return None
-        # Mirror Machine.add_ward_region, but record the region instruction
-        # *after* its 1-instruction charge so the charge rides in this
-        # event's pre fields (replay then applies it exactly once).
-        self.cores[thread].compute(1)
-        self._stamp_tracer(thread)
-        self.recorder.emit(K_REGION_ADD, thread, 0, 0, 0, start, end)
-        return self.protocol.add_region(start, end)
+        region = super().add_ward_region(thread, start, end)
+        if self.protocol.supports_ward:
+            self.recorder.emit(K_REGION_ADD, thread, 0, 0, 0, start, end)
+        return region
 
     def remove_ward_region(self, thread, region):
-        if region is None or not self.protocol.supports_ward:
-            return
-        self.cores[thread].compute(1)
-        self._stamp_tracer(thread)
-        self.recorder.emit(
-            K_REGION_REMOVE, thread, 0, 0, 0, 0, region.region_id
-        )
-        self.protocol.remove_region(region)
+        super().remove_ward_region(thread, region)
+        if region is not None and self.protocol.supports_ward:
+            self.recorder.emit(
+                K_REGION_REMOVE, thread, 0, 0, 0, 0, region.region_id
+            )
 
 
 def record_benchmark(
@@ -222,6 +225,6 @@ def record_benchmark(
             [cm.stats.steal_attempts, cm.stats.successful_steals]
             for cm in machine.cores
         ],
-        "result": encode_result(out.result),
+        "result": pickle_b64(out.result),
     }
     return trace, out

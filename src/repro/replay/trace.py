@@ -44,9 +44,7 @@ store returns a miss and the caller re-records.
 
 from __future__ import annotations
 
-import base64
 import json
-import pickle
 import zlib
 from array import array
 from pathlib import Path
@@ -170,15 +168,6 @@ class Trace:
 
 
 # ----------------------------------------------------------------------
-def encode_result(value) -> str:
-    """Pickle+b64 a benchmark's functional result into trace meta."""
-    return base64.b64encode(pickle.dumps(value, protocol=4)).decode("ascii")
-
-
-def decode_result(blob: str):
-    return pickle.loads(base64.b64decode(blob.encode("ascii")))
-
-
 def config_from_dict(data: dict) -> MachineConfig:
     """Rebuild a :class:`MachineConfig` from ``dataclasses.asdict`` output
     (the form embedded in trace meta)."""

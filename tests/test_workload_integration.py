@@ -17,7 +17,7 @@ from repro.common.config import dual_socket, single_socket
 from repro.common.errors import ConfigError, ReproError, UnknownProtocolError
 from repro.replay import record_benchmark, replay_trace
 from repro.replay.kernel import ReplayKernel, machine_replay
-from repro.replay.trace import K_ACCESS, Trace
+from repro.replay.trace import K_ACCESS, K_REGION_ADD, Trace
 from repro.workloads import make_trace, memtrace
 
 
@@ -287,6 +287,13 @@ def _first_access(trace):
     return trace.kind.tolist().index(K_ACCESS)
 
 
+def _empty_region(trace):
+    """Turn the first access into a region add that ends where it starts."""
+    k = _first_access(trace)
+    trace.kind[k] = K_REGION_ADD
+    trace.aux[k] = trace.addr[k]
+
+
 DOCTORINGS = {
     "thread-out-of-range": lambda tr: tr.thread.__setitem__(
         _first_access(tr), 999),
@@ -302,6 +309,7 @@ DOCTORINGS = {
     "access-atype-7": lambda tr: tr.atype.__setitem__(_first_access(tr), 7),
     "negative-thread": lambda tr: tr.thread.__setitem__(_first_access(tr), -1),
     "negative-size": lambda tr: tr.size.__setitem__(_first_access(tr), -3),
+    "empty-region": _empty_region,
 }
 
 
@@ -346,6 +354,19 @@ class TestDoctoredTrace:
             ReplayKernel(trace)
         with pytest.raises(ConfigError) as machine:
             machine_replay(trace)
+        assert str(machine.value) == str(kernel.value)
+
+    def test_empty_region_in_a_mesi_trace(self):
+        # MESI has no region table, yet an empty region is malformed on
+        # both paths alike rather than dropped on one and raised on the other
+        trace, _ = record_benchmark(
+            "primes", "mesi", dual_socket(), size="test", seed=42
+        )
+        doctored = self._doctored(trace.to_bytes(), "empty-region")
+        with pytest.raises(ConfigError, match="empty region") as kernel:
+            replay_trace(doctored)
+        with pytest.raises(ConfigError) as machine:
+            machine_replay(doctored)
         assert str(machine.value) == str(kernel.value)
 
     def test_variant_with_too_few_threads(self, primes, primes_moesi):
