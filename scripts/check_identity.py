@@ -2,16 +2,19 @@
 """CI gate: every execution path of one cell must give the same RunStats.
 
 Runs one cell (by default primes/warden at the small input on the
-dual-socket machine) four ways and diffs the full ``RunStats.to_dict()``
+dual-socket machine) five ways and diffs the full ``RunStats.to_dict()``
 — cycles, per-core counters and the coherence message matrix — plus the
-benchmark's result value:
+benchmark's result value against the per-op reference:
 
+* per-op stepping, the reference: a plain ``Machine`` with ``per_op`` set
+  declines every fast-path access and parks no spinner, so every op
+  passes through ``Machine.access`` and re-enters the heap;
 * the epoch-batched engine (``run_benchmark``, the default path);
 * the same engine with a ``RingBufferSink`` installed, as ``trace`` and
   ``profile`` run it: tracing must leave the batched, parked path as it
   is;
-* per-op stepping: the trace recorder's machine sets ``record_per_op``,
-  so ``record_benchmark``'s recorded result is the per-op reference;
+* the recording (``record_benchmark``), itself a batched, parked run
+  whose parked spin stretches go into the trace as ``K_SPINS`` events;
 * ``replay_trace`` on that recording, after a ``to_bytes``/``from_bytes``
   round trip so the on-disk format is on the hook too.  The script prints
   which replay path the cell took: the packed kernel (MESI and WARDen) or
@@ -116,6 +119,18 @@ def check_sweep(trace, task, per_op) -> list:
     return diffs
 
 
+def run_per_op(task):
+    """The task's cell on a plain ``Machine`` stepped per op."""
+    from repro.analysis.run import _run_on
+    from repro.sim.machine import Machine
+
+    machine = Machine(task.config, task.protocol)
+    machine.per_op = True
+    return _run_on(
+        machine, task.benchmark, task.size, task.seed, task.policy
+    )[0]
+
+
 def main(argv) -> int:
     name = argv[1] if len(argv) > 1 else "primes"
     protocol = argv[2] if len(argv) > 2 else "warden"
@@ -139,7 +154,8 @@ def main(argv) -> int:
     traced = run_benchmark(
         name, protocol, task.config, size=size, obs_sink=RingBufferSink(),
     )
-    trace, per_op = record_benchmark(
+    per_op = run_per_op(task)
+    trace, recorded = record_benchmark(
         name, protocol, task.config, size=size,
         fingerprint=task_fingerprint(task),
     )
@@ -149,6 +165,7 @@ def main(argv) -> int:
     failed = False
     for label, result in (("epoch-batched engine", batched),
                           ("traced engine", traced),
+                          ("recording", recorded),
                           (path, replayed)):
         diffs = diff_results(result, per_op)
         if diffs:

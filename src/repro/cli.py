@@ -427,6 +427,8 @@ def cmd_profile(args) -> int:
 def _workload_matrix(name: str, config, size: str, seed: int) -> int:
     """Engine-vs-replay bit-identity for one workload across the zoo.
 
+    Each protocol runs once on the engine: the recording is an ordinary
+    batched, parked engine run, so its result is the engine side.
     Returns 0 when every registered protocol produces bit-identical
     RunStats on both paths, 1 on any divergence.
     """
@@ -436,11 +438,7 @@ def _workload_matrix(name: str, config, size: str, seed: int) -> int:
     failures = 0
     print(f"{'protocol':<10} {'cycles':>10} {'inv':>8} {'dg':>8}  engine=replay")
     for protocol in available_protocols():
-        engine = run_benchmark(
-            name, protocol, config, size=size, seed=seed,
-            use_cache=False, use_disk_cache=False,
-        )
-        trace, _ = record_benchmark(
+        trace, engine = record_benchmark(
             name, protocol, config, size=size, seed=seed
         )
         replayed = replay_trace(trace, config)

@@ -54,14 +54,14 @@ class WorkStealingScheduler:
         self._machine = machine
         self._cores = machine.cores
         self._core_of = machine._core_of
-        #: thread -> its ``Machine.fast_path`` (a traced one counts hits; a
-        #: ``record_per_op`` one declines every access)
+        #: thread -> its ``Machine.fast_path`` (a traced one counts hits, a
+        #: recording one records them; a ``per_op`` one declines every
+        #: access)
         self._fast = [machine.fast_path(t) for t in range(nthreads)]
         self._tracer = machine.tracer
         self._nthreads = nthreads
         config = machine.config
         self._pstats = machine.protocol.stats
-        self._l1_latency = config.l1.latency
         self._spin_latency = 2 * config.l1.latency
         #: spins may be parked only without SMT: an SMT sibling shares the
         #: L1 and interleaves its own accesses with the spinner's LRU
@@ -197,10 +197,11 @@ class WorkStealingScheduler:
         until_thread)``.  Each spin adds two L1 load hits (one of them a
         spin load) and its backoff to the clock.  Its other effect, making
         the spinner's two private blocks the most recently used in its L1,
-        is a no-op after the clean spin that parked it.
+        is a no-op after the clean spin that parked it.  The stretch is
+        applied by one :meth:`Machine.spins` call, which a trace recorder
+        sees as one event.
         """
-        core = self._cores[thread]
-        clock = core.clock
+        start = clock = self._cores[thread].clock
         # (clock, thread) < (until_clock, until_thread)  <=>  clock < limit
         limit = until_clock + 1 if thread < until_thread else until_clock
         if clock >= limit:
@@ -217,16 +218,8 @@ class WorkStealingScheduler:
             plateau = (limit - clock + period - 1) // period
             clock += plateau * period
             spins += plateau
-        core.clock = clock
         self._backoff[thread] = backoff
-        stats = core.stats
-        stats.loads += 2 * spins
-        stats.spin_loads += spins
-        self._pstats.total_accesses += 2 * spins
-        self._machine.protocol.l1[self._core_of[thread]].hits += 2 * spins
-        tracer = self._tracer
-        if tracer.enabled:
-            tracer.count_hits(_LOAD, self._l1_latency, 2 * spins)
+        self._machine.spins(thread, spins, clock - start - spins * latency)
 
     # ------------------------------------------------------------------
     def _assign(self, worker, strand) -> None:

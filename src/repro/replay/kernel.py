@@ -67,10 +67,26 @@ on the parts that are easy to get wrong; the core model, the counters
 and placement are the engine's own code.  The replay-identity tests then
 pin the rest bit-for-bit against the machine replay.
 
+A ``K_SPINS`` event, one parked spinner's stretch of ``n`` clean spins,
+replays as ``2n`` L1-hit loads, ``n`` of them spin loads, that change no
+cache or directory state: the core-timing pass counts them into their
+load segment, the memory pass skips them, and :func:`machine_replay`
+applies them through :meth:`~repro.sim.machine.Machine.spins` as the
+engine did.  That is exact whenever the spinner's two padded blocks (its
+deque bottom and its flag) are both in its L1 when the stretch starts: no
+other thread touches them and a parked spinner issues nothing else, so
+each spin would hit both and leave the LRU order as it found it.  At the
+recorded config the clean spin that parked the worker put them there, so
+the replay is bit-identical.  Under another config they are there too,
+unless the two blocks cannot share the L1 (one set of a direct-mapped
+L1); then the stretch still replays as hits where its spins would miss,
+and both replay paths agree on that.
+
 Replaying under a *different* config than the recorded one is a
 trace-driven approximation: the instruction stream is the recorded one,
-only the memory system's response changes.  Useful for memory-hierarchy
-sweeps; never fed into the exact-result caches.
+spin counts included, and only the memory system's response changes.
+Useful for memory-hierarchy sweeps; never fed into the exact-result
+caches.
 """
 
 from __future__ import annotations
@@ -107,6 +123,7 @@ from repro.replay.trace import (
     K_PLACE,
     K_REGION_ADD,
     K_REGION_REMOVE,
+    K_SPINS,
     K_SYNC,
     Trace,
     config_from_dict,
@@ -141,7 +158,7 @@ _ATYPES = {AT_LOAD: AccessType.LOAD, AT_STORE: AccessType.STORE,
 
 _KINDS = frozenset((
     K_ACCESS, K_REGION_ADD, K_REGION_REMOVE, K_PLACE, K_SYNC, K_FLUSH,
-    K_LLC_WARM,
+    K_LLC_WARM, K_SPINS,
 ))
 #: core-timing op code of a clock clamp (access barriers use their atype)
 _OP_SYNC = 3
@@ -258,12 +275,20 @@ def _check_events(kind, thr, atype, sizes, addr, aux) -> None:
     if sizes and min(sizes) < 0:
         k = sizes.index(min(sizes))
         raise ConfigError(f"trace event {k}: negative access size {sizes[k]}")
-    for k, kd, at, start, end in zip(range(len(kind)), kind, atype, addr, aux):
+    for k, kd, at, size, start, end in zip(
+        range(len(kind)), kind, atype, sizes, addr, aux,
+    ):
         if kd == K_ACCESS and at not in _ATYPES:
             raise ConfigError(f"trace event {k}: unknown access type {at}")
         if kd == K_REGION_ADD and end <= start:
             raise ConfigError(
                 f"trace event {k}: empty region [{start:#x}, {end:#x})"
+            )
+        if kd == K_SPINS and (end < 1 or at or size or start):
+            raise ConfigError(
+                f"trace event {k}: a spin run needs a count of at least 1 "
+                f"and no access type, size or address (count {end}, atype "
+                f"{at}, size {size}, addr {start:#x})"
             )
 
 
@@ -313,17 +338,21 @@ def _preprocess(tr, bs: int) -> _Prep:
     # load count since the thread's previous barrier; the loads of a thread
     # up to a barrier form that barrier's segment, the loads after its last
     # barrier its tail.  ``slot[k]`` is a barrier's index, or a load's
-    # segment index (a tail's is ``barriers + thread``).
+    # segment index (a tail's is ``barriers + thread``).  A spin run's 2n
+    # L1-hit loads count in their segment but have no slot: an L1 hit adds
+    # no latency beyond ``l1``, so the memory pass has nothing to record.
     nthr = max(thr) + 1 if n else 0
     slot = [-1] * n
     waiting = [[] for _ in range(nthr)]
+    spun = [0] * nthr  # spin-run loads since the thread's last barrier
     charge = [0] * nthr
     b_thr: List[int] = []
     b_op: List[int] = []
     b_charge: List[int] = []
     b_loads: List[int] = []
     b_aux: List[int] = []
-    spins = 0
+    flagged = 0  # spin-flagged load events
+    parked = 0  # spins of K_SPINS events
     for k, t, kd, at, sp, a, pi, pc in zip(
         range(n), thr, kind, atype, spin, aux, pre_i, pre_c,
     ):
@@ -333,8 +362,12 @@ def _preprocess(tr, bs: int) -> _Prep:
             if at == AT_LOAD:
                 waiting[t].append(k)
                 if sp:
-                    spins += 1
+                    flagged += 1
                 continue
+        elif kd == K_SPINS:
+            spun[t] += 2 * a
+            parked += a
+            continue
         elif kd != K_SYNC:
             continue
         j = len(b_thr)
@@ -346,9 +379,10 @@ def _preprocess(tr, bs: int) -> _Prep:
         b_thr.append(t)
         b_op.append(at if kd == K_ACCESS else _OP_SYNC)
         b_charge.append(charge[t])
-        b_loads.append(len(segment))
+        b_loads.append(len(segment) + spun[t])
         b_aux.append(a)
         charge[t] = 0
+        spun[t] = 0
     nb = len(b_thr)
     for t, segment in enumerate(waiting):
         for q in segment:
@@ -360,10 +394,10 @@ def _preprocess(tr, bs: int) -> _Prep:
     p.slot, p.b_thr, p.b_op = slot, b_thr, b_op
     p.b_charge, p.b_loads, p.b_aux = b_charge, b_loads, b_aux
     p.tail_charge = charge
-    p.tail_loads = [len(segment) for segment in waiting]
-    p.accesses = kind.count(K_ACCESS)
+    p.tail_loads = [len(segment) + spun[t] for t, segment in enumerate(waiting)]
+    p.accesses = kind.count(K_ACCESS) + 2 * parked
     p.loads = sum(b_loads) + sum(p.tail_loads)
-    p.spin_loads = spins
+    p.spin_loads = flagged + parked
     p.compute_instrs = sum(pre_i)
     return p
 
@@ -656,7 +690,7 @@ class ReplayKernel:
                 )
             elif kd == K_LLC_WARM:
                 self._llc_fill(b, self._home(b))
-            # K_SYNC, K_FLUSH: core timing only
+            # K_SYNC, K_FLUSH, K_SPINS: core timing only
 
         coh = self.coh
         coh.ward_accesses += wacc_f
@@ -704,7 +738,8 @@ class ReplayKernel:
     # ------------------------------------------------------------------
     # Message accounting (Interconnect, transcribed; returns latency)
     # ------------------------------------------------------------------
-    def _c2h(self, core: int, home: int, mtype) -> int:
+    def _hop(self, core: int, home: int, mtype) -> int:
+        """One message between ``core`` and socket ``home``, either way."""
         if self.soc_of_core[core] == home:
             self.messages[(mtype, "intra")] += 1
             return self.intra_lat
@@ -755,7 +790,7 @@ class ReplayKernel:
 
     def _upgrade(self, core: int, b: int, mask: int) -> int:
         home = self._home(b)
-        latency = self._c2h(core, home, _UPGRADE)
+        latency = self._hop(core, home, _UPGRADE)
         latency += self.l3_lat
         self.coh.l3_accesses += 1
         # _handle_upgrade_at_dir (WARDen override first, then MESI).
@@ -766,7 +801,7 @@ class ReplayKernel:
         ):
             if self.dstate[b] != _W:
                 self._enter_ward(b)
-            latency += self._h2c(home, core, _DATA_E)
+            latency += self._hop(core, home, _DATA_E)
             self.dshare[b] |= 1 << core
             self._register_ward(b)
             self.pstate[core][b] = _W
@@ -774,20 +809,13 @@ class ReplayKernel:
             self.coh.ward_accesses += 1
             return latency
         latency += self._inv_sharers(b, core, home)
-        latency += self._h2c(home, core, _DATA_E)
+        latency += self._hop(core, home, _DATA_E)
         self.dstate[b] = _M
         self.downer[b] = core
         self.dshare[b] = 0
         self.pstate[core][b] = _M
         self.wmask[core][b] |= mask
         return latency
-
-    def _h2c(self, home: int, core: int, mtype) -> int:
-        if self.soc_of_core[core] == home:
-            self.messages[(mtype, "intra")] += 1
-            return self.intra_lat
-        self.messages[(mtype, "socket")] += 1
-        return self.sock_lat
 
     def _inv_sharers(self, b: int, exclude: int, home: int) -> int:
         """Invalidate every sharer except ``exclude``; worst-case latency.
@@ -803,8 +831,8 @@ class ReplayKernel:
         core = 0
         while sh:
             if sh & 1 and core != exclude:
-                lat = self._h2c(home, core, _INV)
-                lat += self._c2h(core, home, _INV_ACK)
+                lat = self._hop(core, home, _INV)
+                lat += self._hop(core, home, _INV_ACK)
                 worst = lmax(worst, lat)
                 inval += 1
                 self._drop(core, b)
@@ -815,7 +843,7 @@ class ReplayKernel:
 
     def _miss(self, core: int, b: int, at: int, mask: int) -> int:
         home = self._home(b)
-        latency = self._c2h(core, home, _GET_M if at != AT_LOAD else _GET_S)
+        latency = self._hop(core, home, _GET_M if at != AT_LOAD else _GET_S)
         return latency + self.l3_lat + self._at_dir(core, b, at, mask, home)
 
     def _at_dir(self, core: int, b: int, at: int, mask: int, home: int) -> int:
@@ -828,7 +856,7 @@ class ReplayKernel:
             return self._ward_grant(core, b, mask, home)
         if st == _I:
             latency = self._fetch(b, home)
-            latency += self._h2c(home, core, _DATA_E)
+            latency += self._hop(core, home, _DATA_E)
             if at != AT_LOAD:
                 self._install(core, b, _M, mask)
                 self.dstate[b] = _M
@@ -842,14 +870,14 @@ class ReplayKernel:
             if at != AT_LOAD:
                 inv_latency = self._inv_sharers(b, core, home)
                 data_latency = self._fetch(b, home)
-                data_latency += self._h2c(home, core, _DATA)
+                data_latency += self._hop(core, home, _DATA)
                 self._install(core, b, _M, mask)
                 self.dstate[b] = _M
                 self.downer[b] = core
                 self.dshare[b] = 0
                 return self._lmax(inv_latency, data_latency)
             latency = self._fetch(b, home)
-            latency += self._h2c(home, core, _DATA)
+            latency += self._hop(core, home, _DATA)
             self._install(core, b, _S, 0)
             self.dshare[b] |= 1 << core
             return latency
@@ -860,7 +888,7 @@ class ReplayKernel:
         owner = self.downer[b]
         if at != AT_LOAD:
             # Fwd-GetM: invalidate the owner, transfer ownership.
-            latency = self._h2c(home, owner, _FWD_GET_M)
+            latency = self._hop(owner, home, _FWD_GET_M)
             latency += self._c2c(owner, core, _DATA)
             self.coh.invalidations += 1
             self._drop(owner, b)
@@ -870,11 +898,11 @@ class ReplayKernel:
             self.dshare[b] = 0
             return latency
         # Fwd-GetS: downgrade the owner to S, write back if dirty.
-        latency = self._h2c(home, owner, _FWD_GET_S)
+        latency = self._hop(owner, home, _FWD_GET_S)
         latency += self._c2c(owner, core, _DATA)
         self.coh.downgrades += 1
         if self.pstate[owner][b] == _M:
-            self._c2h(owner, home, _WB_DATA)
+            self._hop(owner, home, _WB_DATA)
             self.coh.writebacks += 1
             self._llc_fill(b, home)
         self.pstate[owner][b] = _S
@@ -937,17 +965,17 @@ class ReplayKernel:
         if st == _W:
             # _flush_ward_copy: pre-pay reconciliation (§5.3)
             if self.wmask[core][v]:
-                self._c2h(core, home, _WB_DATA)
+                self._hop(core, home, _WB_DATA)
                 self.coh.writebacks += 1
                 self._llc_fill(v, home)
             else:
-                self._c2h(core, home, _PUT_M)
+                self._hop(core, home, _PUT_M)
             self.dshare[v] &= ~(1 << core)
             self.pstate[core][v] = _I
             self.wmask[core][v] = 0
             return
         if st >= _E:  # M or E
-            self._c2h(core, home, _PUT_M)
+            self._hop(core, home, _PUT_M)
             if st == _M:
                 self.coh.writebacks += 1
                 self._llc_fill(v, home)
@@ -955,7 +983,7 @@ class ReplayKernel:
             self.downer[v] = -1
             self.dshare[v] = 0
         elif st == _S:
-            self._c2h(core, home, _PUT_M)
+            self._hop(core, home, _PUT_M)
             self.dshare[v] &= ~(1 << core)
             # collapse only from dir-S, like the object protocol
             if not self.dshare[v] and self.dstate[v] == _S:
@@ -987,7 +1015,7 @@ class ReplayKernel:
     # ------------------------------------------------------------------
     def _ward_grant(self, core: int, b: int, mask: int, home: int) -> int:
         latency = self._fetch(b, home)
-        latency += self._h2c(home, core, _DATA_E)
+        latency += self._hop(core, home, _DATA_E)
         self.dshare[b] |= 1 << core
         self._register_ward(b)
         self._install(core, b, _W, mask)
@@ -1054,7 +1082,7 @@ class ReplayKernel:
         keep = 0
         for c, current in zip(copies, keep_flags):
             if wmask[c][b]:
-                self._c2h(c, home, _RECONCILE)
+                self._hop(c, home, _RECONCILE)
                 self.coh.writebacks += 1
                 wmask[c][b] = 0
             if current:
@@ -1157,6 +1185,8 @@ def machine_replay(
             core.wait_until(aux)
         elif kd == K_LLC_WARM:
             machine.llc_warm_fill(addr, t)
+        elif kd == K_SPINS:
+            machine.spins(t, aux, 0)  # its backoff came in ``pre_c``
         # K_FLUSH: its charges only
     stats = machine.finalize(cores[final].clock)
     stats.benchmark = meta.get("benchmark", "")

@@ -15,6 +15,17 @@ run_benchmark` would produce.  A region instruction is recorded after
 the machine executes it, so its 1-instruction charge rides in its own
 event's pre fields.
 
+A recording is the engine's batched, parked run loop, like any run.  An
+access is recorded where it is resolved: a private hit in the fast path
+:meth:`RecordingMachine.fast_path` hands the engine and the scheduler, any
+other access in :meth:`RecordingMachine.access`.  Both emit the same
+``K_ACCESS`` event; the core's ``load`` runs right after either and sets
+the event's spin flag.  Nothing else is emitted in between, so events come
+out in execution order.  A parked spinner's stretch of clean spins is
+applied in closed form through :meth:`CoreModel.spins`, which
+:class:`RecordingCore` records as one ``K_SPINS`` event: ``aux`` is the
+spin count and the stretch's backoff rides in its ``pre_cycles``.
+
 The scheduler clamps a worker's clock forward to a stolen strand's ready
 time through :meth:`CoreModel.wait_until` — the only non-additive clock
 write in the machine — and :class:`RecordingCore` records it as ``K_SYNC``
@@ -23,10 +34,6 @@ write in the machine — and :class:`RecordingCore` records it as ``K_SYNC``
 is the makespan, so the trace must know the thread.  Nothing is patched
 onto the runtime or scheduler, so a recording's machine is freed when
 :func:`record_benchmark` returns, like any run's.
-
-The ``record_per_op`` class attribute makes :meth:`Machine.fast_path`
-decline every access and the engine end each run after one op, so every
-access flows through :meth:`Machine.access` one at a time.
 """
 
 from __future__ import annotations
@@ -53,6 +60,7 @@ from repro.replay.trace import (
     K_PLACE,
     K_REGION_ADD,
     K_REGION_REMOVE,
+    K_SPINS,
     K_SYNC,
     TRACE_SCHEMA,
     Trace,
@@ -74,21 +82,23 @@ class TraceRecorder:
         self.pend_c: List[int] = [0] * num_threads
 
     def emit(
-        self, kind: int, thread: int, atype: int, size: int, spin: int,
-        addr: int, aux: int,
+        self, kind: int, thread: int, atype: int, size: int, addr: int,
+        aux: int,
     ) -> None:
+        """Append one event carrying ``thread``'s pending charges; its spin
+        flag is 0 until :meth:`RecordingCore.load` sets it."""
         pi = self.pend_i[thread]
         pc = self.pend_c[thread]
         if pi or pc:
             self.pend_i[thread] = 0
             self.pend_c[thread] = 0
-        self.trace.append(kind, thread, atype, size, spin, addr, aux, pi, pc)
+        self.trace.append(kind, thread, atype, size, 0, addr, aux, pi, pc)
 
     def finish(self) -> None:
         """Flush trailing pendings (charges with no successor event)."""
         for thread in range(len(self.pend_i)):
             if self.pend_i[thread] or self.pend_c[thread]:
-                self.emit(K_FLUSH, thread, 0, 0, 0, 0, 0)
+                self.emit(K_FLUSH, thread, 0, 0, 0, 0)
 
 
 class RecordingCore(CoreModel):
@@ -105,6 +115,18 @@ class RecordingCore(CoreModel):
         super().__init__(config, thread, tracer=tracer)
         self._recorder = recorder
 
+    def load(self, latency: int, spin: bool = False) -> None:
+        # the load's K_ACCESS event is the trace's last: it was emitted by
+        # the fast path or by ``RecordingMachine.access`` just before
+        if spin:
+            self._recorder.trace.spin[-1] = 1
+        super().load(latency, spin)
+
+    def spins(self, count: int, backoff: int) -> None:
+        self._recorder.pend_c[self.thread] += backoff
+        self._recorder.emit(K_SPINS, self.thread, 0, 0, 0, count)
+        super().spins(count, backoff)
+
     def compute(self, instrs: int) -> None:
         self._recorder.pend_i[self.thread] += instrs
         super().compute(instrs)
@@ -115,16 +137,12 @@ class RecordingCore(CoreModel):
 
     def wait_until(self, clock: int) -> None:
         if clock > self.clock:
-            self._recorder.emit(K_SYNC, self.thread, 0, 0, 0, 0, clock)
+            self._recorder.emit(K_SYNC, self.thread, 0, 0, 0, clock)
         super().wait_until(clock)
 
 
 class RecordingMachine(Machine):
     """A machine that records protocol-visible events as it executes."""
-
-    #: per-op stepping (a fast path that declines every access, one-op
-    #: runs): every access must pass through :meth:`access` to be captured
-    record_per_op = True
 
     def __init__(self, config: MachineConfig, protocol="mesi") -> None:
         super().__init__(config, protocol)
@@ -137,19 +155,29 @@ class RecordingMachine(Machine):
 
     # -- recorded instruction streams ----------------------------------
     def access(self, thread, addr, size, atype, spin=False):
-        self.recorder.emit(
-            K_ACCESS, thread, _AT_CODE[atype], size, 1 if spin else 0, addr, 0
-        )
+        self.recorder.emit(K_ACCESS, thread, _AT_CODE[atype], size, addr, 0)
         return super().access(thread, addr, size, atype, spin=spin)
 
+    def fast_path(self, thread):
+        try_fast = super().fast_path(thread)
+        emit = self.recorder.emit
+
+        def recorded(pcore, addr, size, atype):
+            latency = try_fast(pcore, addr, size, atype)
+            if latency is not None:
+                emit(K_ACCESS, thread, _AT_CODE[atype], size, addr, 0)
+            return latency
+
+        return recorded
+
     def place(self, addr, size, thread):
-        self.recorder.emit(K_PLACE, thread, 0, 0, 0, addr, size)
+        self.recorder.emit(K_PLACE, thread, 0, 0, addr, size)
         super().place(addr, size, thread)
 
     def llc_warm_fill(self, addr, thread=0):
         # Input loaders fill the LLC outside any access transaction; the
         # fills perturb LLC LRU order, so replay must reproduce them.
-        self.recorder.emit(K_LLC_WARM, thread, 0, 0, 0, addr, 0)
+        self.recorder.emit(K_LLC_WARM, thread, 0, 0, addr, 0)
         super().llc_warm_fill(addr, thread)
 
     # The region instructions are recorded *after* the machine executes
@@ -159,14 +187,14 @@ class RecordingMachine(Machine):
     def add_ward_region(self, thread, start, end):
         region = super().add_ward_region(thread, start, end)
         if self.protocol.supports_ward:
-            self.recorder.emit(K_REGION_ADD, thread, 0, 0, 0, start, end)
+            self.recorder.emit(K_REGION_ADD, thread, 0, 0, start, end)
         return region
 
     def remove_ward_region(self, thread, region):
         super().remove_ward_region(thread, region)
         if region is not None and self.protocol.supports_ward:
             self.recorder.emit(
-                K_REGION_REMOVE, thread, 0, 0, 0, 0, region.region_id
+                K_REGION_REMOVE, thread, 0, 0, 0, region.region_id
             )
 
 

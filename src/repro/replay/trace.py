@@ -18,6 +18,11 @@ struct-of-arrays form: nine parallel ``array`` columns plus a JSON-able
 ``K_FLUSH`` (5)         trailing pending charge carrier (see below)
 ``K_LLC_WARM`` (6)      input-loader LLC warm fill: ``addr`` = block, no
                         timing, no directory transaction
+``K_SPINS`` (7)         a parked spinner's stretch of clean spins, applied in
+                        closed form: ``aux`` = spin count (at least 1), each
+                        two L1 load hits, one a spin load; the stretch's
+                        backoff rides in ``pre_cycles``; ``atype``,
+                        ``size`` and ``addr`` are 0
 ======================  =====================================================
 
 Between protocol events a thread accrues *pending* charges — compute
@@ -58,7 +63,9 @@ from repro.analysis.pool import (
 from repro.common.config import CacheConfig, EnergyConfig, MachineConfig
 
 TRACE_MAGIC = b"WARDTRACE1\n"
-TRACE_SCHEMA = 1
+#: bumped whenever the event vocabulary or its meaning changes, so an older
+#: ``.wtrace`` file is rejected as stale (2: ``K_SPINS``)
+TRACE_SCHEMA = 2
 
 K_ACCESS = 0
 K_REGION_ADD = 1
@@ -67,6 +74,7 @@ K_PLACE = 3
 K_SYNC = 4
 K_FLUSH = 5
 K_LLC_WARM = 6
+K_SPINS = 7
 
 # atype codes for the ``atype`` column
 AT_LOAD = 0

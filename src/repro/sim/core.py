@@ -49,23 +49,28 @@ class CoreModel:
 
     def store(self, latency: int) -> None:
         """Issue a store: 1 cycle to enter the buffer; drain in background."""
-        self._drain_store_buffer()
-        if len(self._store_buffer) >= self._sb_capacity:
-            stall = self._store_buffer[0] - self.clock
-            if stall > 0:
-                tracer = self.tracer
-                if tracer is not None and tracer.enabled:
-                    tracer.store_buffer(
-                        self.clock, self.thread, "full", stall,
-                        len(self._store_buffer),
-                    )
-                self.clock += stall
-                self.stats.store_buffer_stall_cycles += stall
-            self._drain_store_buffer()
-        self.clock += 1
-        completion = max(self.clock + latency, self._last_completion)
+        # The drain and the completion max are inlined: this runs on every
+        # engine store and every store barrier of every replay lane.
+        buf = self._store_buffer
+        clock = self.clock
+        while buf and buf[0] <= clock:
+            buf.popleft()
+        if len(buf) >= self._sb_capacity:
+            stall = buf[0] - clock  # > 0: completed entries were drained
+            tracer = self.tracer
+            if tracer is not None and tracer.enabled:
+                tracer.store_buffer(clock, self.thread, "full", stall, len(buf))
+            clock += stall
+            self.stats.store_buffer_stall_cycles += stall
+            while buf and buf[0] <= clock:
+                buf.popleft()
+        clock += 1
+        completion = clock + latency
+        if completion < self._last_completion:
+            completion = self._last_completion
         self._last_completion = completion
-        self._store_buffer.append(completion)
+        buf.append(completion)
+        self.clock = clock
         self.stats.stores += 1
 
     def rmw(self, latency: int) -> None:
@@ -90,6 +95,14 @@ class CoreModel:
         drains completed entries first, like the issue paths do)."""
         self._drain_store_buffer()
         return len(self._store_buffer)
+
+    def spins(self, count: int, backoff: int) -> None:
+        """Retire ``count`` idle spins in closed form: two L1 load hits
+        each, one of them a spin load, plus ``backoff`` cycles in all."""
+        self.clock += 2 * count * self._l1_latency + backoff
+        stats = self.stats
+        stats.loads += 2 * count
+        stats.spin_loads += count
 
     def compute(self, instrs: int) -> None:
         self.clock += instrs

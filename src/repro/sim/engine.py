@@ -40,13 +40,15 @@ only stamps the tracer and counts its hits.  Access hooks are invoked for
 every op inside the run, preserving checker semantics.
 
 Per-op stepping is a mode of the same loop, not a second one.  A machine
-with ``record_per_op`` set (the trace recorder's) hands out a fast path
-that declines every access, and the engine bounds each run to one op, so
-every access flows through :meth:`Machine.access` and every op re-enters
-the heap.  That reference never continues a run, never takes the fast path
-and never parks a spinner, so ``tests/test_epoch.py`` and the parking tests
-hold batching to it.  Every op is a scalar op, so ``steps`` counts yielded
-ops in both modes.
+with ``per_op`` set hands out a fast path that declines every access, and
+the engine bounds each run to one op, so every access flows through
+:meth:`Machine.access` and every op re-enters the heap.  That reference
+never continues a run, never takes the fast path and never parks a
+spinner; no run path of the package sets it, but ``tests/test_epoch.py``,
+the parking tests and ``scripts/check_identity.py`` hold the batched,
+parked loop to it on a plain machine.  The trace recorder runs the batched,
+parked loop like any run.  Every op is a scalar op, so ``steps`` counts
+yielded ops in both modes.
 
 Parked spinners
 ---------------
@@ -153,10 +155,10 @@ class Engine:
         workers = self.workers
         scheduler = self.scheduler
         retire_run = self._retire_run
-        # The trace recorder's machine steps per op (``record_per_op``): its
-        # fast path declines every access, so each one flows through
-        # ``Machine.access``, and every run is bounded to one op.
-        per_op = self.machine.record_per_op
+        # A ``per_op`` machine's fast path declines every access, so each
+        # one flows through ``Machine.access``; every run is bounded to one
+        # op and no spinner parks.
+        per_op = self.machine.per_op
         self._fast_paths = [self.machine.fast_path(w.thread) for w in workers]
         # Lazily-repaired min-heap over worker clocks, replacing the
         # per-step O(num_threads) scan.  Only the worker being stepped can

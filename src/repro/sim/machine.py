@@ -25,9 +25,10 @@ class Machine:
 
     #: step every op through :meth:`access`: :meth:`fast_path` declines
     #: every access, the engine ends each run after one op and parks no
-    #: spinner.  The trace recorder's machine sets it, and nothing else
-    #: selects per-op stepping
-    record_per_op = False
+    #: spinner.  The reference that the batched, parked run loop is held
+    #: to (the bit-identity tests and ``scripts/check_identity.py`` set
+    #: it on a plain machine); no run path of the package sets it
+    per_op = False
 
     def __init__(
         self,
@@ -107,8 +108,8 @@ class Machine:
         """The epoch fast path for ``thread``: a callable with the signature
         of ``protocol.try_fast_access`` (see there).
 
-        With ``record_per_op`` set it declines every access, so each one
-        goes through :meth:`access`.  Otherwise, without a sink it *is*
+        With ``per_op`` set it declines every access, so each one goes
+        through :meth:`access`.  Otherwise, without a sink it *is*
         ``protocol.try_fast_access``.  With one, it
         also stamps the tracer's emission context from ``thread``'s clock
         (a fast-path hit can still emit a silent E->M transition or an L1
@@ -117,7 +118,7 @@ class Machine:
         :class:`~repro.obs.tracer.HitCountEvent` objects.  Fetch it after
         the sink is installed.
         """
-        if self.record_per_op:
+        if self.per_op:
             return _decline
         try_fast = self.protocol.try_fast_access
         tracer = self.tracer
@@ -134,6 +135,18 @@ class Machine:
             return latency
 
         return traced
+
+    def spins(self, thread: int, count: int, backoff: int) -> None:
+        """Retire ``count`` clean spins of ``thread`` in closed form (see
+        ``WorkStealingScheduler.skip_spins``): the core's :meth:`CoreModel.
+        spins` plus the protocol side of ``2 * count`` L1 load hits."""
+        self.cores[thread].spins(count, backoff)
+        hits = 2 * count
+        self.protocol.stats.total_accesses += hits
+        self.protocol.l1[self._core_of[thread]].hits += hits
+        tracer = self.tracer
+        if tracer.enabled:
+            tracer.count_hits(AccessType.LOAD, self.config.l1.latency, hits)
 
     def compute(self, thread: int, instrs: int) -> None:
         self.cores[thread].compute(instrs)

@@ -1,20 +1,20 @@
 """Bit-identity of the epoch-batched engine vs per-op reference stepping.
 
 The epoch fast path (the engine's default) must produce *exactly* the
-statistics of per-op stepping, which a machine with ``record_per_op`` set
-demands (the trace recorder's machine does): same schedule, same
-cache/coherence counters, same cycles — see the min-clock preservation
-argument in ``repro/sim/engine.py`` and EXPERIMENTS.md.
+statistics of per-op stepping, which a plain machine with ``per_op`` set
+demands: same schedule, same cache/coherence counters, same cycles — see
+the min-clock preservation argument in ``repro/sim/engine.py`` and
+EXPERIMENTS.md.
 """
 
 import pytest
 
-from repro.analysis.run import run_benchmark
+from repro.analysis.run import _run_on, run_benchmark
 from repro.bench import BENCHMARKS
 from repro.coherence.registry import available_protocols
 from repro.common.config import dual_socket
 from repro.common.types import AccessType
-from repro.replay import record_benchmark
+from repro.hlpl.policy import MarkingPolicy
 from repro.sim.machine import Machine
 from repro.workloads import GOLDEN_SYNTH
 from tests.conftest import tiny_config
@@ -24,17 +24,17 @@ from tests.conftest import tiny_config
 def test_epoch_batching_is_bit_identical(name):
     """Every workload/protocol pair: RunStats (including CoherenceStats)
     must match field-for-field between batched and per-op stepping.  The
-    per-op reference is the recorder's run.  The synthetic workloads leave
-    most workers idle, so they are where parked spinners are
-    fast-forwarded most."""
+    per-op reference is a plain machine with ``per_op`` set.  The
+    synthetic workloads leave most workers idle, so they are where parked
+    spinners are fast-forwarded most."""
     for protocol in available_protocols():
         batched = run_benchmark(
             name, protocol, dual_socket(), size="test",
             use_cache=False, use_disk_cache=False,
         )
-        _, reference = record_benchmark(
-            name, protocol, dual_socket(), size="test",
-        )
+        machine = Machine(dual_socket(), protocol)
+        machine.per_op = True
+        reference, _ = _run_on(machine, name, "test", 42, MarkingPolicy.FULL)
         assert batched.stats.to_dict() == reference.stats.to_dict(), (
             f"{name}/{protocol}: epoch-batched stats diverge from per-op"
         )
@@ -89,11 +89,11 @@ class TestTryFastAccess:
         )
 
     def test_per_op_machine_fast_path_declines_l1_hits(self):
-        """A ``record_per_op`` machine's fast path sends even an L1 hit
+        """A ``per_op`` machine's fast path sends even an L1 hit
         through ``Machine.access``; that is all that makes the engine's one
         run loop step per op."""
         machine = Machine(tiny_config(), "mesi")
-        machine.record_per_op = True
+        machine.per_op = True
         addr = machine.sbrk(64)
         machine.access(0, addr, 8, AccessType.LOAD)  # now in core 0's L1
         assert machine.protocol.try_fast_access(

@@ -176,7 +176,7 @@ class TestTracedBatchedRun:
 
         config = dual_socket()
         machine = Machine(config, protocol)
-        machine.record_per_op = per_op  # the per-op reference
+        machine.per_op = per_op  # the per-op reference
         sink = RingBufferSink()
         machine.tracer.install(sink)
         bench = BENCHMARKS[name]

@@ -25,7 +25,7 @@ from tests.conftest import tiny_config
 def _runtime(config, protocol="mesi", sink=None, per_op=False):
     machine = Machine(config, protocol)
     # per-op stepping and no parking; the scheduler reads it when it is built
-    machine.record_per_op = per_op
+    machine.per_op = per_op
     if sink is not None:
         machine.tracer.install(sink)
     rt = Runtime(machine, seed=42)

@@ -34,6 +34,7 @@ from repro.replay import (
     record_benchmark,
     replay_trace,
 )
+from repro.replay.trace import K_ACCESS, K_SPINS
 
 GOLDEN_PATH = os.path.join(
     os.path.dirname(__file__), "golden", "stats_digests.json"
@@ -67,6 +68,32 @@ def test_replay_matches_golden_digest(cell):
     assert stats_digest(replayed.stats) == expected, (
         f"replay kernel diverges from the engine on {cell}"
     )
+
+
+# ----------------------------------------------------------------------
+# Parked spin runs: one K_SPINS event per parked stretch
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("cell", CELLS)
+def test_spin_runs_account_for_every_spin_load(cell):
+    """A recording is a batched, parked run: each spin load is either a
+    flagged load event or one of a ``K_SPINS`` event's counted spins."""
+    trace, recorded = _record(*cell.split("/"))
+    kind = trace.kind.tolist()
+    runs = sum(
+        count for kd, count in zip(kind, trace.aux.tolist()) if kd == K_SPINS
+    )
+    flagged = sum(
+        spin for kd, spin in zip(kind, trace.spin.tolist()) if kd == K_ACCESS
+    )
+    assert runs + flagged == recorded.stats.cores.spin_loads
+
+
+def test_parked_cell_records_fewer_events_than_accesses():
+    # synth-ring leaves most workers idle, so most of its spins are parked:
+    # a per-op recording would need one event per access and more
+    trace, recorded = _record("synth-ring", "mesi")
+    assert K_SPINS in trace.kind.tolist()
+    assert len(trace) < recorded.stats.coherence.total_accesses
 
 
 def test_replay_full_stats_equality():

@@ -33,6 +33,7 @@ from repro.replay.kernel import (
     memory_groups,
     memory_key,
 )
+from repro.replay.trace import K_SPINS
 
 PROTOCOLS = ("mesi", "warden", "moesi", "sisd")
 WORKLOADS = ("msort", "synth-falseshare", "synth-ring")
@@ -97,6 +98,23 @@ def test_group_matches_single_replays(name, protocol):
             assert result.stats.to_dict() == reference.to_dict(), config.name
     # the lanes really differ: the grid is not one config seven times
     assert len({r.stats.cycles for r in grouped}) > 1
+
+
+@pytest.mark.parametrize("protocol", ["mesi", "warden"])
+@pytest.mark.parametrize("ways", [1, 2])
+def test_spin_runs_replay_alike_at_another_l1_associativity(protocol, ways):
+    # Another L1 geometry is another memory key: the kernel's memory pass
+    # must still treat each K_SPINS as the machine replay does (2n L1 hits,
+    # no LRU change).  One way can put the spinner's two blocks in one set.
+    trace = _trace("synth-ring", protocol)
+    assert K_SPINS in trace.kind.tolist()
+    variant = BASE.replace(
+        name=f"l1-{ways}-way",
+        l1=dataclasses.replace(BASE.l1, associativity=ways),
+    )
+    assert memory_key(variant) != memory_key(BASE)
+    packed, = ReplayKernel(trace, [variant]).run()
+    assert packed.to_dict() == machine_replay(trace, variant).to_dict()
 
 
 def test_recorded_config_in_a_group_is_exact():

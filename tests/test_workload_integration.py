@@ -17,7 +17,7 @@ from repro.common.config import dual_socket, single_socket
 from repro.common.errors import ConfigError, ReproError, UnknownProtocolError
 from repro.replay import record_benchmark, replay_trace
 from repro.replay.kernel import ReplayKernel, machine_replay
-from repro.replay.trace import K_ACCESS, K_REGION_ADD, Trace
+from repro.replay.trace import K_ACCESS, K_REGION_ADD, K_SPINS, Trace
 from repro.workloads import make_trace, memtrace
 
 
@@ -56,6 +56,34 @@ class TestIngestSynthCLI:
         for protocol in available_protocols():
             assert protocol in out
         assert "DIVERGED" not in out
+
+    def test_ingest_matrix_runs_each_protocol_once(
+        self, trace_file, capsys, monkeypatch
+    ):
+        # the recording is the engine run: no separate run_benchmark call
+        import repro.analysis.run
+        import repro.replay
+
+        calls = []
+
+        def counted(module, name):
+            original = getattr(module, name)
+
+            def wrapper(benchmark, protocol, *args, **kwargs):
+                calls.append((name, protocol))
+                return original(benchmark, protocol, *args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        counted(cli, "run_benchmark")
+        counted(repro.analysis.run, "run_benchmark")
+        counted(repro.replay, "record_benchmark")
+        assert main(["ingest", trace_file, "--matrix"]) == 0
+        assert "DIVERGED" not in capsys.readouterr().out
+        assert calls == [
+            ("record_benchmark", protocol)
+            for protocol in available_protocols()
+        ]
 
     def test_ingest_malformed_exits_2_with_location(self, tmp_path, capsys):
         bad = tmp_path / "bad.trace"
@@ -294,6 +322,18 @@ def _empty_region(trace):
     trace.aux[k] = trace.addr[k]
 
 
+def _spin_run(**fields):
+    """Turn the first access into a spin run of one spin, then set
+    ``fields``: each doctoring below breaks exactly one of them."""
+    def doctor(trace):
+        k = _first_access(trace)
+        trace.kind[k] = K_SPINS
+        for name, value in {"atype": 0, "size": 0, "addr": 0, "aux": 1,
+                            **fields}.items():
+            getattr(trace, name)[k] = value
+    return doctor
+
+
 DOCTORINGS = {
     "thread-out-of-range": lambda tr: tr.thread.__setitem__(
         _first_access(tr), 999),
@@ -310,6 +350,11 @@ DOCTORINGS = {
     "negative-thread": lambda tr: tr.thread.__setitem__(_first_access(tr), -1),
     "negative-size": lambda tr: tr.size.__setitem__(_first_access(tr), -3),
     "empty-region": _empty_region,
+    "spins-count-0": _spin_run(aux=0),
+    "spins-count-negative": _spin_run(aux=-4),
+    "spins-atype": _spin_run(atype=1),
+    "spins-size": _spin_run(size=8),
+    "spins-addr": _spin_run(addr=0x1_0040),
 }
 
 
@@ -368,6 +413,13 @@ class TestDoctoredTrace:
         with pytest.raises(ConfigError) as machine:
             machine_replay(doctored)
         assert str(machine.value) == str(kernel.value)
+
+    def test_a_well_formed_spin_run_replays(self, primes, primes_moesi):
+        # the spins-* rows break one field each of this spin run
+        for blob in (primes, primes_moesi):
+            trace = Trace.from_bytes(blob)
+            _spin_run()(trace)
+            replay_trace(Trace.from_bytes(trace.to_bytes()))
 
     def test_variant_with_too_few_threads(self, primes, primes_moesi):
         for blob in (primes, primes_moesi):
