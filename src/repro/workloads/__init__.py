@@ -16,15 +16,16 @@ benchmark machinery (``repro.bench.get_benchmark``) delegates to.
 from __future__ import annotations
 
 import hashlib
-from typing import Optional, Tuple
+from typing import Optional
 
 from repro.common.errors import ConfigError
 from repro.workloads.adapter import (
-    TRACE_ADDR_BASE,
     benchmark_from_trace,
+    latest_trace,
     trace_root_task,
 )
 from repro.workloads.memtrace import (
+    TRACE_ADDR_BASE,
     MemTrace,
     TraceFormatError,
     load_trace_file,
@@ -39,9 +40,6 @@ from repro.workloads.synth import (
 
 #: prefix selecting the external-trace front end in any benchmark-name slot
 TRACE_PREFIX = "trace:"
-
-#: the most recently parsed ``trace:`` workload: ``(name, digest, Benchmark)``
-_last_trace: Optional[Tuple[str, str, object]] = None
 
 
 def trace_file_digest(path: str) -> Optional[str]:
@@ -76,9 +74,9 @@ def resolve_workload(name: str):
     malformed file surfaces as :class:`TraceFormatError` — an
     operational :class:`~repro.common.errors.ReproError`, CLI exit 2).
     The most recent trace stays parsed while its file content is
-    unchanged, so resolving one name repeatedly parses it once.
+    unchanged (:func:`~repro.workloads.adapter.latest_trace`), so
+    resolving one name repeatedly parses it once.
     """
-    global _last_trace
     if name in SYNTH_WORKLOADS:
         return SYNTH_WORKLOADS[name]
     if name.startswith(TRACE_PREFIX):
@@ -86,13 +84,15 @@ def resolve_workload(name: str):
         if not path:
             raise ConfigError("empty trace path in workload name 'trace:'")
         digest = trace_file_digest(path)
-        # only readable files are kept, so a None digest never matches
-        if _last_trace is not None and _last_trace[:2] == (name, digest):
-            return _last_trace[2]
-        bench = benchmark_from_trace(load_trace_file(path), name)
-        if digest is not None:
-            _last_trace = (name, digest, bench)
-        return bench
+        if digest is None:
+            # unreadable: load_trace_file raises the located diagnostic,
+            # and a file without a digest is never kept
+            trace = load_trace_file(path)
+        else:
+            trace = latest_trace(
+                (name, digest), lambda: load_trace_file(path)
+            )
+        return benchmark_from_trace(trace, name)
     raise ConfigError(
         f"unknown workload {name!r}; expected one of {workload_names()} "
         f"or '{TRACE_PREFIX}<path>'"

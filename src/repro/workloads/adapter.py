@@ -7,7 +7,7 @@ golden corpus — accepts it unchanged:
 
 * one simulated task is forked per distinct trace thread (via
   ``ctx.par``, i.e. the normal fork-join scheduler path);
-* each task replays its thread's ops in program order as raw
+* each task yields its thread's ops in program order as raw
   ``LoadOp``/``StoreOp``/``RmwOp`` accesses at ``TRACE_ADDR_BASE +
   addr`` (``heap=None``: trace addresses are foreign to the managed
   heap, so the disentanglement checker and race detector — which reason
@@ -15,52 +15,61 @@ golden corpus — accepts it unchanged:
 * accesses that span cache blocks are split at block boundaries (the
   engine contract is one block per scalar op), preserving the byte
   footprint exactly;
-* the run "result" is the trace checksum, recomputed per-thread inside
-  the simulated tasks and combined order-independently, so engine and
+* the run "result" is the trace checksum, read per thread inside the
+  simulated tasks and combined order-independently, so engine and
   replay paths agree bit-for-bit and ``reference`` is trivially the
   host-side checksum.
+
+The op lists and per-thread checksums are built once per trace
+(:meth:`MemTrace.engine_ops`, :meth:`MemTrace.thread_checksum`), and
+:func:`latest_trace` keeps the latest workload trace for the next run
+of the same workload, so every run of a protocol matrix yields the same
+immutable ops.  A trace handed to :func:`benchmark_from_trace` or kept
+by :func:`latest_trace` must not be appended to afterwards.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Callable, Dict, Hashable, Optional, Tuple
 
 from repro.bench.common import Benchmark
-from repro.sim.ops import LoadOp, RmwOp, StoreOp
-from repro.workloads.memtrace import K_LOAD, K_STORE, MemTrace, _MASK64
-
-#: trace addresses live far above any sbrk'd heap page (base 0x1_0000);
-#: offsetting by 4 GiB guarantees external addresses never alias runtime
-#: allocations regardless of workload size.
-TRACE_ADDR_BASE = 1 << 32
+from repro.workloads.memtrace import MemTrace, _MASK64
 
 
 def _thread_body(trace: MemTrace, thread: int):
     """Build the ``(ctx) -> generator`` thunk replaying one trace thread."""
 
-    ops = trace.by_thread()[thread]
-
     def body(ctx):
-        block_size = ctx.rt.machine.config.block_size
-        for kind, addr, size in ops:
-            base = TRACE_ADDR_BASE + addr
-            remaining = max(size, 1)
-            offset = 0
-            while remaining > 0:
-                at = base + offset
-                chunk = min(remaining, block_size - at % block_size)
-                if kind == K_LOAD:
-                    yield LoadOp(at, chunk, heap=None)
-                elif kind == K_STORE:
-                    yield StoreOp(at, chunk, heap=None)
-                else:
-                    yield RmwOp(at, chunk, heap=None)
-                offset += chunk
-                remaining -= chunk
+        for op in trace.engine_ops(thread, ctx.rt.machine.config.block_size):
+            yield op
         return trace.thread_checksum(thread)
-        yield  # pragma: no cover - keeps zero-op bodies generators
 
     return body
+
+
+#: the most recently built workload trace: ``(key, trace, its length)``
+_latest: Optional[Tuple[Hashable, MemTrace, int]] = None
+
+
+def latest_trace(key: Hashable, build: Callable[[], MemTrace]) -> MemTrace:
+    """``build()``, kept for the next call with an equal ``key``.
+
+    One entry: a new key frees the kept trace before building its own, so
+    the kept trace is the only one alive across runs.  It holds rows,
+    engine ops and checksums, never a machine.  A kept trace that was
+    appended to since is built again.
+    """
+    global _latest
+    if (
+        _latest is not None
+        and _latest[0] == key
+        and len(_latest[1]) == _latest[2]
+    ):
+        return _latest[1]
+    _latest = None
+    trace = build()
+    _latest = (key, trace, len(trace))
+    return trace
 
 
 def trace_root_task(ctx, trace: MemTrace):

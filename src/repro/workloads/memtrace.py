@@ -8,6 +8,15 @@ generators (:mod:`repro.workloads.synth`).  The adapter in
 :mod:`repro.workloads.adapter` then runs any ``MemTrace`` through the
 full simulator stack as a standard benchmark.
 
+A trace keeps what every run of it reads: its rows grouped by thread,
+each thread's checksum and each thread's engine ops at a block size are
+built once, on first use, and :meth:`MemTrace.append` forgets them.
+:func:`repro.workloads.adapter.latest_trace` keeps the most recently
+built workload trace (a ``synth-*`` build or a parsed ``trace:`` file)
+for the next run of the same workload, so a protocol matrix builds,
+splits and hashes its trace once.  Callers must not hand a trace they
+got from a workload to code that appends to it.
+
 Text format (the ``thread op address [size]`` family used by
 directory-protocol coursework and trace tools)::
 
@@ -36,6 +45,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from repro.common.errors import ReproError
+from repro.sim.ops import LoadOp, RmwOp, StoreOp
 
 #: op-kind codes (match repro.replay.trace AT_* by design)
 K_LOAD = 0
@@ -59,6 +69,14 @@ MAX_ACCESS_SIZE = 512
 
 _MASK64 = (1 << 64) - 1
 
+#: trace addresses live far above any sbrk'd heap page (base 0x1_0000);
+#: offsetting by 4 GiB guarantees external addresses never alias runtime
+#: allocations regardless of workload size.
+TRACE_ADDR_BASE = 1 << 32
+
+#: engine op class per kind code
+_OP_CLASSES = (LoadOp, StoreOp, RmwOp)
+
 
 class TraceFormatError(ReproError):
     """A workload trace file (or text blob) failed to parse.
@@ -81,7 +99,10 @@ class MemTrace:
     label (source filename or generator id), not part of the workload.
     """
 
-    __slots__ = ("ops", "name", "_by_thread")
+    __slots__ = (
+        "ops", "name", "_by_thread", "_checksums", "_engine_ops",
+        "__weakref__",
+    )
 
     def __init__(
         self,
@@ -91,11 +112,19 @@ class MemTrace:
         self.ops: List[Tuple[int, int, int, int]] = ops if ops is not None else []
         self.name = name
         self._by_thread: Optional[Dict[int, List[Tuple[int, int, int]]]] = None
+        #: thread -> :meth:`thread_checksum`
+        self._checksums: Dict[int, int] = {}
+        #: (thread, block size) -> :meth:`engine_ops`
+        self._engine_ops: Dict[Tuple[int, int], list] = {}
 
     # ------------------------------------------------------------------
     def append(self, thread: int, kind: int, addr: int, size: int = 8) -> None:
         self.ops.append((thread, kind, addr, size))
-        self._by_thread = None
+        if self._by_thread is not None:
+            # the checksums and engine ops are built from the grouping
+            self._by_thread = None
+            self._checksums.clear()
+            self._engine_ops.clear()
 
     def __len__(self) -> int:
         return len(self.ops)
@@ -149,13 +178,49 @@ class MemTrace:
                     shared.add(block)
         return len(owners), len(shared)
 
+    def engine_ops(self, thread: int, block_size: int) -> list:
+        """One thread's stream as the engine ops that replay it.
+
+        Each row becomes a ``LoadOp``/``StoreOp``/``RmwOp`` at
+        ``TRACE_ADDR_BASE + addr`` with ``heap=None``, split at
+        ``block_size`` boundaries (the engine contract is one block per
+        scalar op), so the byte footprint is kept exactly.  Built once
+        per thread and block size; equal ops share one object, since the
+        engine only reads the ops it is handed.
+        """
+        key = (thread, block_size)
+        ops = self._engine_ops.get(key)
+        if ops is None:
+            ops = []
+            made: Dict[Tuple[int, int, int], object] = {}
+            for kind, addr, size in self.by_thread().get(thread, ()):
+                at = TRACE_ADDR_BASE + addr
+                end = at + max(size, 1)
+                while at < end:
+                    chunk = min(end - at, block_size - at % block_size)
+                    op_key = (kind, at, chunk)
+                    op = made.get(op_key)
+                    if op is None:
+                        op = made[op_key] = _OP_CLASSES[kind](at, chunk)
+                    ops.append(op)
+                    at += chunk
+            self._engine_ops[key] = ops
+        return ops
+
     # ------------------------------------------------------------------
     def thread_checksum(self, thread: int) -> int:
-        """Order-sensitive FNV-1a over one thread's op stream."""
-        h = 0xCBF29CE484222325
-        for kind, addr, size in self.by_thread().get(thread, ()):
-            for word in (kind, addr, size):
-                h = ((h ^ (word & _MASK64)) * 0x100000001B3) & _MASK64
+        """Order-sensitive FNV-1a over one thread's op stream.
+
+        Computed once per thread: every run of a workload and its
+        host-side reference read the same value.
+        """
+        h = self._checksums.get(thread)
+        if h is None:
+            h = 0xCBF29CE484222325
+            for kind, addr, size in self.by_thread().get(thread, ()):
+                for word in (kind, addr, size):
+                    h = ((h ^ (word & _MASK64)) * 0x100000001B3) & _MASK64
+            self._checksums[thread] = h
         return h
 
     def checksum(self) -> int:

@@ -25,18 +25,35 @@ bit-identical RunStats on both the engine and replay paths:
 ``SYNTH_WORKLOADS`` registers one ready-made :class:`Benchmark` per
 regime (names ``synth-*``); :func:`make_trace` builds a raw trace for
 arbitrary knob settings (the CLI ``synth`` subcommand's entry point).
+Both check every knob against :data:`KNOB_RANGES` first, so a value no
+generator can honour is a :class:`ConfigError`, never a traceback or a
+trace that ``ingest`` refuses.
+
+A registered workload's build keeps its trace
+(:func:`~repro.workloads.adapter.latest_trace`): the runs of one
+``(kind, size, seed)`` across a protocol matrix read one trace, with its
+engine ops and checksums built once.  Callers must not append to a trace
+a ``synth-*`` workload returned; :func:`make_trace` always builds a
+fresh one.
 """
 
 from __future__ import annotations
 
 import bisect
+import math
 import random
-from typing import Callable, Dict, List
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.bench.common import Benchmark
 from repro.common.errors import ConfigError
-from repro.workloads.adapter import trace_root_task
-from repro.workloads.memtrace import K_LOAD, K_RMW, K_STORE, MemTrace
+from repro.workloads.adapter import latest_trace, trace_root_task
+from repro.workloads.memtrace import (
+    K_LOAD,
+    K_RMW,
+    K_STORE,
+    MAX_TRACE_THREADS,
+    MemTrace,
+)
 
 #: one cache line in every generator's address arithmetic; matches the
 #: machine presets (traces remain valid at other block sizes, the
@@ -199,37 +216,93 @@ GENERATORS: Dict[str, Callable[..., MemTrace]] = {
 }
 
 
-def make_trace(
-    kind: str, seed: int = 42, ops_per_thread: int = SCALES["test"], **knobs
-) -> MemTrace:
-    """Build one synthetic trace with explicit knobs (CLI ``synth`` path).
+#: accepted closed range of every generator knob: ``name -> (integer?,
+#: low, high)``, ``high=None`` for no bound.  ``keys`` is capped because
+#: ``zipf`` tabulates one weight per key, ``skew`` so that no weight
+#: overflows at that cap, and ``slots_per_line`` at one byte per slot.
+KNOB_RANGES: Dict[str, Tuple[bool, int, Optional[int]]] = {
+    "threads": (True, 1, MAX_TRACE_THREADS),
+    "keys": (True, 1, 1 << 16),
+    "slots": (True, 1, None),
+    "slots_per_line": (True, 1, LINE),
+    "phases": (True, 1, None),
+    "window_lines": (True, 1, None),
+    "skew": (False, 0, 32),
+    "read_frac": (False, 0, 1),
+    "write_frac": (False, 0, 1),
+    "shared_frac": (False, 0, 1),
+}
 
-    Unknown kinds and unknown knob names raise :class:`ConfigError`
-    (operational error, CLI exit 2).
-    """
+
+def _check_knobs(kind: str, ops_per_thread: int, knobs: Dict[str, object]) -> None:
+    """Raise :class:`ConfigError` unless every knob is in :data:`KNOB_RANGES`."""
+
+    def bad(what: str) -> ConfigError:
+        return ConfigError(f"bad knob for synthetic workload {kind!r}: {what}")
+
+    if isinstance(ops_per_thread, bool) or not isinstance(ops_per_thread, int) \
+            or ops_per_thread < 1:
+        raise bad(f"ops per thread {ops_per_thread!r} must be an integer >= 1")
+    for name, value in knobs.items():
+        if name not in KNOB_RANGES:
+            continue  # the generator's signature rejects it
+        integer, low, high = KNOB_RANGES[name]
+        need = f"in [{low}, {high}]" if high is not None else f">= {low}"
+        numeric = (int,) if integer else (int, float)
+        if isinstance(value, bool) or not isinstance(value, numeric) \
+                or (isinstance(value, float) and not math.isfinite(value)) \
+                or value < low or (high is not None and value > high):
+            kind_of = "an integer" if integer else "a number"
+            raise bad(f"{name}={value!r} must be {kind_of} {need}")
+    if knobs.get("phases", 1) > ops_per_thread:
+        raise bad(
+            f"phases={knobs['phases']!r} must be at most the "
+            f"{ops_per_thread} ops per thread"
+        )
+
+
+def _generate(
+    kind: str, rng: random.Random, ops_per_thread: int, knobs: Dict[str, object]
+) -> MemTrace:
+    """Check the knobs, then run ``kind``'s generator."""
+    _check_knobs(kind, ops_per_thread, knobs)
     try:
-        generator = GENERATORS[kind]
-    except KeyError:
-        raise ConfigError(
-            f"unknown synthetic workload {kind!r}; "
-            f"choose from {sorted(GENERATORS)}"
-        ) from None
-    try:
-        return generator(random.Random(seed), ops_per_thread, **knobs)
+        return GENERATORS[kind](rng, ops_per_thread, **knobs)
     except TypeError as exc:
         raise ConfigError(
             f"bad knob for synthetic workload {kind!r}: {exc}"
         ) from None
 
 
-def _synth_benchmark(kind: str, description: str, **knobs) -> Benchmark:
-    generator = GENERATORS[kind]
+def make_trace(
+    kind: str, seed: int = 42, ops_per_thread: int = SCALES["test"], **knobs
+) -> MemTrace:
+    """Build one fresh synthetic trace with explicit knobs (CLI ``synth`` path).
+
+    Unknown kinds, unknown knob names and knob values outside
+    :data:`KNOB_RANGES` raise :class:`ConfigError` (operational error,
+    CLI exit 2).
+    """
+    if kind not in GENERATORS:
+        raise ConfigError(
+            f"unknown synthetic workload {kind!r}; "
+            f"choose from {sorted(GENERATORS)}"
+        )
+    return _generate(kind, random.Random(seed), ops_per_thread, knobs)
+
+
+def _synth_benchmark(kind: str, description: str) -> Benchmark:
+    name = f"synth-{kind}"
 
     def build(rng: random.Random, scale: int) -> MemTrace:
-        return generator(rng, scale, **knobs)
+        # The rng's state stands for the seed: equal states draw equal traces.
+        return latest_trace(
+            (name, scale, rng.getstate()),
+            lambda: _generate(kind, rng, scale, {}),
+        )
 
     return Benchmark(
-        name=f"synth-{kind}",
+        name=name,
         build=build,
         root_task=trace_root_task,
         reference=lambda workload: workload.checksum(),

@@ -97,6 +97,32 @@ def test_thread_grouping_preserves_program_order():
     assert trace.by_thread()[1] == [(K_STORE, 0x40, 8), (K_LOAD, 0x40, 8)]
 
 
+def test_append_after_thread_checksum_changes_the_checksum():
+    trace = parse_trace_text("0 R 0x0\n1 W 0x40\n")
+    before = trace.thread_checksum(0), trace.checksum()
+    trace.append(0, K_STORE, 0x80, 8)
+    assert trace.thread_checksum(0) != before[0]
+    assert trace.checksum() != before[1]
+    assert trace.checksum() == parse_trace_text(trace.to_text()).checksum()
+
+
+def test_engine_ops_are_built_once_and_dropped_by_append():
+    trace = parse_trace_text("0 R 0x0\n0 R 0x0\n0 W 0x3c 8\n")
+    ops = trace.engine_ops(0, 64)
+    assert trace.engine_ops(0, 64) is ops
+    # equal accesses share one op; the store is split at the block edge
+    assert ops[0] is ops[1]
+    assert [(type(op).__name__, op.addr - TRACE_ADDR_BASE, op.size)
+            for op in ops] == [
+        ("LoadOp", 0x0, 8), ("LoadOp", 0x0, 8),
+        ("StoreOp", 0x3c, 4), ("StoreOp", 0x40, 4),
+    ]
+    assert [op.size for op in trace.engine_ops(0, 128)] == [8, 8, 8]
+    trace.append(0, K_LOAD, 0x80, 8)
+    assert len(trace.engine_ops(0, 64)) == 5
+    assert len(ops) == 4  # a list handed out earlier is left alone
+
+
 def test_checksum_is_thread_order_independent():
     a = parse_trace_text("0 R 0x0\n1 W 0x40\n")
     b = parse_trace_text("1 W 0x40\n0 R 0x0\n")

@@ -6,6 +6,9 @@ skew and rw-mix knobs move the sharing/invalidation counters
 monotonically in the expected direction.
 """
 
+import gc
+import weakref
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,10 +16,17 @@ from hypothesis import strategies as st
 from repro.analysis.conformance import stats_digest
 from repro.analysis.run import run_benchmark
 from repro.bench import BENCHMARKS, get_benchmark
+from repro.cli import main
 from repro.common.config import dual_socket
 from repro.common.errors import ConfigError
 from repro.replay import record_benchmark, replay_trace
-from repro.workloads import GOLDEN_SYNTH, SYNTH_WORKLOADS, make_trace
+from repro.workloads import (
+    GOLDEN_SYNTH,
+    SYNTH_WORKLOADS,
+    make_trace,
+    parse_trace_text,
+)
+from repro.workloads.memtrace import K_STORE
 
 CONFIG = dual_socket()
 
@@ -58,6 +68,105 @@ def test_unknown_workload_name_is_config_error():
         make_trace("nonexistent")
     with pytest.raises(ConfigError, match="bad knob"):
         make_trace("zipf", not_a_knob=3)
+    with pytest.raises(ConfigError, match="ops per thread"):
+        make_trace("zipf", ops_per_thread=0)
+
+
+#: ``synth`` arguments and whether they are accepted: every bad knob
+#: value exits 2, every boundary value writes a trace ``ingest`` accepts
+KNOB_CASES = [
+    (["falseshare", "--set", "slots_per_line=0"], False),
+    (["falseshare", "--set", "slots_per_line=128"], False),
+    (["falseshare", "--set", "slots_per_line=64"], True),
+    (["falseshare", "--set", "read_frac=-0.5"], False),
+    (["falseshare", "--set", "read_frac=0"], True),
+    (["ring", "--set", "slots=0"], False),
+    (["ring", "--set", "slots=1"], True),
+    (["phase", "--set", "phases=0"], False),
+    (["phase", "--set", "window_lines=0"], False),
+    (["phase", "--set", "shared_frac=1.01"], False),
+    (["phase", "--set", "phases=1", "--set", "window_lines=1",
+      "--set", "shared_frac=1"], True),
+    (["phase", "--ops", "3", "--set", "phases=4"], False),
+    (["phase", "--ops", "3", "--set", "phases=3"], True),
+    (["rwmix", "--set", "keys=0"], False),
+    (["rwmix", "--set", "write_frac=2"], False),
+    (["rwmix", "--set", "keys=1", "--set", "write_frac=1"], True),
+    (["zipf", "--set", "threads=0"], False),
+    (["zipf", "--set", "threads=300"], False),
+    (["zipf", "--set", "threads=2.5"], False),
+    (["zipf", "--set", "threads=1"], True),
+    (["zipf", "--set", "threads=256"], True),
+    (["zipf", "--set", "keys=65537"], False),
+    (["zipf", "--set", "skew=-1"], False),
+    (["zipf", "--set", "skew=nan"], False),
+    (["zipf", "--set", "skew=inf"], False),
+    (["zipf", "--set", "keys=65536", "--set", "skew=32"], True),
+    (["zipf", "--set", "keys=1", "--set", "skew=0",
+      "--set", "read_frac=1"], True),
+]
+
+
+@pytest.mark.parametrize(
+    "args, accepted", KNOB_CASES, ids=[" ".join(a) for a, _ in KNOB_CASES]
+)
+def test_synth_knob_ranges(args, accepted, tmp_path, capsys):
+    out = tmp_path / "knob.trace"
+    # a case's own --ops comes later and wins
+    code = main(["synth", "--ops", "10", *args, "--out", str(out)])
+    err = capsys.readouterr().err
+    if not accepted:
+        assert code == 2
+        assert len(err.splitlines()) == 1
+        assert err.startswith("synth: error: bad knob")
+        assert not out.exists()
+        return
+    assert code == 0 and err == ""
+    trace = parse_trace_text(out.read_text(), source=str(out))
+    assert len(trace) > 0
+
+
+# ----------------------------------------------------------------------
+# A registered build keeps only the latest trace
+# ----------------------------------------------------------------------
+
+def test_synth_build_keeps_the_latest_trace_only():
+    bench = get_benchmark("synth-ring")
+    scale = bench.scale("test")
+    gc.disable()
+    try:
+        trace = bench.workload("test", seed=1234)
+        # same (size, seed): the same object, built and hashed once
+        assert bench.workload("test", seed=1234) is trace
+        run_benchmark("synth-ring", "mesi", CONFIG, size="test", seed=1234,
+                      use_cache=False, use_disk_cache=False)
+        assert bench.workload("test", seed=1234) is trace
+        for name, size, seed, kind, ops in (
+            ("synth-zipf", "test", 1234, "zipf", scale),  # another kind
+            ("synth-zipf", "test", 1235, "zipf", scale),  # another seed
+            ("synth-zipf", "small", 1235, "zipf",          # another size
+             get_benchmark("synth-zipf").scale("small")),
+        ):
+            old = weakref.ref(trace)
+            del trace
+            trace = get_benchmark(name).workload(size, seed=seed)
+            assert trace == make_trace(kind, seed=seed, ops_per_thread=ops)
+            # one entry: the previous trace is no longer referenced
+            assert old() is None
+    finally:
+        gc.enable()
+
+
+def test_appending_to_a_built_trace_never_changes_a_later_build():
+    bench = get_benchmark("synth-zipf")
+    trace = bench.workload("test", seed=77)
+    checksum = trace.checksum()
+    trace.append(0, K_STORE, 0x40, 8)
+    again = bench.workload("test", seed=77)
+    assert again is not trace
+    assert again == make_trace("zipf", seed=77,
+                               ops_per_thread=bench.scale("test"))
+    assert again.checksum() == checksum
 
 
 # ----------------------------------------------------------------------
